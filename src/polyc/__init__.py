@@ -31,9 +31,7 @@ __all__ = [
 
 def load_program(source, mode=None):
     """Parse and desugar source text; returns (program, mode)."""
-    from .parser import detect_mode as _detect
-
     if mode is None:
-        mode = _detect(source)
+        mode = detect_mode(source)
     prog = parse_source(source, mode)
     return desugar(prog), mode

@@ -6,12 +6,10 @@ program with it passes the type checker, so the program provably terminates
 in polynomial time.  "unknown" never claims non-polynomial behavior.
 """
 
+import copy
 from dataclasses import dataclass, field
 
-from .ast import (
-    Assign, Block, Decl, For, FunDef, If, Program, Var, IINT, INT,
-    is_int_type,
-)
+from .ast import Decl, FunDef, Program, IINT, INT, is_int_type, walk_stmts
 from .errors import PolycError
 from .typecheck import check_program, decl_site, param_site
 
@@ -53,26 +51,14 @@ def _int_sites(prog):
     """Declaration sites of integer variables: Decl nodes and (program or
     function) parameter slots.  Loop counters are fixed iterable and boolean
     variables keep bool, so neither is a site."""
-    sites = []
-    for i, (t, n) in enumerate(prog.params):
-        if is_int_type(t):
-            sites.append(param_site("main", i, prog))
-    stack = list(prog.body)
-    while stack:
-        s = stack.pop()
+    sites = [param_site("main", i, prog)
+             for i, (t, _) in enumerate(prog.params) if is_int_type(t)]
+    for s in walk_stmts(prog.body):
         if isinstance(s, Decl) and is_int_type(s.annot):
             sites.append(decl_site(s))
-        elif isinstance(s, Block):
-            stack.extend(s.stmts)
-        elif isinstance(s, If):
-            stack.extend([s.then, s.els])
-        elif isinstance(s, For):
-            stack.append(s.body)
         elif isinstance(s, FunDef):
-            for i, (t, n) in enumerate(s.params):
-                if is_int_type(t):
-                    sites.append(param_site(s.name, i, s))
-            stack.extend(s.body)
+            sites.extend(param_site(s.name, i, s)
+                         for i, (t, _) in enumerate(s.params) if is_int_type(t))
     return sites
 
 
@@ -87,22 +73,12 @@ def apply_state(prog, state):
 
     prog.params = [(annot_for(param_site("main", i, prog), t), n)
                    for i, (t, n) in enumerate(prog.params)]
-    stack = list(prog.body)
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Decl):
-            if is_int_type(s.annot):
-                s.annot = annot_for(decl_site(s), s.annot)
-        elif isinstance(s, Block):
-            stack.extend(s.stmts)
-        elif isinstance(s, If):
-            stack.extend([s.then, s.els])
-        elif isinstance(s, For):
-            stack.append(s.body)
+    for s in walk_stmts(prog.body):
+        if isinstance(s, Decl) and is_int_type(s.annot):
+            s.annot = annot_for(decl_site(s), s.annot)
         elif isinstance(s, FunDef):
             s.params = [(annot_for(param_site(s.name, i, s), t), n)
                         for i, (t, n) in enumerate(s.params)]
-            stack.extend(s.body)
     return prog
 
 
@@ -113,8 +89,6 @@ def reannotate(prog, state):
     over this very program object; annotations are applied in place first
     and the copy is taken afterwards.
     """
-    import copy
-
     return copy.deepcopy(apply_state(prog, state))
 
 
@@ -146,8 +120,6 @@ def poly_check(prog, mode="core"):
     the initial all-iterable assignment gives main iterable parameters,
     which only the extended parameter rule admits.
     """
-    import copy
-
     del mode
     work = copy.deepcopy(prog)
     sites = _int_sites(work)
@@ -178,8 +150,6 @@ def erase_annotations(prog):
     """Integer annotations carry no information for the analysis; this maps
     them all to int so the caller can feed a nominally annotation-free
     program to poly_check (which re-assigns them anyway)."""
-    import copy
-
     work = copy.deepcopy(prog)
     state = AnnotationState({s: False for s in _int_sites(work)})
     return apply_state(work, state)

@@ -265,17 +265,22 @@ class Program:
 
 
 def walk_stmts(stmts):
-    """Yield every statement in a statement list, recursively."""
-    for s in stmts:
+    """Yield every statement in a statement list and all nested ones, in
+    pre-order.  An explicit stack keeps deep nesting off the Python stack."""
+    stack = list(reversed(stmts))
+    while stack:
+        s = stack.pop()
         yield s
         if isinstance(s, Block):
-            yield from walk_stmts(s.stmts)
+            stack.extend(reversed(s.stmts))
         elif isinstance(s, If):
-            yield from walk_stmts([s.then] + ([s.els] if s.els is not None else []))
+            if s.els is not None:
+                stack.append(s.els)
+            stack.append(s.then)
         elif isinstance(s, For):
-            yield from walk_stmts([s.body])
+            stack.append(s.body)
         elif isinstance(s, FunDef):
-            yield from walk_stmts(s.body)
+            stack.extend(reversed(s.body))
 
 
 def walk_exprs(e):

@@ -9,12 +9,11 @@ import json
 import os
 import sys
 
+from . import load_program
 from .analysis import IllTypedError, poly_check
-from .desugar import desugar
 from .errors import ArgumentError, LexError, ParseError, DesugarError, \
     PolyRuntimeError, PolycError
 from .interp import run_program
-from .parser import detect_mode, parse_source
 from .printer import pretty_print
 from .tm import TmError, clock_program, compile_tm, parse_tm
 from .transform import (
@@ -135,15 +134,16 @@ def _fuel():
         raise CliFailure(EXIT_USAGE, f"POLYC_FUEL must be an integer, got {raw!r}")
 
 
-def _load(path, mode_flag):
+def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
+            return fh.read()
     except OSError as e:
         raise CliFailure(EXIT_USAGE, f"cannot read {path}: {e}")
-    mode = mode_flag or detect_mode(source)
-    prog = parse_source(source, mode)
-    return desugar(prog), mode
+
+
+def _load(path, mode_flag):
+    return load_program(_read(path), mode_flag)
 
 
 def _checked(path, mode_flag, json_mode=False):
@@ -247,8 +247,7 @@ def cmd_cost(args):
 
 
 def cmd_check(args):
-    prog, mode = _checked(args.file, args.mode, args.json)
-    del prog, mode
+    _checked(args.file, args.mode, args.json)
     if args.json:
         print(json.dumps({"diagnostics": []}))
     else:
@@ -264,8 +263,7 @@ def cmd_clock(args):
 
 
 def cmd_compile_tm(args):
-    with open(args.tmfile, "r", encoding="utf-8") as fh:
-        machine = parse_tm(fh.read(), name=args.tmfile)
+    machine = parse_tm(_read(args.tmfile), name=args.tmfile)
     degree = args.degree
     if degree is None:
         degree = 2
@@ -307,8 +305,9 @@ def cmd_equiv(args):
     p2, mode2 = _checked(args.file2, args.mode)
     if args.bound < 0:
         raise CliFailure(EXIT_USAGE, "bound must be non-negative")
-    same, witness = bounded_equiv(p1, p2, args.bound, mode=mode1, fuel=_fuel())
-    del mode2
+    # extended mode only adds the builtin bindings, so it runs core programs too
+    mode = "extended" if "extended" in (mode1, mode2) else "core"
+    same, witness = bounded_equiv(p1, p2, args.bound, mode=mode, fuel=_fuel())
     if same:
         print("true")
     else:

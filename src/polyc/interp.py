@@ -5,8 +5,9 @@ operator application, declaration, assignment and block entry; sequences,
 conditionals and loops only add up their parts.  It also records per-rule
 execution counts and the maximum bit-size reached by any stored value.
 
-The expression evaluator is the hot path: operators are dispatched inline
-and the fuel counter is maintained per statement.
+The expression evaluator is the hot path: operators are dispatched through
+the per-arity function tables of polyc.ops, and the fuel counter is
+maintained per statement.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ from .ast import (
     For, FunDef, If, Index, OpApp, Paren, Var,
 )
 from .errors import ArgumentError, FuelExhausted, InternalError, PolyRuntimeError
+from .ops import BINARY, BUILTIN_NAMES, UNARY, apply_op
 from .values import (
     Builtin, Closure, VArray, default_value, format_value, literal_value,
     size_of_value, value_consistent,
@@ -62,57 +64,6 @@ def exec_stmt(store, stmt, cost_mode=False):
     return interp.store, interp.steps, sig
 
 
-def apply_op(op, args):
-    """Total interpretation of the operators; division by zero yields 0."""
-    if len(args) == 2:
-        a, b = args
-    else:
-        a, b = args[0], None
-    if op == "+":
-        return a + b
-    if op == "-":
-        if b is None:
-            return -a
-        return a - b
-    if op == "%":
-        if b == 0:
-            return 0
-        r = abs(a) % abs(b)
-        return r if a >= 0 else -r
-    if op == "/":
-        if b == 0:
-            return 0
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "&&":
-        return a and b
-    if op == "||":
-        return a or b
-    if op == "!":
-        return not a
-    if op == "size":
-        return size_of_value(a)
-    if op == "min":
-        return a if a <= b else b
-    if op == "max":
-        return a if a >= b else b
-    if op == "concat":
-        return a + b
-    raise InternalError(f"unknown operator {op!r}")
-
-
 class Interp:
     def __init__(self, cost_mode=False, mode="core", fuel=None, watch=None):
         self.cost = cost_mode
@@ -128,6 +79,11 @@ class Interp:
     # -- bookkeeping --------------------------------------------------------
 
     def rule(self, name):
+        self.rule_counts[name] = self.rule_counts.get(name, 0) + 1
+
+    def charge(self, name):
+        """One cost-model step, counted under the named rule."""
+        self.steps += 1
         self.rule_counts[name] = self.rule_counts.get(name, 0) + 1
 
     def track(self, v):
@@ -148,8 +104,7 @@ class Interp:
         cls = e.__class__
         if cls is Var:
             if self.cost:
-                self.steps += 1
-                self.rule("Var")
+                self.charge("Var")
             try:
                 return self.store[e.name]
             except KeyError:
@@ -157,80 +112,45 @@ class Interp:
                                     e.pos) from None
         if cls is OpApp:
             args = e.args
-            op = e.op
             if len(args) == 2:
                 a = self.eval(args[0])
                 b = self.eval(args[1])
                 if self.cost:
-                    self.steps += 1
-                    self.rule("Op")
-                if op == "+":
-                    return a + b
-                if op == "==":
-                    return a == b
-                if op == "&&":
-                    return a and b
-                if op == "%":
-                    if b == 0:
-                        return 0
-                    r = abs(a) % abs(b)
-                    return r if a >= 0 else -r
-                if op == "-":
-                    return a - b
-                if op == "/":
-                    if b == 0:
-                        return 0
-                    q = abs(a) // abs(b)
-                    return q if (a >= 0) == (b >= 0) else -q
-                if op == "<":
-                    return a < b
-                if op == ">":
-                    return a > b
-                if op == "<=":
-                    return a <= b
-                if op == ">=":
-                    return a >= b
-                if op == "!=":
-                    return a != b
-                if op == "||":
-                    return a or b
-                return apply_op(op, [a, b])
+                    self.charge("Op")
+                try:
+                    fn = BINARY[e.op]
+                except KeyError:
+                    raise InternalError(f"unknown operator {e.op!r}", e.pos) from None
+                return fn(a, b)
             a = self.eval(args[0])
             if self.cost:
-                self.steps += 1
-                self.rule("Op")
-            if op == "!":
-                return not a
-            if op == "-":
-                return -a
-            if op == "size":
-                return size_of_value(a)
-            return apply_op(op, [a])
+                self.charge("Op")
+            try:
+                fn = UNARY[e.op]
+            except KeyError:
+                raise InternalError(f"unknown operator {e.op!r}", e.pos) from None
+            return fn(a)
         if cls is Const:
             if self.cost:
-                self.steps += 1
-                self.rule("Const")
+                self.charge("Const")
             return literal_value(e.text)
         if cls is Paren:
             v = self.eval(e.inner)
             if self.cost:
-                self.steps += 1
-                self.rule("Paren")
+                self.charge("Paren")
             return v
         if cls is Index:
             base = self.eval(e.base)
             idx = self.eval(e.index)
             if self.cost:
-                self.steps += 1
-                self.rule("Index")
+                self.charge("Index")
             return self.index_read(base, idx, e)
         if cls is Call:
             return self.call(e)
         if cls is ArrayCtor:
             n = self.eval(e.length)
             if self.cost:
-                self.steps += 1
-                self.rule("ArrayCtor")
+                self.charge("ArrayCtor")
             if e.elem is None:
                 raise InternalError("array constructor was not type-checked", e.pos)
             if n < 0:
@@ -259,8 +179,7 @@ class Interp:
                                 e.pos) from None
         vals = [self.eval(a) for a in e.args]
         if self.cost:
-            self.steps += 1
-            self.rule("App")
+            self.charge("App")
         if isinstance(fv, Builtin):
             return apply_op(fv.name, vals)
         if not isinstance(fv, Closure):
@@ -297,8 +216,7 @@ class Interp:
             return self.exec(s.then if b else s.els)
         if cls is Block:
             if self.cost:
-                self.steps += 1
-                self.rule("Block")
+                self.charge("Block")
                 if not s.stmts:
                     self.rule("EmptyBlock")
             for st in s.stmts:
@@ -310,26 +228,22 @@ class Interp:
             return self.loop(s)
         if cls is Decl:
             if self.cost:
-                self.steps += 1
-                self.rule("Decl")
+                self.charge("Decl")
             self.bind(s.name, default_value(s.annot))
             return None
         if cls is FunDef:
             if self.cost:
-                self.steps += 1
-                self.rule("Fun")
+                self.charge("Fun")
             self.bind(s.name, Closure(dict(self.store), s.params, s.body,
                                       s.ret_expr, s.name))
             return None
         if cls is Break:
             if self.cost:
-                self.steps += 1
-                self.rule("Break")
+                self.charge("Break")
             return "break"
         if cls is Continue:
             if self.cost:
-                self.steps += 1
-                self.rule("Continue")
+                self.charge("Continue")
             return "continue"
         if cls is CallStmt:
             self.eval(s.call)
@@ -341,8 +255,7 @@ class Interp:
         if lv.__class__ is Var:
             v = self.eval(s.expr)
             if self.cost:
-                self.steps += 1
-                self.rule("Asgmt")
+                self.charge("Asgmt")
                 if lv.name not in self.store:
                     raise InternalError(
                         f"assignment to unbound variable {lv.name!r}", s.pos)
@@ -365,8 +278,7 @@ class Interp:
             idxs.append(self.eval(ix.index))
         v = self.eval(s.expr)
         if self.cost:
-            self.steps += 1
-            self.rule("Asgmt")
+            self.charge("Asgmt")
         target = base
         last = len(idxs) - 1
         for depth, idx in enumerate(idxs):
@@ -425,7 +337,7 @@ class Interp:
                 f"program expects {len(prog.params)} arguments, got {len(args)}")
         self.store = {}
         if self.mode == "extended":
-            for name in ("min", "max", "concat"):
+            for name in BUILTIN_NAMES:
                 self.store[name] = Builtin(name)
         for (annot, name), v in zip(prog.params, args):
             if not value_consistent(v, annot):

@@ -62,7 +62,7 @@ def tokenize(source):
                 advance(1)
             continue
         pos = Pos(line, col)
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
             if source.startswith("0b", i):
                 j = i + 2
@@ -72,7 +72,7 @@ def tokenize(source):
                     raise LexError("binary literal needs at least one digit", pos)
                 kind = "binary-literal"
             else:
-                while j < n and source[j].isdigit():
+                while j < n and "0" <= source[j] <= "9":
                     j += 1
                 kind = "decimal-literal"
             lexeme = source[i:j]

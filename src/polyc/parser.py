@@ -12,19 +12,10 @@ from .ast import (
 )
 from .errors import ParseError
 from .lexer import tokenize
+from .ops import LEVELS, OPS, PRECEDENCE
 
 CORE_TYPES = {"iint": IINT, "int": INT, "bool": BOOL}
 EXT_TYPES = {"string": STRING, "istring": ISTRING}
-
-# binary operators by precedence level, loosest first
-BIN_LEVELS = [
-    ["||"],
-    ["&&"],
-    ["==", "!="],
-    ["<", "<=", ">", ">="],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
 
 
 def detect_mode(source):
@@ -340,19 +331,21 @@ class Parser:
     # -- expressions --------------------------------------------------------
 
     def expr(self, level=0):
-        if level >= len(BIN_LEVELS):
+        """Binary operators at `level` or tighter, left associative."""
+        if level == LEVELS:
             return self.expr_unary()
         node = self.expr(level + 1)
-        ops = BIN_LEVELS[level]
-        while self.peek().kind == "operator-symbol" and self.peek().lexeme in ops:
-            t = self.next()
+        t = self.peek()
+        while t.kind == "operator-symbol" and PRECEDENCE.get(t.lexeme) == level:
+            self.next()
             rhs = self.expr(level + 1)
             node = OpApp(t.lexeme, [node, rhs], pos=t.pos)
+            t = self.peek()
         return node
 
     def expr_unary(self):
         t = self.peek()
-        if t.kind == "operator-symbol" and t.lexeme in ("!", "-"):
+        if t.kind == "operator-symbol" and (t.lexeme, 1) in OPS:
             self.next()
             return OpApp(t.lexeme, [self.expr_unary()], pos=t.pos)
         return self.expr_postfix()

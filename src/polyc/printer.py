@@ -11,10 +11,7 @@ from .ast import (
     Continue, Decl, DeclInit, For, FunDef, If, Incr, Index, OpApp, Paren,
     Program, Var,
 )
-from .parser import BIN_LEVELS
-
-_MAX_LEVEL = len(BIN_LEVELS)
-_OP_LEVEL = {op: lv for lv, ops in enumerate(BIN_LEVELS) for op in ops}
+from .ops import LEVELS, PRECEDENCE
 
 
 def _ends_open(s):
@@ -27,13 +24,9 @@ def _ends_open(s):
 
 
 def expr_level(e):
-    if isinstance(e, OpApp):
-        if e.op == "size":
-            return _MAX_LEVEL
-        if len(e.args) == 1:
-            return _MAX_LEVEL  # unary ! and -
-        return _OP_LEVEL[e.op]
-    return _MAX_LEVEL
+    if isinstance(e, OpApp) and len(e.args) == 2:
+        return PRECEDENCE[e.op]
+    return LEVELS  # atoms, size() and the prefix operators bind tightest
 
 
 def expr_str(e, min_level=0):
@@ -54,8 +47,8 @@ def _expr_str(e):
         if e.op == "size":
             return f"size({expr_str(e.args[0])})"
         if len(e.args) == 1:
-            return e.op + expr_str(e.args[0], _MAX_LEVEL)
-        lv = _OP_LEVEL[e.op]
+            return e.op + expr_str(e.args[0], LEVELS)
+        lv = PRECEDENCE[e.op]
         left = expr_str(e.args[0], lv)
         right = expr_str(e.args[1], lv + 1)
         return f"{left}{e.op}{right}"
@@ -63,7 +56,7 @@ def _expr_str(e):
         args = ",".join(expr_str(a) for a in e.args)
         return f"{e.fname}({args})"
     if isinstance(e, Index):
-        return f"{expr_str(e.base, _MAX_LEVEL)}[{expr_str(e.index)}]"
+        return f"{expr_str(e.base, LEVELS)}[{expr_str(e.index)}]"
     if isinstance(e, ArrayCtor):
         return f"array({expr_str(e.length)})"
     raise TypeError(f"cannot print expression {e!r}")
@@ -95,10 +88,9 @@ class _Emitter:
         elif isinstance(s, CallStmt):
             self.line(f"{expr_str(s.call)};")
         elif isinstance(s, Block):
-            self.open_block("")
-            for inner in s.stmts:
-                self.stmt(inner)
-            self.close_block()
+            self.line("{")
+            self.indented(s.stmts)
+            self.line("}")
         elif isinstance(s, If):
             self.if_chain(s, prefix="")
         elif isinstance(s, For):
@@ -107,11 +99,7 @@ class _Emitter:
         elif isinstance(s, FunDef):
             params = ",".join(f"{t} {n}" for t, n in s.params)
             self.line(f"{s.ret} {s.name}({params}){{")
-            self.depth += 1
-            for inner in s.body:
-                self.stmt(inner)
-            self.line(f"return {expr_str(s.ret_expr)};")
-            self.depth -= 1
+            self.indented(s.body, ret=s.ret_expr)
             self.line("}")
         else:
             raise TypeError(f"cannot print statement {s!r}")
@@ -124,36 +112,26 @@ class _Emitter:
         if not isinstance(s.then, Block) and _ends_open(s.then):
             # a bare then-branch would steal the else on reparse
             self.line(head + " {")
-            self.depth += 1
-            self.stmt(s.then)
-            self.depth -= 1
+            self.indented([s.then])
             self.else_part("} else", s.els)
             return
         if isinstance(s.then, Block):
             if s.then.stmts:
                 self.line(head + " {")
-                self.depth += 1
-                for inner in s.then.stmts:
-                    self.stmt(inner)
-                self.depth -= 1
+                self.indented(s.then.stmts)
                 self.else_part("} else", s.els)
             else:
                 self.else_part(head + " { } else", s.els)
         else:
             self.line(head)
-            self.depth += 1
-            self.stmt(s.then)
-            self.depth -= 1
+            self.indented([s.then])
             self.else_part("else", s.els)
 
     def else_part(self, lead, els):
         if isinstance(els, Block):
             if els.stmts:
                 self.line(lead + " {")
-                self.depth += 1
-                for inner in els.stmts:
-                    self.stmt(inner)
-                self.depth -= 1
+                self.indented(els.stmts)
                 self.line("}")
             else:
                 self.line(lead + " {}")
@@ -161,18 +139,13 @@ class _Emitter:
             self.if_chain(els, prefix=lead + " ")
         else:
             self.line(lead)
-            self.depth += 1
-            self.stmt(els)
-            self.depth -= 1
+            self.indented([els])
 
     def attach_body(self, head, body):
         if isinstance(body, Block):
             if body.stmts:
                 self.line(head + " {")
-                self.depth += 1
-                for inner in body.stmts:
-                    self.stmt(inner)
-                self.depth -= 1
+                self.indented(body.stmts)
                 self.line("}")
             else:
                 self.line(head + " { }")
@@ -183,17 +156,16 @@ class _Emitter:
             self.lines[save] = "    " * self.depth + head + " " + self.lines[save].lstrip()
         else:
             self.line(head)
-            self.depth += 1
-            self.stmt(body)
-            self.depth -= 1
+            self.indented([body])
 
-    def open_block(self, head):
-        self.line(head + "{")
+    def indented(self, stmts, ret=None):
+        """Emit statements one level deeper, then `return ret;` if given."""
         self.depth += 1
-
-    def close_block(self):
+        for inner in stmts:
+            self.stmt(inner)
+        if ret is not None:
+            self.line(f"return {expr_str(ret)};")
         self.depth -= 1
-        self.line("}")
 
 
 def pretty_print(prog, mode_marker=None):
@@ -203,11 +175,7 @@ def pretty_print(prog, mode_marker=None):
         em.line(f"// mode: {mode_marker}")
     params = ",".join(f"{t} {n}" for t, n in prog.params)
     em.line(f"int main({params}){{")
-    em.depth += 1
-    for s in prog.body:
-        em.stmt(s)
-    em.line(f"return {expr_str(prog.ret_expr)};")
-    em.depth -= 1
+    em.indented(prog.body, ret=prog.ret_expr)
     em.line("}")
     return "\n".join(em.lines) + "\n"
 

@@ -19,6 +19,7 @@ from .ast import (
 )
 from .errors import ArgumentError, PolycError
 from .interp import run_program
+from .ops import BUILTIN_NAMES
 from .values import format_value
 
 
@@ -45,21 +46,19 @@ def t1_max_tracker(prog):
         cut += 1
     body.insert(cut, Decl(INT, o))
     body.extend([
-        _t1_guard(prog.ret_expr, o, paren=True),
+        _t1_guard(prog.ret_expr, o),
         _t1_guard_neg(prog.ret_expr, o, paren=True),
     ])
     return Program(list(prog.params), body, Var(o))
 
 
-def _t1_guard(e, o, paren=False):
+def _t1_guard(e, o):
     return If(OpApp(">", [e, Var(o)]),
               Block([Assign(Var(o), e)]), Block([]))
 
 
 def _t1_guard_neg(e, o, paren=False):
-    neg = OpApp("-", [Paren(e) if paren else e])
-    return If(OpApp(">", [neg, Var(o)]),
-              Block([Assign(Var(o), neg)]), Block([]))
+    return _t1_guard(OpApp("-", [Paren(e) if paren else e]), o)
 
 
 def _t1_stmts(stmts, env, o):
@@ -163,7 +162,7 @@ class _Inliner:
         return out
 
     def _check_param_pure(self, f):
-        allowed = {n for _, n in f.params} | set(self.funcs) | {"min", "max", "concat"}
+        allowed = {n for _, n in f.params} | set(self.funcs) | set(BUILTIN_NAMES)
         for s in walk_stmts(f.body):
             if isinstance(s, Decl):
                 allowed.add(s.name)
@@ -228,7 +227,7 @@ class _Inliner:
         if isinstance(e, Call):
             args = [self.expr_into(a, pre) for a in e.args]
             if e.fname not in self.funcs:
-                if e.fname in ("min", "max", "concat"):
+                if e.fname in BUILTIN_NAMES:
                     return Call(e.fname, args)
                 raise TransformError(f"call to unknown function {e.fname!r}",
                                      e.pos)
@@ -319,7 +318,6 @@ class SimpleForm:
     counter: str
     symbolic_bound: str
     block_count: int
-    mode: str = "extended"
 
 
 def simple_form_shape_ok(sf):
@@ -400,9 +398,6 @@ class _Normalizer:
 
     # -- block plumbing -----------------------------------------------------
 
-    def new_label(self):
-        return _Label()
-
     def place(self, label):
         label.idx = len(self.blocks)
         self.blocks.append([])
@@ -429,7 +424,7 @@ class _Normalizer:
         self.place(_Label())
         self.compile_seq(prog.body, scope)
         ret = self.rewrite_expr(prog.ret_expr, scope)
-        done = self.new_label()
+        done = _Label()
         if self.cur is not None:
             self.jump(done)
         done.idx = len(self.blocks)
@@ -481,9 +476,9 @@ class _Normalizer:
             return
         if isinstance(s, If):
             cond = self.rewrite_expr(s.cond, scope)
-            then_l = self.new_label()
-            else_l = self.new_label()
-            join_l = self.new_label()
+            then_l = _Label()
+            else_l = _Label()
+            join_l = _Label()
             self.branch(cond, then_l, else_l)
             self.place(then_l)
             self.compile_stmt(s.then, dict(scope))
@@ -518,10 +513,10 @@ class _Normalizer:
         body_scope[s.counter] = counter
         self.decls.append((INT, counter))
         self.emit(Assign(Var(counter), Const("0")))
-        head = self.new_label()
-        body_l = self.new_label()
-        incr = self.new_label()
-        after = self.new_label()
+        head = _Label()
+        body_l = _Label()
+        incr = _Label()
+        after = _Label()
         self.jump(head)
         self.place(head)
         self.branch(OpApp("<", [Var(counter), bound_expr]), body_l, after)
@@ -537,37 +532,14 @@ class _Normalizer:
         self.place(after)
 
     def emit_flat(self, s, scope):
-        """Declarations, assignments and size/loop-free if trees."""
-        if isinstance(s, Decl):
-            t = INT if s.annot is IINT else s.annot
-            if not (is_int_type(t) or t is BOOL):
-                raise TransformError(
-                    f"normalizer supports integer and boolean locals, not {t}",
-                    s.pos)
-            name = self.fresh(s.name)
-            scope[s.name] = name
-            self.decls.append((t, name))
-            self.emit(Assign(Var(name),
-                             Const("false") if t is BOOL else Const("0")))
-            return
-        if isinstance(s, Assign):
-            if not isinstance(s.lvalue, Var):
-                raise TransformError(
-                    "normalizer supports scalar assignments only", s.pos)
-            rhs = self.rewrite_expr(s.expr, scope)
-            self.emit(Assign(Var(scope[s.lvalue.name]), rhs))
-            return
+        """Declarations, assignments and size/loop-free if trees; blocks are
+        spliced into the current machine block."""
         if isinstance(s, Block):
             child = dict(scope)
             for inner in s.stmts:
                 self.emit_flat(inner, child)
-            return
-        if isinstance(s, If):
+        else:
             self.emit(self.flat_if(s, scope))
-            return
-        raise TransformError(
-            f"normalizer cannot handle {type(s).__name__}",
-            getattr(s, "pos", None))
 
     def flat_if(self, s, scope):
         """Rename a loop-free, size-free statement tree without splitting."""
@@ -579,10 +551,17 @@ class _Normalizer:
             child = dict(scope)
             return Block([self.flat_if(x, child) for x in s.stmts])
         if isinstance(s, Assign):
-            return Assign(Var(scope[s.lvalue.name]),
-                          self.rewrite_expr(s.expr, scope))
+            if not isinstance(s.lvalue, Var):
+                raise TransformError(
+                    "normalizer supports scalar assignments only", s.pos)
+            rhs = self.rewrite_expr(s.expr, scope)
+            return Assign(Var(scope[s.lvalue.name]), rhs)
         if isinstance(s, Decl):
             t = INT if s.annot is IINT else s.annot
+            if not (is_int_type(t) or t is BOOL):
+                raise TransformError(
+                    f"normalizer supports integer and boolean locals, not {t}",
+                    s.pos)
             name = self.fresh(s.name)
             scope[s.name] = name
             self.decls.append((t, name))
@@ -626,8 +605,8 @@ class _Normalizer:
                      Block([Assign(Var(t_val), OpApp("-", [Var(t_val)]))]),
                      Block([])))
         self.emit(Assign(Var(t_sz), Const("0")))
-        halve = self.new_label()
-        nxt = self.new_label()
+        halve = _Label()
+        nxt = _Label()
         self.jump(halve)
         self.place(halve)
         step = If(OpApp("!=", [Var(t_val), Const("0")]),

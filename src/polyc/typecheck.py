@@ -15,19 +15,9 @@ from .ast import (
     is_int_type, is_iterable_type, is_string_type, type_class,
     subtype_of,
 )
-
-BOOL_OPS = {"&&", "||", "!"}
-CMP_OPS = {">=", "<=", ">", "<", "==", "!="}
-ARITH_OPS = {"+", "-", "/", "%"}
-BUILTIN_FUNCS = ("min", "max", "concat")
-
-
-class _BuiltinMarker:
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return f"<builtin {self.name}>"
+# sup_type is part of this module's typing surface, re-exported from the table
+from .ops import BUILTIN_NAMES, op_signature, sup_type
+from .values import Builtin
 
 
 def decl_site(node):
@@ -43,7 +33,7 @@ def counter_site(node):
     return ("counter", node.counter, id(node))
 
 
-BUILTINS = {name: _BuiltinMarker(name) for name in BUILTIN_FUNCS}
+BUILTINS = {name: Builtin(name) for name in BUILTIN_NAMES}
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ class TypingEnv:
 
     def iterable_domain(self):
         return {n for n, (t, _) in self._b.items()
-                if not isinstance(t, (Arrow, _BuiltinMarker)) and is_iterable_type(t)}
+                if not isinstance(t, (Arrow, Builtin)) and is_iterable_type(t)}
 
 
 def initial_env(mode):
@@ -118,64 +108,12 @@ def const_type(text):
     return IINT
 
 
-def sup_type(types):
-    for t in types:
-        if not is_int_type(t):
-            raise ValueError(f"sup_type over non-integer type {t}")
-    return IINT if all(t is IINT for t in types) else INT
-
-
 def type_equiv(t1, t2):
     return type_class(t1) == type_class(t2)
 
 
 def asg_predicate(loop_indicator, annot):
     return not (loop_indicator and is_iterable_type(annot))
-
-
-def op_signature(op, argtypes, extended=False):
-    """Partial typing map for operators; None when outside the domain."""
-    if op in BOOL_OPS:
-        arity = 1 if op == "!" else 2
-        if len(argtypes) == arity and all(t is BOOL for t in argtypes):
-            return BOOL
-        return None
-    if op in CMP_OPS:
-        if len(argtypes) != 2:
-            return None
-        if all(is_int_type(t) for t in argtypes):
-            return BOOL
-        if extended and op in ("==", "!="):
-            # equality also covers strings and booleans in extended mode
-            if all(is_string_type(t) for t in argtypes):
-                return BOOL
-            if all(t is BOOL for t in argtypes):
-                return BOOL
-        return None
-    if op in ARITH_OPS:
-        if op == "-" and len(argtypes) == 1 and is_int_type(argtypes[0]):
-            return argtypes[0]
-        if len(argtypes) == 2 and all(is_int_type(t) for t in argtypes):
-            return sup_type(argtypes)
-        return None
-    if op == "size":
-        if len(argtypes) != 1:
-            return None
-        if argtypes[0] is IINT:
-            return IINT
-        if extended and argtypes[0] is ISTRING:
-            return IINT
-        return None
-    if extended and op in ("min", "max"):
-        if len(argtypes) == 2 and all(is_int_type(t) for t in argtypes):
-            return sup_type(argtypes)
-        return None
-    if extended and op == "concat":
-        if (len(argtypes) == 2 and is_string_type(argtypes[0])
-                and argtypes[1] is ISTRING):
-            return STRING
-        return None
-    return None
 
 
 @dataclass
@@ -237,7 +175,7 @@ class Checker:
                 self.diag("unbound-variable", f"variable {e.name!r} is not declared",
                           e.pos, names=(e.name,))
                 return None
-            if isinstance(t, (Arrow, _BuiltinMarker)):
+            if isinstance(t, (Arrow, Builtin)):
                 self.diag("operand-type-mismatch",
                           f"function {e.name!r} used as a value", e.pos, names=(e.name,))
                 return None
@@ -286,7 +224,7 @@ class Checker:
             return None
         if any(t is None for t in argts):
             return None
-        if isinstance(ft, _BuiltinMarker):
+        if isinstance(ft, Builtin):
             res = op_signature(e.fname, argts, self.extended)
             if res is None:
                 shown = ",".join(str(t) for t in argts)
@@ -393,7 +331,7 @@ class Checker:
                           names=(lv.name,))
                 self.rhs_type(env, l, s.expr, None)
                 return env
-            if isinstance(t, (Arrow, _BuiltinMarker)):
+            if isinstance(t, (Arrow, Builtin)):
                 self.diag("operand-type-mismatch",
                           f"cannot assign to function {lv.name!r}", s.pos,
                           names=(lv.name,))
@@ -509,7 +447,7 @@ class Checker:
         return env
 
     def fundef(self, env, l, s):
-        if s.name in env and not isinstance(env.lookup(s.name), _BuiltinMarker):
+        if s.name in env and not isinstance(env.lookup(s.name), Builtin):
             # builtins are ambient and may be shadowed by a user definition
             self.diag("redeclaration", f"function name {s.name!r} already bound",
                       s.pos, names=(s.name,))

@@ -39,6 +39,9 @@ class TestRun:
     def test_missing_file_exit_3(self, capsys):
         code, _, _ = run_cli(capsys, "run", "no_such_file.pc", "1")
         assert code == 3
+        code, _, err = run_cli(capsys, "compile-tm", "no_such_file.tm")
+        assert code == 3
+        assert err.startswith("cannot read no_such_file.tm")
 
     def test_negative_and_binary_literals(self, capsys):
         code, out, _ = run_cli(capsys, "run", corpus("fastmul.pc"),
@@ -206,6 +209,17 @@ class TestEquiv:
         assert code == 0
         assert out.splitlines()[0] == "false"
         assert out.splitlines()[1].startswith("witness: ")
+
+    def test_core_file_first_runs_extended_file(self, capsys, tmp_path):
+        core = tmp_path / "core.pc"
+        core.write_text("int main(int x,int y){int o; "
+                        "if(x>y){o=x;}else{o=y;} return o;}\n")
+        ext = tmp_path / "ext.pc"
+        ext.write_text("// mode: extended\n"
+                       "int main(int x,int y){return max(x,y);}\n")
+        for first, second in ((core, ext), (ext, core)):
+            code, out, err = run_cli(capsys, "equiv", first, second, "2")
+            assert (code, out.strip(), err) == (0, "true", "")
 
 
 class TestExitCodeTotality:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,13 +6,20 @@ import pytest
 from conftest import compile_src, load_checked
 
 from polyc import check_program, run_program
-from polyc.ast import ArrayT, BOOL, IINT, INT
-from polyc.errors import ArgumentError, FuelExhausted, PolyRuntimeError
+from polyc.ast import (
+    ArrayT, BOOL, Call, IINT, INT, ISTRING, OpApp, Paren, STRING, Var,
+)
+from polyc.errors import (
+    ArgumentError, FuelExhausted, InternalError, PolyRuntimeError,
+)
 from polyc.interp import Interp, apply_op
 from polyc.lexer import tokenize
+from polyc.ops import OPS, PRECEDENCE, TABLE
 from polyc.parser import Parser
+from polyc.printer import expr_str
+from polyc.typecheck import op_signature
 from polyc.values import (
-    VArray, default_value, literal_value, size_of_value,
+    Builtin, VArray, default_value, literal_value, size_of_value,
 )
 
 
@@ -294,3 +302,169 @@ class TestStatementSurface:
 
         _, _, sig = exec_stmt({}, Break())
         assert sig == "break"
+
+
+# -- the operator table: one case per row ------------------------------------
+
+INTS = [-7, -2, -1, 0, 1, 2, 7, 2 ** 70 + 3]
+BOOLS = [False, True]
+STRS = ["", "0", "110"]
+
+
+def pairs(*domains):
+    return [p for d in domains for p in itertools.product(d, repeat=2)]
+
+
+def singles(*domains):
+    return [(v,) for d in domains for v in d]
+
+
+def trunc_div(a, b):
+    """Division truncating toward zero; a zero divisor yields 0."""
+    if b == 0:
+        return 0
+    q = a // b
+    return q + 1 if q < 0 and q * b != a else q
+
+
+def bit_size(v):
+    if isinstance(v, str):
+        return len(v)
+    return len(format(abs(v), "b")) if v else 0
+
+
+# (lexeme, arity) -> (oracle, argument tuples); rows that evaluate only
+ORACLES = {
+    ("||", 2): (lambda a, b: a or b, pairs(BOOLS)),
+    ("&&", 2): (lambda a, b: a and b, pairs(BOOLS)),
+    ("==", 2): (lambda a, b: a == b, pairs(INTS, BOOLS, STRS)),
+    ("!=", 2): (lambda a, b: a != b, pairs(INTS, BOOLS, STRS)),
+    ("<", 2): (lambda a, b: a < b, pairs(INTS)),
+    ("<=", 2): (lambda a, b: a <= b, pairs(INTS)),
+    (">", 2): (lambda a, b: a > b, pairs(INTS)),
+    (">=", 2): (lambda a, b: a >= b, pairs(INTS)),
+    ("+", 2): (lambda a, b: a + b, pairs(INTS)),
+    ("-", 2): (lambda a, b: a - b, pairs(INTS)),
+    ("/", 2): (trunc_div, pairs(INTS)),
+    ("%", 2): (lambda a, b: a - b * trunc_div(a, b) if b else 0, pairs(INTS)),
+    ("!", 1): (lambda a: not a, singles(BOOLS)),
+    ("-", 1): (lambda a: 0 - a, singles(INTS)),
+    ("size", 1): (bit_size, singles(INTS, STRS)),
+    ("min", 2): (lambda a, b: sorted([a, b])[0], pairs(INTS)),
+    ("max", 2): (lambda a, b: sorted([a, b])[1], pairs(INTS)),
+    ("concat", 2): (lambda a, b: a + b, pairs(STRS)),
+}
+
+# (lexeme, arity) -> [(operand types, core result, extended result)]
+_BOOL_SIG = [((BOOL, BOOL), BOOL, BOOL), ((BOOL, INT), None, None)]
+_EQ_SIG = [((IINT, INT), BOOL, BOOL), ((STRING, ISTRING), None, BOOL),
+           ((BOOL, BOOL), None, BOOL), ((INT, BOOL), None, None)]
+_CMP_SIG = [((IINT, INT), BOOL, BOOL), ((STRING, STRING), None, None),
+            ((BOOL, BOOL), None, None)]
+_ARITH_SIG = [((IINT, IINT), IINT, IINT), ((IINT, INT), INT, INT),
+              ((INT, BOOL), None, None)]
+_MINMAX_SIG = [((IINT, IINT), None, IINT), ((INT, IINT), None, INT),
+               ((STRING, STRING), None, None)]
+SIGNATURES = {
+    ("||", 2): _BOOL_SIG,
+    ("&&", 2): _BOOL_SIG,
+    ("==", 2): _EQ_SIG,
+    ("!=", 2): _EQ_SIG,
+    ("<", 2): _CMP_SIG,
+    ("<=", 2): _CMP_SIG,
+    (">", 2): _CMP_SIG,
+    (">=", 2): _CMP_SIG,
+    ("+", 2): _ARITH_SIG,
+    ("-", 2): _ARITH_SIG,
+    ("*", 2): [((INT, INT), None, None)],
+    ("/", 2): _ARITH_SIG,
+    ("%", 2): _ARITH_SIG,
+    ("!", 1): [((BOOL,), BOOL, BOOL), ((INT,), None, None)],
+    ("-", 1): [((IINT,), IINT, IINT), ((INT,), INT, INT), ((BOOL,), None, None)],
+    ("size", 1): [((IINT,), IINT, IINT), ((INT,), None, None),
+                  ((ISTRING,), None, IINT), ((STRING,), None, None)],
+    ("min", 2): _MINMAX_SIG,
+    ("max", 2): _MINMAX_SIG,
+    ("concat", 2): [((STRING, ISTRING), None, STRING),
+                    ((ISTRING, ISTRING), None, STRING),
+                    ((STRING, STRING), None, None)],
+}
+
+# the binary precedence levels of the grammar, loosest first
+GRAMMAR_LEVELS = [["||"], ["&&"], ["==", "!="], ["<", "<=", ">", ">="],
+                  ["+", "-"], ["*", "/", "%"]]
+LEVEL_OF = {op: lv for lv, ops in enumerate(GRAMMAR_LEVELS) for op in ops}
+
+
+def row_id(row):
+    return f"{row.lexeme}/{row.arity}"
+
+
+def strip_parens(e):
+    if isinstance(e, Paren):
+        return strip_parens(e.inner)
+    if isinstance(e, OpApp):
+        return OpApp(e.op, [strip_parens(a) for a in e.args])
+    return e
+
+
+class TestOperatorTable:
+    def test_every_row_has_a_case(self):
+        keys = {(row.lexeme, row.arity) for row in TABLE}
+        assert set(SIGNATURES) == keys
+        assert set(ORACLES) == {k for k in keys if OPS[k].fn is not None}
+        assert PRECEDENCE == LEVEL_OF
+
+    @pytest.mark.parametrize("row", TABLE, ids=row_id)
+    def test_evaluation_agrees_with_oracle(self, row):
+        names = ["a", "b"][:row.arity]
+        args = [Var(n) for n in names]
+        # builtins are called by name; the others are operator applications
+        expr = Call(row.lexeme, args) if row.extended else OpApp(row.lexeme, args)
+        if row.fn is None:  # `*` is lowered by desugar and never runs
+            with pytest.raises(InternalError):
+                apply_op(row.lexeme, [2, 3])
+            with pytest.raises(InternalError):
+                Interp().eval(expr)
+            return
+        oracle, cases = ORACLES[row.lexeme, row.arity]
+        for vals in cases:
+            want = oracle(*vals)
+            store = dict(zip(names, vals))
+            if row.extended:
+                store[row.lexeme] = Builtin(row.lexeme)
+            got = apply_op(row.lexeme, list(vals))
+            assert (got, type(got)) == (want, type(want)), vals
+            plain = Interp()
+            plain.store = dict(store)
+            got = plain.eval(expr)
+            assert (got, type(got)) == (want, type(want)), vals
+            cost = Interp(cost_mode=True)
+            cost.store = dict(store)
+            assert cost.eval(expr) == want, vals
+            # one step per operand read and one for the operator itself
+            assert cost.steps == row.arity + 1
+            rule = "App" if row.extended else "Op"
+            assert cost.rule_counts == {"Var": row.arity, rule: 1}
+
+    @pytest.mark.parametrize("row", TABLE, ids=row_id)
+    def test_signature(self, row):
+        for types, core, extended in SIGNATURES[row.lexeme, row.arity]:
+            assert op_signature(row.lexeme, list(types)) is core, types
+            assert op_signature(row.lexeme, list(types), extended=True) \
+                is extended, types
+
+    @pytest.mark.parametrize("op1", LEVEL_OF)
+    def test_precedence_pairs_round_trip(self, op1):
+        a, b, c = Var("a"), Var("b"), Var("c")
+        for op2 in LEVEL_OF:
+            src = f"a{op1}b{op2}c"
+            left = OpApp(op2, [OpApp(op1, [a, b]), c])
+            right = OpApp(op1, [a, OpApp(op2, [b, c])])
+            parsed = expr_of(src)
+            # equal levels associate to the left
+            assert parsed == (left if LEVEL_OF[op1] >= LEVEL_OF[op2] else right)
+            assert expr_str(parsed) == src
+            # trees without Paren nodes print with the parentheses they need
+            for tree in (left, right):
+                assert strip_parens(expr_of(expr_str(tree))) == tree, src

@@ -26,6 +26,9 @@ class TestTokenize:
         with pytest.raises(LexError) as exc:
             tokenize("x@y")
         assert exc.value.pos.col == 2
+        # only ASCII digits start a numeral
+        with pytest.raises(LexError, match="illegal character '\u00b2'"):
+            tokenize("return \u00b2;")
 
     def test_comments_discarded(self):
         assert kinds("x // trailing\ny") == [

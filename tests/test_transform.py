@@ -254,6 +254,24 @@ class TestNormalize:
         t = stabilization_search(sf, prog, [5], mode="extended")
         assert run_program(sf.program, [5, t], mode="extended").output == 20
 
+    def test_index_assignment_in_flat_if_rejected(self):
+        src = ("// mode: extended\n"
+               "int main(array<int> a, int x){"
+               "if(x>0){a[0]=1;}else{a[1]=1;} return x;}")
+        prog = compile_src(src, "extended")
+        with pytest.raises(TransformError,
+                           match="normalizer supports scalar assignments only"):
+            normalize_simple(prog)
+
+    def test_string_local_in_flat_if_rejected(self):
+        src = ("// mode: extended\n"
+               "int main(int x){"
+               "if(x>0){string s; s=\"ab\";}else{} return x;}")
+        prog = compile_src(src, "extended")
+        with pytest.raises(TransformError, match="integer and boolean locals, "
+                                                 "not string"):
+            normalize_simple(prog)
+
 
 class TestInline:
     def test_nested_calls(self):
