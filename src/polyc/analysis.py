@@ -13,8 +13,12 @@ from .ast import Decl, FunDef, Program, IINT, INT, is_int_type, walk_stmts
 from .errors import PolycError
 from .typecheck import check_program, decl_site, param_site
 
-DEMOTING_KINDS = ("iterable-assignment-in-loop", "iterable-decl-in-loop")
-ITERABILITY_KINDS = DEMOTING_KINDS + ("non-iterable-loop-bound",)
+DEMOTING_KINDS = ("iterable-assignment-in-loop", "iterable-decl-in-loop",
+                  "param-subtype-violation")
+# Once no site is left to demote, a parameter subtype violation can only be
+# about strings, whose annotations the analysis never changes: ill-typed.
+ITERABILITY_KINDS = ("iterable-assignment-in-loop", "iterable-decl-in-loop",
+                     "non-iterable-loop-bound")
 
 
 class IllTypedError(PolycError):
@@ -82,19 +86,10 @@ def apply_state(prog, state):
     return prog
 
 
-def reannotate(prog, state):
-    """A copy of the program annotated per the state.
-
-    Sites are keyed by node identity, so the state must have been built
-    over this very program object; annotations are applied in place first
-    and the copy is taken afterwards.
-    """
-    return copy.deepcopy(apply_state(prog, state))
-
-
 def demote_step(state, errors):
-    """Demote the variables named by iterable assignment/declaration errors;
-    other error kinds leave the state unchanged."""
+    """Demote the variables named by iterable assignment/declaration errors
+    and by iterable parameters given non-iterable arguments; other error
+    kinds leave the state unchanged."""
     sites = []
     diags = []
     for d in errors:

@@ -14,6 +14,7 @@ from .analysis import IllTypedError, poly_check
 from .errors import ArgumentError, LexError, ParseError, DesugarError, \
     PolyRuntimeError, PolycError
 from .interp import run_program
+from .lexer import tokenize
 from .printer import pretty_print
 from .tm import TmError, clock_program, compile_tm, parse_tm
 from .transform import (
@@ -138,7 +139,7 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliFailure(EXIT_USAGE, f"cannot read {path}: {e}")
 
 
@@ -165,10 +166,15 @@ def parse_arg_literal(text, annot, mode):
     if is_int_type(annot):
         neg = text.startswith("-")
         body = text[1:] if neg else text
+        # the language's own numerals: one decimal or binary literal token
         try:
-            v = literal_value(body) if body.startswith("0b") else int(body)
-        except ValueError:
+            tok = tokenize(body)[0]
+        except LexError:
+            tok = None
+        if (tok is None or tok.lexeme != body
+                or tok.kind not in ("decimal-literal", "binary-literal")):
             raise ArgumentError(f"expected an integer literal, got {text!r}")
+        v = literal_value(body)
         return -v if neg else v
     if annot is BOOL:
         if text in ("true", "false"):

@@ -1,5 +1,6 @@
 """Tokenizer for .pc source text."""
 
+import re
 from dataclasses import dataclass
 
 from .ast import Pos
@@ -11,14 +12,29 @@ KEYWORDS = {
     "continue",
 }
 
-# longest match first
-SYMBOLS = [
-    "&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "++",
-    "+", "-", "*", "/", "%", "!", "<", ">", "=",
-    "(", ")", "{", "}", "[", "]", ";", ",",
-]
+# One group per token class, tried in order, so the first one that matches
+# wins: comments before `/`, two-character symbols before their one-character
+# prefixes.  A group is named after its token kind, with _ for -.  Every
+# character matches some group, the last ones being errors.  Only spaces can
+# hold a newline.
+_TOKEN = re.compile(r"""
+    (?P<space>            (?: [ \t\r\n] | //[^\n]* )+ )
+  | (?P<binary_literal>   0b[01]+ )
+  | (?P<no_digit>         0b )
+  | (?P<decimal_literal>  [0-9]+ )
+  | (?P<identifier>       \w+ )
+  | (?P<string_literal>   "[^"\n]*" )
+  | (?P<unterminated>     " )
+  | (?P<operator_symbol>  && | \|\| | \+\+ | [-+=!<>]= | [-+*/%!<>=] )
+  | (?P<punctuation>      [(){}\[\];,] )
+  | (?P<illegal>          . )
+""", re.VERBOSE | re.DOTALL)
 
-PUNCT = {"(", ")", "{", "}", "[", "]", ";", ","}
+_ERRORS = {
+    "no_digit": "binary literal needs at least one digit",
+    "unterminated": "unterminated string literal",
+    "illegal": "illegal character {!r}",
+}
 
 
 @dataclass
@@ -38,73 +54,23 @@ def tokenize(source):
     Comments run from // to end of line and are discarded.
     """
     toks = []
-    i = 0
-    line, col = 1, 1
-    n = len(source)
-
-    def advance(k):
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        group, lexeme = m.lastgroup, m.group()
+        if group == "space":
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = m.start() + lexeme.rindex("\n") + 1
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        pos = Pos(line, col)
-        if "0" <= c <= "9":
-            j = i
-            if source.startswith("0b", i):
-                j = i + 2
-                while j < n and source[j] in "01":
-                    j += 1
-                if j == i + 2:
-                    raise LexError("binary literal needs at least one digit", pos)
-                kind = "binary-literal"
-            else:
-                while j < n and "0" <= source[j] <= "9":
-                    j += 1
-                kind = "decimal-literal"
-            lexeme = source[i:j]
-            advance(j - i)
-            toks.append(Token(kind, lexeme, pos))
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            lexeme = source[i:j]
-            advance(j - i)
-            kind = "keyword" if lexeme in KEYWORDS else "identifier"
-            toks.append(Token(kind, lexeme, pos))
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise LexError("unterminated string literal", pos)
-            lexeme = source[i : j + 1]
-            advance(j + 1 - i)
-            toks.append(Token("string-literal", lexeme, pos))
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                advance(len(sym))
-                kind = "punctuation" if sym in PUNCT else "operator-symbol"
-                toks.append(Token(kind, sym, pos))
-                break
-        else:
-            raise LexError(f"illegal character {c!r}", pos)
-    toks.append(Token("eof", "", Pos(line, col)))
+        pos = Pos(line, m.start() - line_start + 1)
+        first = lexeme[0]
+        if group == "identifier" and not (first.isalpha() or first == "_"):
+            # \w also matches digits outside 0-9, which cannot start a name
+            group, lexeme = "illegal", first
+        if group in _ERRORS:
+            raise LexError(_ERRORS[group].format(lexeme), pos)
+        # only an identifier can spell a keyword
+        kind = "keyword" if lexeme in KEYWORDS else group.replace("_", "-")
+        toks.append(Token(kind, lexeme, pos))
+    toks.append(Token("eof", "", Pos(line, len(source) - line_start + 1)))
     return toks

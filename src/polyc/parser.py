@@ -12,10 +12,11 @@ from .ast import (
 )
 from .errors import ParseError
 from .lexer import tokenize
-from .ops import LEVELS, OPS, PRECEDENCE
+from .ops import OPS, PRECEDENCE
 
 CORE_TYPES = {"iint": IINT, "int": INT, "bool": BOOL}
 EXT_TYPES = {"string": STRING, "istring": ISTRING}
+JUMPS = {"break": Break, "continue": Continue}
 
 
 def detect_mode(source):
@@ -41,7 +42,13 @@ def parse_source(source, mode=None):
 
 
 def parse_program(tokens, mode="core"):
-    return Parser(tokens, mode).program()
+    parser = Parser(tokens, mode)
+    try:
+        return parser.program()
+    except RecursionError:
+        # the parser recurses once per nesting level; past the interpreter's
+        # stack limit that is a syntax error at the token it stopped on
+        parser.fail("program nests too deeply")
 
 
 class Parser:
@@ -65,8 +72,8 @@ class Parser:
         return t
 
     def at(self, lexeme):
-        t = self.peek()
-        return t.lexeme == lexeme and t.kind in ("keyword", "operator-symbol", "punctuation")
+        # identifiers and literals never spell a keyword or a symbol
+        return self.peek().lexeme == lexeme
 
     def accept(self, lexeme):
         if self.at(lexeme):
@@ -169,16 +176,11 @@ class Parser:
             return [self.if_stmt()]
         if self.at("for"):
             return [self.for_stmt()]
-        if self.at("break"):
-            self.need_extended("break")
-            tok = self.next()
+        if t.lexeme in JUMPS:
+            self.need_extended(t.lexeme)
+            self.next()
             self.expect(";")
-            return [Break(pos=tok.pos)]
-        if self.at("continue"):
-            self.need_extended("continue")
-            tok = self.next()
-            self.expect(";")
-            return [Continue(pos=tok.pos)]
+            return [JUMPS[t.lexeme](pos=t.pos)]
         if self.at("void"):
             return [self.fun_def()]
         if self.at_type():
@@ -218,9 +220,7 @@ class Parser:
 
     def if_stmt(self):
         start = self.expect("if").pos
-        self.expect("(")
-        cond = self.expr()
-        self.expect(")")
+        cond = self.parenthesized()
         then = self.branch_stmt()
         if self.accept("else"):
             els = self.branch_stmt()
@@ -241,15 +241,8 @@ class Parser:
 
     def loop_bound(self):
         t = self.peek()
-        if self.at("size"):
-            self.next()
-            self.expect("(")
-            inner = self.expr()
-            self.expect(")")
-            return OpApp("size", [inner], pos=t.pos)
-        if t.kind in ("decimal-literal", "binary-literal"):
-            self.next()
-            return Const(t.lexeme, pos=t.pos)
+        if self.at("size") or t.kind in ("decimal-literal", "binary-literal"):
+            return self.expr_primary()
         self.fail("loop bound must be size(e) or an integer literal", t.pos)
 
     def fun_def(self):
@@ -319,39 +312,37 @@ class Parser:
 
     def lvalue(self):
         name = self.expect_ident()
-        node = Var(name.lexeme, pos=name.pos)
-        while self.at("["):
-            self.need_extended("array indexing")
-            lb = self.next()
-            idx = self.expr()
-            self.expect("]")
-            node = Index(node, idx, pos=lb.pos)
-        return node
+        return self.indexed(Var(name.lexeme, pos=name.pos))
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self, level=0):
-        """Binary operators at `level` or tighter, left associative."""
-        if level == LEVELS:
-            return self.expr_unary()
-        node = self.expr(level + 1)
+    def expr(self, min_level=0):
+        """Binary operators at `min_level` or tighter, left associative, by
+        precedence climbing: a right operand binds tighter than its operator."""
+        node = self.expr_unary()
         t = self.peek()
-        while t.kind == "operator-symbol" and PRECEDENCE.get(t.lexeme) == level:
+        while PRECEDENCE.get(t.lexeme, -1) >= min_level:
             self.next()
-            rhs = self.expr(level + 1)
+            rhs = self.expr(PRECEDENCE[t.lexeme] + 1)
             node = OpApp(t.lexeme, [node, rhs], pos=t.pos)
             t = self.peek()
         return node
+
+    def parenthesized(self):
+        self.expect("(")
+        inner = self.expr()
+        self.expect(")")
+        return inner
 
     def expr_unary(self):
         t = self.peek()
         if t.kind == "operator-symbol" and (t.lexeme, 1) in OPS:
             self.next()
             return OpApp(t.lexeme, [self.expr_unary()], pos=t.pos)
-        return self.expr_postfix()
+        return self.indexed(self.expr_primary())
 
-    def expr_postfix(self):
-        node = self.expr_primary()
+    def indexed(self, node):
+        """`node` followed by any number of [index] suffixes."""
         while self.at("["):
             self.need_extended("array indexing")
             lb = self.next()
@@ -374,18 +365,13 @@ class Parser:
             return Const(t.lexeme, pos=t.pos)
         if self.at("size"):
             self.next()
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return OpApp("size", [arg], pos=t.pos)
+            return OpApp("size", [self.parenthesized()], pos=t.pos)
         if self.at("array"):
             self.need_extended("array constructors")
             self.next()
-            self.expect("(")
-            length = self.expr()
-            self.expect(")")
-            return ArrayCtor(length, pos=t.pos)
+            return ArrayCtor(self.parenthesized(), pos=t.pos)
         if self.at("("):
+            # not parenthesized(): one frame less per nesting level
             self.next()
             inner = self.expr()
             self.expect(")")

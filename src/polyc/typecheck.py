@@ -244,9 +244,13 @@ class Checker:
             if subtype_of(got, want):
                 continue
             if type_class(got) == type_class(want):
+                # a function's site is decl_site(fundef), which holds the
+                # identity its parameter sites are keyed by
+                _, _, fundef_id = env.site(e.fname)
                 self.diag("param-subtype-violation",
                           f"argument {i + 1} of {e.fname!r} must be {want}, got "
-                          f"non-iterable {got}", e.pos, names=(e.fname,))
+                          f"non-iterable {got}", e.pos, names=(e.fname,),
+                          sites=(("param", e.fname, i, fundef_id),))
             else:
                 self.diag("operand-type-mismatch",
                           f"argument {i + 1} of {e.fname!r} must be {want}, got {got}",

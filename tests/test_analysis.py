@@ -74,6 +74,21 @@ class TestPolyCheck:
         # demoted and the bound size(q) then fails: unknown
         assert v.verdict == "unknown"
 
+    @pytest.mark.parametrize("name", ["knapsack.pc", "sort.pc"])
+    def test_helper_with_non_iterable_arguments_is_poly(self, name):
+        # helpers such as max(int a, int b) start with iterable parameters;
+        # calls with non-iterable arguments demote them
+        prog, mode = load(name)
+        v = poly_check(erase_annotations(prog), mode)
+        assert v.verdict == "poly"
+        assert check_program(v.witness, "extended").ok
+
+    def test_string_parameter_violation_stays_ill_typed(self):
+        src = ("int main(int x){int f(istring s){return size(s);} "
+               "string t; t=\"ab\"; return f(t);}")
+        with pytest.raises(IllTypedError):
+            poly_check(compile_src(src, "extended"), "extended")
+
     def test_witness_reannotation_idempotent(self):
         prog, mode = load("fastmul.pc")
         v = poly_check(prog, mode)

@@ -35,13 +35,24 @@ class TestRun:
     def test_bad_literal_exit_3(self, capsys):
         code, _, _ = run_cli(capsys, "run", corpus("fastmul.pc"), "6", "seven")
         assert code == 3
+        # arguments use the language's numerals, not Python's int()
+        for arg in ["1_0", "\u0663", "0b1_1"]:
+            code, _, err = run_cli(capsys, "run", corpus("fastmul.pc"), arg, "3")
+            assert code == 3
+            assert err.strip() == (
+                f"argument 'x': expected an integer literal, got {arg!r}")
 
-    def test_missing_file_exit_3(self, capsys):
+    def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "no_such_file.pc", "1")
         assert code == 3
         code, _, err = run_cli(capsys, "compile-tm", "no_such_file.tm")
         assert code == 3
         assert err.startswith("cannot read no_such_file.tm")
+        bad = tmp_path / "bad.pc"
+        bad.write_bytes(b"\xff")
+        code, _, err = run_cli(capsys, "run", bad, "1")
+        assert code == 3
+        assert err.startswith(f"cannot read {bad}")
 
     def test_negative_and_binary_literals(self, capsys):
         code, out, _ = run_cli(capsys, "run", corpus("fastmul.pc"),
@@ -112,6 +123,20 @@ class TestCheck:
         doc = json.loads(out)
         kinds = {d["kind"] for d in doc["diagnostics"]}
         assert "iterable-assignment-in-loop" in kinds
+
+
+    @pytest.mark.parametrize("source", [
+        "int main(int x){return " + "(" * 400 + "x" + ")" * 400 + ";}",
+        "int main(int x){" + "if(x>0){" * 300 + "x=1;" + "}else{x=2;}" * 300
+        + " return x;}",
+    ], ids=["parentheses-400", "ifs-300"])
+    def test_deep_nesting_is_a_syntax_error(self, capsys, tmp_path, source):
+        f = tmp_path / "deep.pc"
+        f.write_text(source)
+        code, out, err = run_cli(capsys, "check", f)
+        assert code == 1 and out == ""
+        assert "syntax error: program nests too deeply" in err
+        assert "internal error" not in err
 
 
 class TestCost:

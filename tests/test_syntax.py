@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import compile_src, corpus_source, load
 
 from polyc import desugar, parse_source, pretty_print, tokenize
+from polyc.lexer import KEYWORDS
 from polyc.ast import (
     Assign, Block, Const, Decl, For, If, OpApp, Paren, Program, Var, IINT,
 )
@@ -12,6 +14,27 @@ from polyc.parser import detect_mode
 
 def kinds(source):
     return [(t.kind, t.lexeme) for t in tokenize(source)[:-1]]
+
+
+def _kind(kind, strategy):
+    return strategy.map(lambda lexeme: (kind, lexeme))
+
+
+# valid lexemes with their kinds, and whitespace that separates them
+_LEXEMES = st.one_of(
+    _kind("keyword", st.sampled_from(sorted(KEYWORDS))),
+    _kind("identifier", st.from_regex(
+        r"[a-zA-Z_\u00e9][a-zA-Z0-9_\u00e9\u0663]{0,5}", fullmatch=True)
+        .filter(lambda w: w not in KEYWORDS)),
+    _kind("decimal-literal", st.from_regex(r"[0-9]{1,5}", fullmatch=True)),
+    _kind("binary-literal", st.from_regex(r"0b[01]{1,5}", fullmatch=True)),
+    _kind("string-literal", st.from_regex(r'"[^"\n]{0,5}"', fullmatch=True)),
+    _kind("operator-symbol", st.sampled_from([
+        "&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "++",
+        "+", "-", "*", "/", "%", "!", "<", ">", "="])),
+    _kind("punctuation", st.sampled_from(list("(){}[];,"))),
+)
+_SPACE = st.text(alphabet=" \t\r\n", min_size=1, max_size=3)
 
 
 class TestTokenize:
@@ -50,6 +73,80 @@ class TestTokenize:
     def test_operators_maximal_munch(self):
         assert [t.lexeme for t in tokenize("a<=b==c&&d")[:-1]] == [
             "a", "<=", "b", "==", "c", "&&", "d"]
+
+    @pytest.mark.parametrize("source,expected", [
+        # binary literals need a digit; 0x is a decimal then an identifier
+        ("0b", ("binary literal needs at least one digit", 1, 1)),
+        ("0b2", ("binary literal needs at least one digit", 1, 1)),
+        ("0b12", [("binary-literal", "0b1", 1, 1),
+                  ("decimal-literal", "2", 1, 4)]),
+        ("0x", [("decimal-literal", "0", 1, 1), ("identifier", "x", 1, 2)]),
+        # a string ends at its closing quote, never at a newline
+        ('"ab\ncd"', ("unterminated string literal", 1, 1)),
+        ('x "ab', ("unterminated string literal", 1, 3)),
+        # only \n starts a line; \r and \t are one column each
+        ("a\r\nb", [("identifier", "a", 1, 1), ("identifier", "b", 2, 1)]),
+        ("a\rb", [("identifier", "a", 1, 1), ("identifier", "b", 1, 3)]),
+        ("\tx", [("identifier", "x", 1, 2)]),
+        # identifiers are Unicode letters, digits and _, led by a letter or _
+        ("\u00e9_1 x\u00e9", [("identifier", "\u00e9_1", 1, 1),
+                            ("identifier", "x\u00e9", 1, 5)]),
+        ("a\u0663", [("identifier", "a\u0663", 1, 1)]),
+        ("\u00b2", ("illegal character '\u00b2'", 1, 1)),
+        ("\u0663", ("illegal character '\u0663'", 1, 1)),
+        ("x\xa0y", ("illegal character '\\xa0'", 1, 2)),
+        ("///x\ny", [("identifier", "y", 2, 1)]),
+        # every two-character symbol next to its one-character prefix
+        ("<=<", [("operator-symbol", "<=", 1, 1),
+                 ("operator-symbol", "<", 1, 3)]),
+        (">=>", [("operator-symbol", ">=", 1, 1),
+                 ("operator-symbol", ">", 1, 3)]),
+        ("===", [("operator-symbol", "==", 1, 1),
+                 ("operator-symbol", "=", 1, 3)]),
+        ("!=!", [("operator-symbol", "!=", 1, 1),
+                 ("operator-symbol", "!", 1, 3)]),
+        ("+=+", [("operator-symbol", "+=", 1, 1),
+                 ("operator-symbol", "+", 1, 3)]),
+        ("-=-", [("operator-symbol", "-=", 1, 1),
+                 ("operator-symbol", "-", 1, 3)]),
+        ("+++", [("operator-symbol", "++", 1, 1),
+                 ("operator-symbol", "+", 1, 3)]),
+        ("<<=", [("operator-symbol", "<", 1, 1),
+                 ("operator-symbol", "<=", 1, 2)]),
+        ("--=", [("operator-symbol", "-", 1, 1),
+                 ("operator-symbol", "-=", 1, 2)]),
+        ("&&&", ("illegal character '&'", 1, 3)),
+        ("|||", ("illegal character '|'", 1, 3)),
+    ])
+    def test_edge_inputs(self, source, expected):
+        if isinstance(expected, tuple):
+            with pytest.raises(LexError) as exc:
+                tokenize(source)
+            err = exc.value
+            assert (err.message, err.pos.line, err.pos.col) == expected
+        else:
+            toks = tokenize(source)[:-1]
+            assert [(t.kind, t.lexeme, t.pos.line, t.pos.col)
+                    for t in toks] == expected
+
+    @pytest.mark.parametrize("source,line,col", [
+        ("", 1, 1), ("x\n", 2, 1), ("x // c", 1, 7), ("a\r\n\tb ", 2, 4)])
+    def test_eof_position(self, source, line, col):
+        eof = tokenize(source)[-1]
+        assert (eof.kind, eof.lexeme, eof.pos.line, eof.pos.col) == (
+            "eof", "", line, col)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(_LEXEMES, _SPACE), max_size=30), _SPACE)
+    def test_valid_lexemes_round_trip(self, pairs, lead):
+        source = lead + "".join(lexeme + space for (_, lexeme), space in pairs)
+        toks = tokenize(source)
+        assert [(t.kind, t.lexeme) for t in toks[:-1]] == [
+            kl for kl, _ in pairs]
+        line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+        for t in toks[:-1]:
+            start = line_starts[t.pos.line - 1] + t.pos.col - 1
+            assert source[start:start + len(t.lexeme)] == t.lexeme
 
 
 class TestParse:
@@ -93,6 +190,11 @@ class TestParse:
         lines = src.splitlines()
         assert 1 <= exc.value.pos.line <= len(lines)
         assert 1 <= exc.value.pos.col <= len(lines[exc.value.pos.line - 1]) + 1
+
+    def test_deep_parentheses_parse_and_print(self):
+        src = "int main(int x){return " + "(" * 200 + "x" + ")" * 200 + ";}"
+        prog = parse_source(src)
+        assert parse_source(pretty_print(prog)) == prog
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
