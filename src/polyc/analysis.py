@@ -6,10 +6,9 @@ program with it passes the type checker, so the program provably terminates
 in polynomial time.  "unknown" never claims non-polynomial behavior.
 """
 
-import copy
 from dataclasses import dataclass, field
 
-from .ast import Decl, FunDef, Program, IINT, INT, is_int_type, walk_stmts
+from .ast import Decl, FunDef, Program, IINT, INT, clone, is_int_type, walk_stmts
 from .errors import PolycError
 from .typecheck import check_program, decl_site, param_site
 
@@ -116,7 +115,7 @@ def poly_check(prog, mode="core"):
     which only the extended parameter rule admits.
     """
     del mode
-    work = copy.deepcopy(prog)
+    work = clone(prog)
     sites = _int_sites(work)
     state = AnnotationState({s: True for s in sites})
     for _ in range(len(sites) + 1):
@@ -145,6 +144,6 @@ def erase_annotations(prog):
     """Integer annotations carry no information for the analysis; this maps
     them all to int so the caller can feed a nominally annotation-free
     program to poly_check (which re-assigns them anyway)."""
-    work = copy.deepcopy(prog)
+    work = clone(prog)
     state = AnnotationState({s: False for s in _int_sites(work)})
     return apply_state(work, state)

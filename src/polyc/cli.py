@@ -19,7 +19,7 @@ from .printer import pretty_print
 from .tm import TmError, clock_program, compile_tm, parse_tm
 from .transform import (
     TransformError, bounded_equiv, normalize_simple, simple_form_shape_ok,
-    stabilization_search, t1_max_tracker, t2_cost_tracker,
+    t1_max_tracker, t2_cost_tracker,
 )
 from .typecheck import check_program
 from .values import VArray, format_value, literal_value
@@ -201,13 +201,16 @@ def parse_arg_literal(text, annot, mode):
 
 
 def _split_top(text):
-    parts, depth, cur = [], 0, []
+    """Split at the commas outside brackets and double-quoted strings."""
+    parts, depth, cur, quoted = [], 0, [], False
     for ch in text:
-        if ch == "[":
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "[" and not quoted:
             depth += 1
-        elif ch == "]":
+        elif ch == "]" and not quoted:
             depth -= 1
-        if ch == "," and depth == 0:
+        if ch == "," and depth == 0 and not quoted:
             parts.append("".join(cur))
             cur = []
         else:

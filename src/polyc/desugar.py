@@ -2,8 +2,8 @@
 primitives: functions, arrays, strings, break and continue)."""
 
 from .ast import (
-    ArrayCtor, Assign, AugAssign, Block, Call, CallStmt, Const, Decl,
-    DeclInit, For, FunDef, If, Incr, Index, OpApp, Paren, Program, Var,
+    Assign, AugAssign, Block, CallStmt, Const, Decl, DeclInit, For, FunDef,
+    If, Incr, OpApp, Paren, Program, Var, rebuild,
 )
 from .errors import DesugarError
 
@@ -24,8 +24,6 @@ def _stmts(stmts):
 
 
 def _stmt(s):
-    if isinstance(s, Decl):
-        return [s]
     if isinstance(s, DeclInit):
         return [Decl(s.annot, s.name, pos=s.pos),
                 Assign(Var(s.name, pos=s.pos), _expr(s.init), pos=s.pos)]
@@ -50,7 +48,7 @@ def _stmt(s):
                        _expr(s.ret_expr), pos=s.pos)]
     if isinstance(s, CallStmt):
         return [CallStmt(_expr(s.call), pos=s.pos)]
-    return [s]  # Break, Continue
+    return [s]  # Decl, Break, Continue
 
 
 def _stmt_one(s):
@@ -62,20 +60,10 @@ def _stmt_one(s):
 
 def _expr(e):
     if isinstance(e, (Var, Const)):
-        return e
-    if isinstance(e, Paren):
-        return Paren(_expr(e.inner), pos=e.pos)
-    if isinstance(e, OpApp):
-        if e.op == "*":
-            return _scalar_mul(e)
-        return OpApp(e.op, [_expr(a) for a in e.args], pos=e.pos)
-    if isinstance(e, Call):
-        return Call(e.fname, [_expr(a) for a in e.args], pos=e.pos)
-    if isinstance(e, Index):
-        return Index(_expr(e.base), _expr(e.index), pos=e.pos)
-    if isinstance(e, ArrayCtor):
-        return ArrayCtor(_expr(e.length), pos=e.pos)
-    raise TypeError(f"cannot desugar {e!r}")
+        return e  # shared with the parsed tree; copies would double the time
+    if isinstance(e, OpApp) and e.op == "*":
+        return _scalar_mul(e)
+    return rebuild(e, _expr)
 
 
 def _is_numeral(e):

@@ -17,6 +17,10 @@ from .ops import OPS, PRECEDENCE
 CORE_TYPES = {"iint": IINT, "int": INT, "bool": BOOL}
 EXT_TYPES = {"string": STRING, "istring": ISTRING}
 JUMPS = {"break": Break, "continue": Continue}
+# Nested statements, subexpressions and array element types count one level
+# each.  A fixed count, not the Python stack, makes the limit the same for
+# every caller; passes recursing up to 3 frames a level stay within 1,000.
+MAX_NESTING = 260
 
 
 def detect_mode(source):
@@ -42,13 +46,7 @@ def parse_source(source, mode=None):
 
 
 def parse_program(tokens, mode="core"):
-    parser = Parser(tokens, mode)
-    try:
-        return parser.program()
-    except RecursionError:
-        # the parser recurses once per nesting level; past the interpreter's
-        # stack limit that is a syntax error at the token it stopped on
-        parser.fail("program nests too deeply")
+    return Parser(tokens, mode).program()
 
 
 class Parser:
@@ -58,6 +56,7 @@ class Parser:
         self.toks = tokens
         self.i = 0
         self.mode = mode
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -94,6 +93,13 @@ class Parser:
 
     def fail(self, msg, pos=None, core=False):
         raise ParseError(msg, pos or self.peek().pos, core_violation=core)
+
+    def deeper(self):
+        """Enter one nesting level; the caller leaves it with `depth -= 1`.
+        An error ends the whole parse, so it needs no unwinding."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail("program nests too deeply")
 
     def need_extended(self, feature):
         if self.mode != "extended":
@@ -154,7 +160,9 @@ class Parser:
             self.need_extended("array types")
             self.next()
             self.expect("<")
+            self.deeper()
             elem = self.type_annot()
+            self.depth -= 1
             self.expect(">")
             return ArrayT(elem)
         self.fail(f"expected a type, found {t.lexeme!r}")
@@ -203,18 +211,22 @@ class Parser:
         self.fail(f"expected statement, found {t.lexeme!r}")
 
     def branch_stmt(self):
+        self.deeper()
         stmts = self.stmt()
+        self.depth -= 1
         if len(stmts) != 1:
             self.fail("multiple declarators not allowed here", stmts[0].pos)
         return stmts[0]
 
     def block(self):
         start = self.expect("{").pos
+        self.deeper()
         stmts = []
         while not self.at("}"):
             if self.peek().kind == "eof":
                 self.fail("unterminated block")
             stmts.extend(self.stmt())
+        self.depth -= 1
         self.expect("}")
         return Block(stmts, pos=start)
 
@@ -247,6 +259,7 @@ class Parser:
 
     def fun_def(self):
         self.need_extended("function definitions")
+        self.deeper()
         start = self.peek().pos
         if self.accept("void"):
             ret = None
@@ -272,6 +285,7 @@ class Parser:
         self.expect("}")
         if ret is None:
             ret = INT  # void sugar
+        self.depth -= 1
         return FunDef(ret, name.lexeme, params, body, ret_expr, pos=start)
 
     def decl_stmt(self):
@@ -319,6 +333,7 @@ class Parser:
     def expr(self, min_level=0):
         """Binary operators at `min_level` or tighter, left associative, by
         precedence climbing: a right operand binds tighter than its operator."""
+        self.deeper()
         node = self.expr_unary()
         t = self.peek()
         while PRECEDENCE.get(t.lexeme, -1) >= min_level:
@@ -326,6 +341,7 @@ class Parser:
             rhs = self.expr(PRECEDENCE[t.lexeme] + 1)
             node = OpApp(t.lexeme, [node, rhs], pos=t.pos)
             t = self.peek()
+        self.depth -= 1
         return node
 
     def parenthesized(self):
@@ -338,7 +354,10 @@ class Parser:
         t = self.peek()
         if t.kind == "operator-symbol" and (t.lexeme, 1) in OPS:
             self.next()
-            return OpApp(t.lexeme, [self.expr_unary()], pos=t.pos)
+            self.deeper()
+            node = OpApp(t.lexeme, [self.expr_unary()], pos=t.pos)
+            self.depth -= 1
+            return node
         return self.indexed(self.expr_primary())
 
     def indexed(self, node):

@@ -8,8 +8,7 @@ infix surface form needs parentheses.  For other ASTs it still emits correct
 
 from .ast import (
     ArrayCtor, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
-    Continue, Decl, DeclInit, For, FunDef, If, Incr, Index, OpApp, Paren,
-    Program, Var,
+    Continue, Decl, DeclInit, For, FunDef, If, Incr, Index, OpApp, Paren, Var,
 )
 from .ops import LEVELS, PRECEDENCE
 
@@ -53,7 +52,7 @@ def _expr_str(e):
         right = expr_str(e.args[1], lv + 1)
         return f"{left}{e.op}{right}"
     if isinstance(e, Call):
-        args = ",".join(expr_str(a) for a in e.args)
+        args = ",".join(map(expr_str, e.args))
         return f"{e.fname}({args})"
     if isinstance(e, Index):
         return f"{expr_str(e.base, LEVELS)}[{expr_str(e.index)}]"

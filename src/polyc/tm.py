@@ -12,7 +12,7 @@ digit first; both carry a leading sentinel digit 2.
 from dataclasses import dataclass
 
 from .ast import (
-    Assign, Block, Const, Decl, For, If, OpApp, Paren, Program, Var,
+    Assign, Block, Const, Decl, For, If, OpApp, Program, Var,
     BOOL, IINT, INT,
 )
 from .errors import PolycError
@@ -71,7 +71,11 @@ def parse_tm(text, name="tm"):
         if not line:
             continue
         if line.startswith("states:"):
-            n_states = int(line.split(":", 1)[1])
+            try:
+                n_states = int(line.split(":", 1)[1])
+            except ValueError:
+                raise TmError(f"line {lineno}: malformed state count "
+                              f"{line!r}") from None
             continue
         if line.startswith("halt:"):
             if line.split(":", 1)[1].strip() != "1":
@@ -79,8 +83,8 @@ def parse_tm(text, name="tm"):
             continue
         if "->" not in line:
             raise TmError(f"line {lineno}: expected a transition")
-        lhs, rhs = line.split("->")
         try:
+            lhs, rhs = line.split("->")
             q, a = lhs.split()
             q2, b, mv = rhs.split()
             src = int(q.lstrip("q"))

@@ -13,9 +13,9 @@ about one tick per loop back-edge of the original program.
 from dataclasses import dataclass
 
 from .ast import (
-    Assign, Block, Break, Call, CallStmt, Const, Continue, Decl, For, FunDef,
-    If, Index, OpApp, Paren, Program, Var, BOOL, IINT, INT, is_int_type,
-    fresh_name, program_names, walk_exprs, walk_stmts, stmt_exprs,
+    ArrayCtor, Assign, Block, Break, Call, CallStmt, Const, Continue, Decl,
+    Expr, For, FunDef, If, OpApp, Paren, Program, Stmt, Var, BOOL, IINT, INT,
+    is_int_type, fresh_name, program_names, rebuild, walk, walk_stmts,
 )
 from .errors import ArgumentError, PolycError
 from .interp import run_program
@@ -104,6 +104,10 @@ def t2_cost_tracker(prog):
     """Instrument a core program with a doubling accumulator: after the run,
     size(o) - 1 equals the number of executed declarations, assignments and
     empty blocks."""
+    for s in walk_stmts(prog.body):
+        if not isinstance(s, (Decl, Assign, Block, If, For)):
+            raise TransformError(f"cost tracker expects a core program, found "
+                                 f"{type(s).__name__}", s.pos)
     o = fresh_name("o", program_names(prog))
     body = [Decl(INT, o), Assign(Var(o), Const("1"))]
     body.extend(_t2_stmt(s, o) for s in prog.body)
@@ -117,16 +121,9 @@ def _t2_double(o):
 def _t2_stmt(s, o):
     if isinstance(s, (Decl, Assign)):
         return Block([s, _t2_double(o)])
-    if isinstance(s, Block):
-        if not s.stmts:
-            return Block([_t2_double(o)])
-        return Block([_t2_stmt(inner, o) for inner in s.stmts])
-    if isinstance(s, If):
-        return If(s.cond, _t2_stmt(s.then, o), _t2_stmt(s.els, o))
-    if isinstance(s, For):
-        return For(s.counter, s.bound, _t2_stmt(s.body, o))
-    raise TransformError(f"cost tracker expects a core program, found "
-                         f"{type(s).__name__}", getattr(s, "pos", None))
+    if isinstance(s, Block) and not s.stmts:
+        return Block([_t2_double(o)])
+    return rebuild(s, lambda c: _t2_stmt(c, o) if isinstance(c, Stmt) else c)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +135,7 @@ def inline_functions(prog):
     their parameters, their own locals and previously defined functions."""
     ctx = _Inliner()
     body = ctx.stmts(prog.body, collect_funs=True)
-    prelude, ret = ctx.expr(prog.ret_expr, body)
-    del prelude  # statements were appended to body in place
+    ret = ctx.expr_into(prog.ret_expr, body)  # its prelude joins the body
     return Program(list(prog.params), body, ret)
 
 
@@ -171,19 +167,15 @@ class _Inliner:
             elif isinstance(s, FunDef):
                 raise TransformError(
                     f"function {f.name!r} defines a nested function", s.pos)
-        exprs = [f.ret_expr]
-        for s in walk_stmts(f.body):
-            exprs.extend(stmt_exprs(s))
-        for e in exprs:
-            for sub in walk_exprs(e):
-                if isinstance(sub, Var) and sub.name not in allowed:
-                    raise TransformError(
-                        f"function {f.name!r} reads captured variable "
-                        f"{sub.name!r}; cannot inline", sub.pos)
-                if isinstance(sub, Call) and sub.fname not in allowed:
-                    raise TransformError(
-                        f"function {f.name!r} calls unknown {sub.fname!r}",
-                        sub.pos)
+        for sub in walk([f.ret_expr] + f.body):
+            if isinstance(sub, Var) and sub.name not in allowed:
+                raise TransformError(
+                    f"function {f.name!r} reads captured variable "
+                    f"{sub.name!r}; cannot inline", sub.pos)
+            if isinstance(sub, Call) and sub.fname not in allowed:
+                raise TransformError(
+                    f"function {f.name!r} calls unknown {sub.fname!r}",
+                    sub.pos)
 
     def stmt(self, s):
         pre = []
@@ -208,32 +200,19 @@ class _Inliner:
         raise TransformError(f"cannot inline inside {type(s).__name__}",
                              getattr(s, "pos", None))
 
-    def expr(self, e, out_stmts):
-        pre = []
-        e2 = self.expr_into(e, pre)
-        out_stmts.extend(pre)
-        return pre, e2
-
     def expr_into(self, e, pre):
-        if isinstance(e, (Var, Const)):
-            return e
-        if isinstance(e, Paren):
-            return Paren(self.expr_into(e.inner, pre))
-        if isinstance(e, OpApp):
-            return OpApp(e.op, [self.expr_into(a, pre) for a in e.args])
-        if isinstance(e, Index):
-            return Index(self.expr_into(e.base, pre),
-                         self.expr_into(e.index, pre))
-        if isinstance(e, Call):
-            args = [self.expr_into(a, pre) for a in e.args]
-            if e.fname not in self.funcs:
-                if e.fname in BUILTIN_NAMES:
-                    return Call(e.fname, args)
-                raise TransformError(f"call to unknown function {e.fname!r}",
-                                     e.pos)
-            return self.expand(self.funcs[e.fname], args, pre)
-        raise TransformError(f"cannot inline inside expression {e!r}",
-                             getattr(e, "pos", None))
+        if isinstance(e, ArrayCtor):
+            raise TransformError(f"cannot inline inside expression "
+                                 f"{type(e).__name__}", e.pos)
+        if not isinstance(e, Call):
+            return rebuild(e, lambda sub: self.expr_into(sub, pre))
+        args = [self.expr_into(a, pre) for a in e.args]
+        if e.fname not in self.funcs:
+            if e.fname in BUILTIN_NAMES:
+                return Call(e.fname, args)
+            raise TransformError(f"call to unknown function {e.fname!r}",
+                                 e.pos)
+        return self.expand(self.funcs[e.fname], args, pre)
 
     def expand(self, f, args, pre):
         self.counter += 1
@@ -257,51 +236,29 @@ class _Inliner:
 
 
 def _rename_stmts(stmts, rename, tag):
-    out = []
-    for s in stmts:
-        if isinstance(s, Decl):
-            rename[s.name] = s.name + tag
-            out.append(Decl(s.annot, rename[s.name], pos=s.pos))
-        elif isinstance(s, Assign):
-            out.append(Assign(_rename_expr(s.lvalue, rename),
-                              _rename_expr(s.expr, rename), pos=s.pos))
-        elif isinstance(s, Block):
-            out.append(Block(_rename_stmts(s.stmts, dict(rename), tag), pos=s.pos))
-        elif isinstance(s, If):
-            out.append(If(_rename_expr(s.cond, rename),
-                          _rename_stmts([s.then], dict(rename), tag)[0],
-                          _rename_stmts([s.els], dict(rename), tag)[0],
-                          pos=s.pos))
-        elif isinstance(s, For):
-            inner = dict(rename)
-            inner[s.counter] = s.counter + tag
-            out.append(For(s.counter + tag, _rename_expr(s.bound, rename),
-                           _rename_stmts([s.body], inner, tag)[0], pos=s.pos))
-        elif isinstance(s, (Break, Continue)):
-            out.append(s)
-        elif isinstance(s, CallStmt):
-            out.append(CallStmt(_rename_expr(s.call, rename), pos=s.pos))
-        else:
-            raise TransformError(f"cannot rename {type(s).__name__}",
-                                 getattr(s, "pos", None))
-    return out
+    """Rename in order: a declaration renames what follows it in its scope."""
+    return [_rename_stmt(s, rename, tag) for s in stmts]
+
+
+def _rename_stmt(s, rename, tag):
+    if isinstance(s, Decl):
+        rename[s.name] = s.name + tag
+        return Decl(s.annot, rename[s.name], pos=s.pos)
+    if isinstance(s, Block):
+        return Block(_rename_stmts(s.stmts, dict(rename), tag), pos=s.pos)
+    if isinstance(s, For):
+        inner = dict(rename)
+        inner[s.counter] = s.counter + tag
+        return For(s.counter + tag, _rename_expr(s.bound, rename),
+                   _rename_stmt(s.body, inner, tag), pos=s.pos)
+    return rebuild(s, lambda c: _rename_expr(c, rename) if isinstance(c, Expr)
+                   else _rename_stmt(c, dict(rename), tag))
 
 
 def _rename_expr(e, rename):
     if isinstance(e, Var):
         return Var(rename.get(e.name, e.name), pos=e.pos)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Paren):
-        return Paren(_rename_expr(e.inner, rename), pos=e.pos)
-    if isinstance(e, OpApp):
-        return OpApp(e.op, [_rename_expr(a, rename) for a in e.args], pos=e.pos)
-    if isinstance(e, Index):
-        return Index(_rename_expr(e.base, rename),
-                     _rename_expr(e.index, rename), pos=e.pos)
-    if isinstance(e, Call):
-        return Call(e.fname, [_rename_expr(a, rename) for a in e.args], pos=e.pos)
-    raise TransformError(f"cannot rename expression {e!r}")
+    return rebuild(e, lambda sub: _rename_expr(sub, rename))
 
 # ---------------------------------------------------------------------------
 # single-loop normal form
@@ -334,12 +291,8 @@ def simple_form_shape_ok(sf):
     loop = body[0]
     if loop.bound != OpApp("size", [Var(sf.bound_var)]):
         return False
-    exprs = [prog.ret_expr]
-    for s in walk_stmts([loop.body]):
-        if isinstance(s, (For, FunDef, CallStmt)):
-            return False
-        exprs.extend(stmt_exprs(s))
-    return not any(isinstance(sub, Call) for e in exprs for sub in walk_exprs(e))
+    return not any(isinstance(x, (For, FunDef, CallStmt, Call))
+                   for x in walk([loop.body, prog.ret_expr]))
 
 
 def normalize_simple(prog, mode="core"):
@@ -357,19 +310,10 @@ def normalize_simple(prog, mode="core"):
     return _Normalizer(prog).build()
 
 
-def _expr_has_size(e):
-    return any(isinstance(x, OpApp) and x.op == "size" for x in walk_exprs(e))
-
-
 def _stmt_is_flat(s):
     """True when the subtree can run inside a single machine step."""
-    for x in walk_stmts([s]):
-        if isinstance(x, (For, Break, Continue, FunDef, CallStmt)):
-            return False
-        for e in stmt_exprs(x):
-            if _expr_has_size(e):
-                return False
-    return True
+    return not any(isinstance(x, (For, Break, Continue, FunDef, CallStmt))
+                   or isinstance(x, OpApp) and x.op == "size" for x in walk([s]))
 
 
 class _Label:

@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 
 from .ast import (
     ArrayCtor, ArrayT, Arrow, Assign, Block, Break, Call, CallStmt, Const,
-    Continue, Decl, For, FunDef, If, Index, OpApp, Paren, Program, Var,
+    Continue, Decl, For, FunDef, If, Index, OpApp, Paren, Var,
     BOOL, IINT, INT, ISTRING, STRING, NO_POS, Pos,
     is_int_type, is_iterable_type, is_string_type, type_class,
-    subtype_of,
+    subtype_of, walk_exprs,
 )
 # sup_type is part of this module's typing surface, re-exported from the table
 from .ops import BUILTIN_NAMES, op_signature, sup_type
@@ -274,8 +274,6 @@ class Checker:
         return None
 
     def _var_names(self, e):
-        from .ast import walk_exprs
-
         return tuple(sorted({sub.name for sub in walk_exprs(e) if isinstance(sub, Var)}))
 
     # -- statements ---------------------------------------------------------

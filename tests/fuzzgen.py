@@ -10,7 +10,7 @@ import random
 
 from polyc.ast import (
     Assign, Block, Const, Decl, For, If, OpApp, Paren, Program, Var,
-    BOOL, IINT, INT,
+    BOOL, IINT, INT, walk_stmts,
 )
 
 
@@ -155,7 +155,7 @@ def gen_program(seed):
 def watch_sets(prog):
     """Per-loop iterable restriction: all iterable declarations (top level
     by construction) plus the counters of the loop and its ancestors."""
-    iints = [s.name for s in _all_stmts(prog.body)
+    iints = [s.name for s in walk_stmts(prog.body)
              if isinstance(s, Decl) and s.annot is IINT]
     watch = {}
 
@@ -172,14 +172,3 @@ def watch_sets(prog):
 
     go(prog.body, [])
     return watch
-
-
-def _all_stmts(stmts):
-    for s in stmts:
-        yield s
-        if isinstance(s, Block):
-            yield from _all_stmts(s.stmts)
-        elif isinstance(s, If):
-            yield from _all_stmts([s.then, s.els])
-        elif isinstance(s, For):
-            yield from _all_stmts([s.body])

@@ -1,10 +1,14 @@
+import functools
 import json
 
 import pytest
 
 from conftest import CORPUS, corpus_source
 
+from polyc import parse_source
 from polyc.cli import main
+from polyc.errors import ParseError
+from polyc.parser import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -15,6 +19,26 @@ def run_cli(capsys, *argv):
 
 def corpus(name):
     return str(CORPUS / name)
+
+
+NESTED = {
+    "parentheses": lambda n: "int main(int x){return " + "(" * n + "x"
+    + ")" * n + ";}",
+    "ifs": lambda n: "int main(int x){" + "if(x>0){" * n + "x=1;"
+    + "}else{x=2;}" * n + " return x;}",
+}
+
+
+@functools.cache
+def deepest(shape):
+    """The largest n for which NESTED[shape](n) parses."""
+    n = 1
+    while True:
+        try:
+            parse_source(NESTED[shape](n + 1))
+        except ParseError:
+            return n
+        n += 1
 
 
 class TestRun:
@@ -95,6 +119,15 @@ class TestRun:
                                "100", "100")
         assert code == 2 and "fuel" in err.lower()
 
+    def test_string_array_argument_with_comma(self, capsys, tmp_path):
+        f = tmp_path / "strs.pc"
+        f.write_text("// mode: extended\nint main(array<string> a, istring s)"
+                     "{int r; if(a[0]==\"a,b\"){r=1;}else{r=2;} return r;}\n")
+        code, out, _ = run_cli(capsys, "run", f, '["a,b","c"]', "x")
+        assert code == 0 and out.strip() == "1"
+        code, out, _ = run_cli(capsys, "run", f, '["a","b,c"]', "x")
+        assert code == 0 and out.strip() == "2"
+
     def test_mode_flag_overrides(self, capsys, tmp_path):
         f = tmp_path / "ext.pc"
         f.write_text("int main(int x){x+=1; return x;}\n")
@@ -137,6 +170,36 @@ class TestCheck:
         assert code == 1 and out == ""
         assert "syntax error: program nests too deeply" in err
         assert "internal error" not in err
+
+    def test_nesting_limit_is_one_constant(self):
+        # the return expression is the outermost level
+        assert deepest("parentheses") == MAX_NESTING - 1
+        assert 128 <= deepest("ifs") < 300
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    @pytest.mark.parametrize("argv", [
+        ["check", "FILE"], ["run", "FILE", "5", "--cost"], ["cost", "FILE", "5"],
+        ["transform", "t1", "FILE"], ["transform", "t2", "FILE"],
+        ["transform", "normalize", "FILE"], ["analyze", "FILE"],
+    ], ids=lambda argv: "-".join(a for a in argv if a != "FILE"))
+    def test_every_command_accepts_the_limit(self, capsys, tmp_path, argv,
+                                             shape):
+        f = tmp_path / "deep.pc"
+        f.write_text(NESTED[shape](deepest(shape)))
+        code, _, err = run_cli(capsys, *[f if a == "FILE" else a for a in argv])
+        assert "internal error" not in err
+        assert code == 0, err
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    @pytest.mark.parametrize("argv", [["cost", "5"], ["run", "5", "--cost"]],
+                             ids=["cost", "run-cost"])
+    def test_one_past_the_limit_fails_alike(self, capsys, tmp_path, argv,
+                                            shape):
+        f = tmp_path / "deep.pc"
+        f.write_text(NESTED[shape](deepest(shape) + 1))
+        code, out, err = run_cli(capsys, argv[0], f, *argv[1:])
+        assert code == 1 and out == ""
+        assert "syntax error: program nests too deeply" in err
 
 
 class TestCost:
@@ -207,6 +270,13 @@ class TestTransformCmd:
         assert check_program(prog, "extended").ok
         assert run_program(prog, [6, 7, 1 << 10], mode="extended").output == 42
 
+    def test_normalize_names_the_array_constructor(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "normalize",
+                                 corpus("sort.pc"))
+        assert code == 3 and out == ""
+        assert "error: cannot inline inside expression ArrayCtor" in err
+        assert "Pos(" not in err
+
 
 class TestAnalyze:
     def test_poly_with_witness(self, capsys):
@@ -219,6 +289,15 @@ class TestAnalyze:
     def test_unknown(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", corpus("badmul.pc"))
         assert code == 0 and out.strip() == "unknown"
+
+    @pytest.mark.parametrize("shape,depth", [("parentheses", 250),
+                                             ("ifs", 128)])
+    def test_deep_nesting(self, capsys, tmp_path, shape, depth):
+        f = tmp_path / "deep.pc"
+        f.write_text(NESTED[shape](depth))
+        code, out, err = run_cli(capsys, "analyze", f)
+        assert code == 0 and err == ""
+        assert out.startswith("poly\n")
 
 
 class TestEquiv:

@@ -101,6 +101,15 @@ class TestSpecFormat:
         with pytest.raises(TmError):
             parse_tm("states: 3\nhalt: 1\nq0 0 -> q2 1 R\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("states: two\nhalt: 1\n", "line 1: malformed state count"),
+        ("states: 2\nhalt: 1\nq0 0 -> q1 0 R -> x\n",
+         "line 3: malformed transition"),
+    ], ids=["state-count", "two-arrows"])
+    def test_malformed_line(self, text, message):
+        with pytest.raises(TmError, match=message):
+            parse_tm(text)
+
     def test_halt_state_fixed(self):
         with pytest.raises(TmError):
             parse_tm("states: 2\nhalt: 0\n")

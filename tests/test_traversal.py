@@ -1,0 +1,143 @@
+import pytest
+
+import fuzzgen
+from conftest import CORPUS, load
+
+from polyc import pretty_print
+from polyc.analysis import IllTypedError, poly_check
+from polyc.ast import (
+    ArrayCtor, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
+    Continue, Decl, DeclInit, Expr, For, FunDef, If, Incr, Index, OpApp,
+    Paren, Pos, Program, Stmt, Var, INT, children, clone, rebuild, stmt_exprs,
+    walk, walk_exprs, walk_stmts,
+)
+
+
+def _vars(n):
+    return [Var(f"v{k}") for k in range(n)]
+
+
+def _table():
+    """One instance of every node class with its children in field order."""
+    a, b, c = _vars(3)
+    s1, s2 = Decl(INT, "x"), Decl(INT, "y")
+    call = Call("f", [a, b])
+    return [
+        (Var("x"), []),
+        (Const("1"), []),
+        (OpApp("+", [a, b]), [a, b]),
+        (Paren(a), [a]),
+        (call, [a, b]),
+        (Index(a, b), [a, b]),
+        (ArrayCtor(a, elem=INT), [a]),
+        (Decl(INT, "x"), []),
+        (Assign(a, b), [a, b]),
+        (Block([s1, s2]), [s1, s2]),
+        (If(a, s1, s2), [a, s1, s2]),
+        (If(a, s1, None), [a, s1]),  # extended mode before desugaring
+        (For("i", a, s1), [a, s1]),
+        (FunDef(INT, "f", [(INT, "p")], [s1, s2], c), [s1, s2, c]),
+        (Break(), []),
+        (Continue(), []),
+        (CallStmt(call), [call]),
+        (DeclInit(INT, "x", a), [a]),
+        (AugAssign("+", a, b), [a, b]),
+        (Incr(a), [a]),
+        (Program([(INT, "x")], [s1, s2], c), [s1, s2, c]),
+    ]
+
+
+TABLE = _table()
+
+
+def test_table_covers_every_node_class():
+    classes = {type(node) for node, _ in TABLE}
+    assert classes == set(Expr.__subclasses__()) | set(Stmt.__subclasses__()) \
+        | {Program}
+
+
+@pytest.mark.parametrize("node,expected", TABLE,
+                         ids=[type(node).__name__ for node, _ in TABLE])
+def test_children_in_field_order(node, expected):
+    assert [id(c) for c in children(node)] == [id(c) for c in expected]
+    if isinstance(node, Stmt):
+        assert [id(e) for e in stmt_exprs(node)] == \
+            [id(c) for c in expected if isinstance(c, Expr)]
+
+
+def test_rebuild_keeps_every_other_field():
+    node = ArrayCtor(Var("n", pos=Pos(2, 9)), pos=Pos(2, 3), elem=INT)
+    new = rebuild(node, lambda e: Var("m", pos=e.pos))
+    assert new == ArrayCtor(Var("m")) and new.pos == Pos(2, 3)
+    assert new.elem is INT and new.length.pos == Pos(2, 9)
+    fun = FunDef(INT, "f", [(INT, "p")], [Break()], Var("p"), pos=Pos(1, 1))
+    copy = rebuild(fun, clone)
+    assert copy == fun and copy.params is not fun.params
+    assert copy.params == [(INT, "p")] and copy.pos == Pos(1, 1)
+
+
+def _programs():
+    for path in sorted(CORPUS.glob("*.pc")):
+        yield path.name, load(path.name)[0]
+    for seed in range(60):
+        yield f"fuzz-{seed}", fuzzgen.gen_program(seed)
+
+
+def _nodes(prog):
+    return list(walk(prog.body + [prog.ret_expr]))
+
+
+def _preorder(node):
+    """Reference order: recursion over `children`."""
+    yield node
+    for child in children(node):
+        yield from _preorder(child)
+
+
+@pytest.mark.parametrize("name,prog", list(_programs()),
+                         ids=[name for name, _ in _programs()])
+def test_walk_is_preorder_over_children(name, prog):
+    expected = [n for root in prog.body + [prog.ret_expr]
+                for n in _preorder(root)]
+    assert [id(n) for n in _nodes(prog)] == [id(n) for n in expected]
+    assert [id(s) for s in walk_stmts(prog.body)] == \
+        [id(n) for n in expected if isinstance(n, Stmt)]
+    assert [id(e) for e in walk_exprs(prog.ret_expr)] == \
+        [id(n) for n in _preorder(prog.ret_expr)]
+
+
+@pytest.mark.parametrize("name,prog", list(_programs()),
+                         ids=[name for name, _ in _programs()])
+def test_clone_is_equal_and_unshared(name, prog):
+    copy = clone(prog)
+    assert copy == prog
+    assert pretty_print(copy) == pretty_print(prog)
+    old, new = _nodes(prog), _nodes(copy)
+    assert [type(n) for n in new] == [type(n) for n in old]
+    assert [n.pos for n in new] == [n.pos for n in old]
+    assert not {id(n) for n in old} & {id(n) for n in new}
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.pc")),
+                         ids=lambda p: p.name)
+def test_poly_check_leaves_its_input_alone(path):
+    prog, mode = load(path.name)
+    before = pretty_print(prog)
+    annots = [s.annot for s in walk_stmts(prog.body) if isinstance(s, Decl)]
+    try:
+        poly_check(prog, mode)
+    except IllTypedError:
+        pass
+    assert pretty_print(prog) == before
+    assert [s.annot for s in walk_stmts(prog.body)
+            if isinstance(s, Decl)] == annots
+
+
+def test_walk_exprs_is_depth_safe():
+    e = Var("x")
+    for k in range(3000):
+        e = OpApp("+", [e, Const(str(k))])
+    seen = list(walk_exprs(e))
+    assert len(seen) == 6001
+    assert seen[0] is e and isinstance(seen[3000], Var)
+    assert [c.text for c in seen[3001:3004]] == ["0", "1", "2"]
