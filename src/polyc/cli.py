@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 type error, 2 runtime error, 3 usage error.
-POLYC_FUEL caps interpreter steps (absent = unlimited).
+POLYC_FUEL caps the number of statements a run executes (absent = unlimited).
 """
 
 import argparse
@@ -126,13 +126,15 @@ def build_parser():
 
 
 def _fuel():
+    """The number of statements a run may execute: POLYC_FUEL in ASCII
+    decimal digits, or None (unlimited) when unset or empty."""
     raw = os.environ.get("POLYC_FUEL")
     if not raw:
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliFailure(EXIT_USAGE, f"POLYC_FUEL must be an integer, got {raw!r}")
+    if not (raw.isascii() and raw.isdigit()):
+        raise CliFailure(EXIT_USAGE, "POLYC_FUEL must be a non-negative "
+                                     f"decimal integer, got {raw!r}")
+    return int(raw)
 
 
 def _read(path):

@@ -71,11 +71,10 @@ def parse_tm(text, name="tm"):
         if not line:
             continue
         if line.startswith("states:"):
-            try:
-                n_states = int(line.split(":", 1)[1])
-            except ValueError:
-                raise TmError(f"line {lineno}: malformed state count "
-                              f"{line!r}") from None
+            count = line.split(":", 1)[1].strip()
+            if not _is_numeral(count):
+                raise TmError(f"line {lineno}: malformed state count {line!r}")
+            n_states = int(count)
             continue
         if line.startswith("halt:"):
             if line.split(":", 1)[1].strip() != "1":
@@ -87,8 +86,7 @@ def parse_tm(text, name="tm"):
             lhs, rhs = line.split("->")
             q, a = lhs.split()
             q2, b, mv = rhs.split()
-            src = int(q.lstrip("q"))
-            dst = int(q2.lstrip("q"))
+            src, dst = _state(q), _state(q2)
         except ValueError:
             raise TmError(f"line {lineno}: malformed transition {line!r}") from None
         if (src, a) in transitions:
@@ -97,6 +95,19 @@ def parse_tm(text, name="tm"):
     if n_states is None:
         raise TmError("missing 'states:' line")
     return TuringMachine(n_states, transitions, name).validate()
+
+
+def _is_numeral(text):
+    """ASCII decimal digits only: int() would also take signs, underscores,
+    spaces and other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
+def _state(token):
+    """The number of a state written q<digits>."""
+    if token[:1] != "q" or not _is_numeral(token[1:]):
+        raise ValueError(f"malformed state {token!r}")
+    return int(token[1:])
 
 
 def tm_run(machine, input_str, fuel=1_000_000):

@@ -25,14 +25,18 @@ class VArray:
 
 
 class Closure:
-    __slots__ = ("def_store", "params", "body", "ret_expr", "name")
+    """A function value; `code`, when set, is the interpreter's compiled
+    body for it."""
 
-    def __init__(self, def_store, params, body, ret_expr, name):
+    __slots__ = ("def_store", "params", "body", "ret_expr", "name", "code")
+
+    def __init__(self, def_store, params, body, ret_expr, name, code=None):
         self.def_store = def_store
         self.params = params
         self.body = body
         self.ret_expr = ret_expr
         self.name = name
+        self.code = code
 
     def __repr__(self):
         return f"<closure {self.name}>"

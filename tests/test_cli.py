@@ -1,5 +1,9 @@
 import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +122,32 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", corpus("fastmul.pc"),
                                "100", "100")
         assert code == 2 and "fuel" in err.lower()
+
+    def test_fuel_counts_statements(self, capsys, monkeypatch):
+        # fastmul 6 7 executes 22 statements; its ic is 64
+        for fuel, code, out in (("21", 2, ""), ("22", 0, "42\n"),
+                                ("0", 2, "")):
+            monkeypatch.setenv("POLYC_FUEL", fuel)
+            assert run_cli(capsys, "run", corpus("fastmul.pc"), "6",
+                           "7")[:2] == (code, out), fuel
+
+    @pytest.mark.parametrize("raw", ["-5", "1_000", "\u0663\u0660\u0660",
+                                     " 30", "+30", "3e2", "0x1e"])
+    def test_fuel_env_takes_decimal_digits_only(self, capsys, monkeypatch,
+                                                raw):
+        monkeypatch.setenv("POLYC_FUEL", raw)
+        code, out, err = run_cli(capsys, "run", corpus("fastmul.pc"), "6", "7")
+        assert (code, out) == (3, "") and "POLYC_FUEL" in err
+
+    def test_python_dash_m(self):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyc", "run", corpus("fastmul.pc"), "6",
+             "7"], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert (proc.returncode, proc.stdout) == (0, "42\n"), proc.stderr
 
     def test_string_array_argument_with_comma(self, capsys, tmp_path):
         f = tmp_path / "strs.pc"

@@ -1,13 +1,17 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
+import fuzzgen
 from conftest import compile_src, load_checked
 
-from polyc import check_program, run_program
+from polyc import check_program, eval_expr, load_program, run_program
 from polyc.ast import (
-    ArrayT, BOOL, Call, IINT, INT, ISTRING, OpApp, Paren, STRING, Var,
+    ArrayT, Assign, Block, BOOL, Call, Const, IINT, If, INT, ISTRING, OpApp,
+    Paren, Program, STRING, Var,
 )
 from polyc.errors import (
     ArgumentError, FuelExhausted, InternalError, PolyRuntimeError,
@@ -302,6 +306,109 @@ class TestStatementSurface:
 
         _, _, sig = exec_stmt({}, Break())
         assert sig == "break"
+
+
+class TestCompiledEngine:
+    """Traps of an engine that compiles each program once and caches it."""
+
+    def test_cache_keeps_no_program_alive(self):
+        prog = compile_src("int main(int x){return x+1;}")
+        assert run_program(prog, [1]).output == 2
+        ref = weakref.ref(prog)
+        del prog
+        gc.collect()
+        assert ref() is None
+        # a new program may reuse a dead one's id(); it must not reuse its code
+        for k in range(50):
+            prog = compile_src(f"int main(int x){{return x+{k};}}")
+            assert run_program(prog, [1]).output == 1 + k
+            del prog
+
+    def test_array_element_type_is_read_when_run(self):
+        # the checker fills in ArrayCtor.elem in place, after a first run
+        # may already have compiled the program
+        prog = compile_src("// mode: extended\n"
+                           "int main(iint n){array<int> a; a=array(size(n)); "
+                           "a[1]=7; return a[1];}", "extended")
+        with pytest.raises(InternalError, match="not type-checked"):
+            run_program(prog, [5], mode="extended")
+        assert check_program(prog, "extended").ok
+        assert run_program(prog, [5], mode="extended").output == 7
+
+    def test_array_declaration_is_fresh_every_time(self):
+        prog = compile_src("// mode: extended\n"
+                           "int main(iint n){array<int> first; "
+                           "for(i<size(n)){array<int> a; "
+                           "if(i==0){first=a;} else {}} return 0;}",
+                           "extended")
+        assert check_program(prog, "extended").ok
+        stores = []
+        for _ in range(2):
+            it = Interp(mode="extended")
+            it.run(prog, [6])
+            stores.append(it.store)
+        for st in stores:
+            assert st["a"].items == [] and st["first"].items == []
+            assert st["a"] is not st["first"]  # iterations 0 and 2
+        assert stores[0]["a"] is not stores[1]["a"]  # two runs
+
+    def test_fuel_counts_executed_statements(self, fastmul):
+        for cost in (False, True):
+            with pytest.raises(FuelExhausted):
+                run_program(fastmul, [6, 7], cost_mode=cost, fuel=21)
+            assert run_program(fastmul, [6, 7], cost_mode=cost,
+                               fuel=22).output == 42
+
+    def test_unknown_operator_fails_when_evaluated(self):
+        bad = OpApp("^", [Var("x"), Const("1")])
+        prog = Program([(INT, "x")], [
+            If(Const("false"), Assign(Var("x"), bad), Block([]))], Var("x"))
+        for cost in (False, True):
+            assert run_program(prog, [4], cost_mode=cost).output == 4
+        it = Interp()
+        it.store = {"x": 1}
+        with pytest.raises(InternalError, match=r"unknown operator '\^'"):
+            it.eval(bad)
+
+    def test_ic_sums_the_step_rules(self):
+        # every rule charges one step except these four, which only count
+        free = {"Cond", "Loop", "EmptyBlock", "Prog"}
+        rng = random.Random(17)
+        for seed in range(200):
+            prog = fuzzgen.gen_program(seed)
+            args = [rng.randrange(-2 ** 16, 2 ** 16) for _ in prog.params]
+            rep = run_program(prog, args, cost_mode=True, fuel=10 ** 7)
+            assert rep.ic == sum(n for rule, n in rep.rule_counts.items()
+                                 if rule not in free), seed
+            assert all(n > 0 for n in rep.rule_counts.values()), seed
+
+
+class TestOperatorChains:
+    @staticmethod
+    def chain(n):
+        """x+x+...+x with n terms, nested to the left as the parser does."""
+        e = Var("x")
+        for _ in range(n - 1):
+            e = OpApp("+", [e, Var("x")])
+        return e
+
+    def test_long_chain_needs_no_frame_per_term(self):
+        # built directly: desugar itself still recurses once per term
+        prog = Program([(INT, "x")], [], self.chain(5000))
+        for cost in (False, True):
+            assert run_program(prog, [3], cost_mode=cost).output == 15000
+        rep = run_program(prog, [3], cost_mode=True)
+        assert rep.rule_counts == {"Var": 5000, "Op": 4999, "Prog": 1}
+        assert eval_expr({"x": 3}, self.chain(5000), True) == (15000, 9999)
+
+    def test_scalar_multiple_keeps_its_cost(self):
+        # 450 reads of x and 449 additions; with (x+1), each of the 450
+        # terms is a Paren, a Var, a Const and an Op, plus 449 additions
+        for body, out, ic in (("450*x", 3150, 899), ("450*(x+1)", 3600, 2249)):
+            prog, mode = load_program(f"int main(int x){{return {body};}}")
+            assert check_program(prog, mode).ok
+            rep = run_program(prog, [7], cost_mode=True)
+            assert (rep.output, rep.ic) == (out, ic)
 
 
 # -- the operator table: one case per row ------------------------------------

@@ -105,7 +105,21 @@ class TestSpecFormat:
         ("states: two\nhalt: 1\n", "line 1: malformed state count"),
         ("states: 2\nhalt: 1\nq0 0 -> q1 0 R -> x\n",
          "line 3: malformed transition"),
-    ], ids=["state-count", "two-arrows"])
+        # int() accepts each of these; a .tm file takes ASCII digits only
+        ("states: \u0662\nhalt: 1\n", "line 1: malformed state count"),
+        ("states: 0_2\nhalt: 1\n", "line 1: malformed state count"),
+        ("states: +2\nhalt: 1\n", "line 1: malformed state count"),
+        ("states: 2\nhalt: 1\nqq0 0 -> q1 0 R\n",
+         "line 3: malformed transition"),
+        ("states: 2\nhalt: 1\n0 0 -> q1 0 R\n",
+         "line 3: malformed transition"),
+        ("states: 2\nhalt: 1\nq0 0 -> q+1 0 R\n",
+         "line 3: malformed transition"),
+        ("states: 2\nhalt: 1\nq\u0660 0 -> q1 0 R\n",
+         "line 3: malformed transition"),
+    ], ids=["state-count", "two-arrows", "arabic-indic-count",
+            "underscore-count", "signed-count", "double-q", "bare-state",
+            "signed-state", "arabic-indic-state"])
     def test_malformed_line(self, text, message):
         with pytest.raises(TmError, match=message):
             parse_tm(text)
