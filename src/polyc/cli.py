@@ -5,6 +5,7 @@ POLYC_FUEL caps the number of statements a run executes (absent = unlimited).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,9 +40,8 @@ class CliFailure(Exception):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits on its own for bad usage or --help
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
@@ -123,6 +123,10 @@ def build_parser():
     sp.add_argument("bound", type=int)
     sp.add_argument("--mode", choices=["core", "extended"])
     return p
+
+
+# parse_args leaves the tree as it was, so one tree serves every main() call
+_parser = functools.cache(build_parser)
 
 
 def _fuel():
@@ -259,10 +263,7 @@ def cmd_cost(args):
 
 def cmd_check(args):
     _checked(args.file, args.mode, args.json)
-    if args.json:
-        print(json.dumps({"diagnostics": []}))
-    else:
-        print("well-typed: int")
+    print(json.dumps({"diagnostics": []}) if args.json else "well-typed: int")
     return EXIT_OK
 
 
@@ -319,10 +320,8 @@ def cmd_equiv(args):
     # extended mode only adds the builtin bindings, so it runs core programs too
     mode = "extended" if "extended" in (mode1, mode2) else "core"
     same, witness = bounded_equiv(p1, p2, args.bound, mode=mode, fuel=_fuel())
-    if same:
-        print("true")
-    else:
-        print("false")
+    print("true" if same else "false")
+    if not same:
         print("witness: " + " ".join(str(v) for v in witness))
     return EXIT_OK
 

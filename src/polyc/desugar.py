@@ -17,10 +17,7 @@ def desugar(prog):
 
 
 def _stmts(stmts):
-    out = []
-    for s in stmts:
-        out.extend(_stmt(s))
-    return out
+    return [out for s in stmts for out in _stmt(s)]
 
 
 def _stmt(s):

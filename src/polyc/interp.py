@@ -102,7 +102,7 @@ class Interp:
         self.fuel -= 1
         if self.fuel < 0:
             raise FuelExhausted(
-                f"interpreter fuel limit of {self.fuel_limit} steps exceeded")
+                f"interpreter fuel limit of {self.fuel_limit} statements exceeded")
         if self.cost:
             self.count(slot)
 

@@ -30,6 +30,7 @@ _TOKEN = re.compile(r"""
   | (?P<illegal>          . )
 """, re.VERBOSE | re.DOTALL)
 
+_KINDS = {g: g.replace("_", "-") for g in [*_TOKEN.groupindex, "keyword"]}
 _ERRORS = {
     "no_digit": "binary literal needs at least one digit",
     "unterminated": "unterminated string literal",
@@ -37,7 +38,7 @@ _ERRORS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # keyword | identifier | decimal-literal | binary-literal |
     #            operator-symbol | punctuation | string-literal | eof
@@ -63,14 +64,14 @@ def tokenize(source):
                 line_start = m.start() + lexeme.rindex("\n") + 1
             continue
         pos = Pos(line, m.start() - line_start + 1)
-        first = lexeme[0]
-        if group == "identifier" and not (first.isalpha() or first == "_"):
-            # \w also matches digits outside 0-9, which cannot start a name
-            group, lexeme = "illegal", first
+        if group == "identifier":
+            if lexeme in KEYWORDS:  # only an identifier can spell a keyword
+                group = "keyword"
+            elif not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                # \w also matches digits outside 0-9, which cannot start a name
+                group, lexeme = "illegal", lexeme[0]
         if group in _ERRORS:
             raise LexError(_ERRORS[group].format(lexeme), pos)
-        # only an identifier can spell a keyword
-        kind = "keyword" if lexeme in KEYWORDS else group.replace("_", "-")
-        toks.append(Token(kind, lexeme, pos))
+        toks.append(Token(_KINDS[group], lexeme, pos))
     toks.append(Token("eof", "", Pos(line, len(source) - line_start + 1)))
     return toks

@@ -80,16 +80,16 @@ def _concat(types, extended):
 
 
 def _div(a, b):
-    if b == 0:
-        return 0
-    q = abs(a) // abs(b)
+    if b > 0 and a >= 0:  # the common case, where floor and truncation agree
+        return a // b
+    q = abs(a) // abs(b) if b else 0
     return q if (a >= 0) == (b >= 0) else -q
 
 
 def _mod(a, b):
-    if b == 0:
-        return 0
-    r = abs(a) % abs(b)
+    if b > 0 and a >= 0:
+        return a % b
+    r = abs(a) % abs(b) if b else 0
     return r if a >= 0 else -r
 
 

@@ -17,6 +17,7 @@ from .ops import OPS, PRECEDENCE
 CORE_TYPES = {"iint": IINT, "int": INT, "bool": BOOL}
 EXT_TYPES = {"string": STRING, "istring": ISTRING}
 JUMPS = {"break": Break, "continue": Continue}
+LITERALS = ("decimal-literal", "binary-literal", "string-literal")
 # Nested statements, subexpressions and array element types count one level
 # each.  A fixed count, not the Python stack, makes the limit the same for
 # every caller; passes recursing up to 3 frames a level stay within 1,000.
@@ -61,8 +62,10 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead=0):
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        # next() stops at the closing eof token, so toks[i] always exists
+        if ahead:
+            return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i]
 
     def next(self):
         t = self.toks[self.i]
@@ -72,18 +75,22 @@ class Parser:
 
     def at(self, lexeme):
         # identifiers and literals never spell a keyword or a symbol
-        return self.peek().lexeme == lexeme
+        return self.toks[self.i].lexeme == lexeme
 
     def accept(self, lexeme):
-        if self.at(lexeme):
-            return self.next()
+        # a token that matches is not the eof token, so it can be passed
+        t = self.toks[self.i]
+        if t.lexeme == lexeme:
+            self.i += 1
+            return t
         return None
 
     def expect(self, lexeme):
-        t = self.peek()
-        if not self.at(lexeme):
+        t = self.toks[self.i]
+        if t.lexeme != lexeme:
             self.fail(f"expected {lexeme!r}, found {t.lexeme!r}")
-        return self.next()
+        self.i += 1
+        return t
 
     def expect_ident(self):
         t = self.peek()
@@ -117,7 +124,7 @@ class Parser:
         params = self.params(allow_any_type=(self.mode == "extended"))
         self.expect(")")
         self.expect("{")
-        body = self.stmts_until_return()
+        body = self.stmts_until(("return",), "expected statement or 'return'")
         self.expect("return")
         ret = self.expr()
         self.expect(";")
@@ -139,14 +146,6 @@ class Parser:
             if not self.accept(","):
                 return params
 
-    def at_type(self):
-        t = self.peek()
-        if t.kind != "keyword":
-            return False
-        if t.lexeme in CORE_TYPES:
-            return True
-        return t.lexeme in EXT_TYPES or t.lexeme in ("array", "void")
-
     def type_annot(self):
         t = self.peek()
         if t.lexeme in CORE_TYPES:
@@ -167,40 +166,21 @@ class Parser:
             return ArrayT(elem)
         self.fail(f"expected a type, found {t.lexeme!r}")
 
-    def stmts_until_return(self):
+    def stmts_until(self, ends, unterminated):
+        """Statements up to a token in `ends`; eof or a stray '}' fails."""
         out = []
-        while not self.at("return"):
+        while self.toks[self.i].lexeme not in ends:
             if self.peek().kind == "eof" or self.at("}"):
-                self.fail("expected statement or 'return'")
+                self.fail(unterminated)
             out.extend(self.stmt())
         return out
 
     def stmt(self):
         """Parse one statement; multi-declarator lines yield several nodes."""
         t = self.peek()
-        if self.at("{"):
-            return [self.block()]
-        if self.at("if"):
-            return [self.if_stmt()]
-        if self.at("for"):
-            return [self.for_stmt()]
-        if t.lexeme in JUMPS:
-            self.need_extended(t.lexeme)
-            self.next()
-            self.expect(";")
-            return [JUMPS[t.lexeme](pos=t.pos)]
-        if self.at("void"):
-            return [self.fun_def()]
-        if self.at_type():
-            # function definition or declaration(s): disambiguate on '('.
-            save = self.i
-            self.type_annot()
-            ident_ok = self.peek().kind == "identifier"
-            is_fun = ident_ok and self.peek(1).lexeme == "("
-            self.i = save
-            if is_fun:
-                return [self.fun_def()]
-            return self.decl_stmt()
+        rule = STMT_RULES.get(t.lexeme)
+        if rule is not None:
+            return rule(self)
         if t.kind == "identifier":
             if self.peek(1).lexeme == "(":
                 self.need_extended("call statements")
@@ -209,6 +189,23 @@ class Parser:
                 return [CallStmt(call, pos=t.pos)]
             return [self.assign_stmt()]
         self.fail(f"expected statement, found {t.lexeme!r}")
+
+    def jump_stmt(self):
+        t = self.peek()
+        self.need_extended(t.lexeme)
+        self.next()
+        self.expect(";")
+        return [JUMPS[t.lexeme](pos=t.pos)]
+
+    def typed_stmt(self):
+        """A function definition or declaration(s): '(' after the name
+        tells them apart."""
+        start = self.i
+        annot = self.type_annot()
+        if self.peek().kind == "identifier" and self.peek(1).lexeme == "(":
+            self.i = start
+            return self.fun_def()
+        return self.decl_stmt(annot)
 
     def branch_stmt(self):
         self.deeper()
@@ -221,14 +218,10 @@ class Parser:
     def block(self):
         start = self.expect("{").pos
         self.deeper()
-        stmts = []
-        while not self.at("}"):
-            if self.peek().kind == "eof":
-                self.fail("unterminated block")
-            stmts.extend(self.stmt())
+        stmts = self.stmts_until(("}",), "unterminated block")
         self.depth -= 1
         self.expect("}")
-        return Block(stmts, pos=start)
+        return [Block(stmts, pos=start)]
 
     def if_stmt(self):
         start = self.expect("if").pos
@@ -239,7 +232,7 @@ class Parser:
         else:
             self.need_extended("if without else")
             els = None
-        return If(cond, then, els, pos=start)
+        return [If(cond, then, els, pos=start)]
 
     def for_stmt(self):
         start = self.expect("for").pos
@@ -249,7 +242,7 @@ class Parser:
         bound = self.loop_bound()
         self.expect(")")
         body = self.branch_stmt()
-        return For(counter.lexeme, bound, body, pos=start)
+        return [For(counter.lexeme, bound, body, pos=start)]
 
     def loop_bound(self):
         t = self.peek()
@@ -261,20 +254,13 @@ class Parser:
         self.need_extended("function definitions")
         self.deeper()
         start = self.peek().pos
-        if self.accept("void"):
-            ret = None
-        else:
-            ret = self.type_annot()
+        ret = None if self.accept("void") else self.type_annot()
         name = self.expect_ident()
         self.expect("(")
         params = self.params(allow_any_type=True)
         self.expect(")")
         self.expect("{")
-        body = []
-        while not self.at("return") and not self.at("}"):
-            if self.peek().kind == "eof":
-                self.fail("unterminated function body")
-            body.extend(self.stmt())
+        body = self.stmts_until(("return", "}"), "unterminated function body")
         if self.accept("return"):
             ret_expr = self.expr()
             self.expect(";")
@@ -286,10 +272,9 @@ class Parser:
         if ret is None:
             ret = INT  # void sugar
         self.depth -= 1
-        return FunDef(ret, name.lexeme, params, body, ret_expr, pos=start)
+        return [FunDef(ret, name.lexeme, params, body, ret_expr, pos=start)]
 
-    def decl_stmt(self):
-        annot = self.type_annot()
+    def decl_stmt(self, annot):
         out = []
         while True:
             name = self.expect_ident()
@@ -298,10 +283,9 @@ class Parser:
                 out.append(DeclInit(annot, name.lexeme, self.expr(), pos=name.pos))
             else:
                 out.append(Decl(annot, name.lexeme, pos=name.pos))
-            if self.accept(","):
-                self.need_extended("multiple declarators")
-                continue
-            break
+            if not self.accept(","):
+                break
+            self.need_extended("multiple declarators")
         self.expect(";")
         return out
 
@@ -372,14 +356,9 @@ class Parser:
 
     def expr_primary(self):
         t = self.peek()
-        if t.kind in ("decimal-literal", "binary-literal"):
-            self.next()
-            return Const(t.lexeme, pos=t.pos)
-        if t.lexeme in ("true", "false"):
-            self.next()
-            return Const(t.lexeme, pos=t.pos)
-        if t.kind == "string-literal":
-            self.need_extended("string literals")
+        if t.kind in LITERALS or t.lexeme in ("true", "false"):
+            if t.kind == "string-literal":
+                self.need_extended("string literals")
             self.next()
             return Const(t.lexeme, pos=t.pos)
         if self.at("size"):
@@ -410,3 +389,12 @@ class Parser:
                 return Call(t.lexeme, args, pos=t.pos)
             return Var(t.lexeme, pos=t.pos)
         self.fail(f"expected expression, found {t.lexeme!r}")
+
+
+# The statement a token starts, keyed on its lexeme (no identifier or literal
+# spells one); each rule returns the statements it parsed.
+STMT_RULES = {"{": Parser.block, "if": Parser.if_stmt, "for": Parser.for_stmt,
+              "void": Parser.fun_def,
+              **dict.fromkeys(JUMPS, Parser.jump_stmt),
+              **dict.fromkeys([*CORE_TYPES, *EXT_TYPES, "array"],
+                              Parser.typed_stmt)}

@@ -62,10 +62,7 @@ def _t1_guard_neg(e, o, paren=False):
 
 
 def _t1_stmts(stmts, env, o):
-    out = []
-    for s in stmts:
-        out.append(_t1_stmt(s, env, o))
-    return out
+    return [_t1_stmt(s, env, o) for s in stmts]
 
 
 def _t1_stmt(s, env, o):
@@ -77,21 +74,13 @@ def _t1_stmt(s, env, o):
             x = Var(s.lvalue.name)
             return Block([s, _t1_guard(x, o), _t1_guard_neg(x, o)])
         return s
-    if isinstance(s, Block):
-        saved = dict(env)
-        inner = _t1_stmts(s.stmts, env, o)
-        env.clear()
-        env.update(saved)
-        return Block(inner)
+    if isinstance(s, Block):  # a copy keeps its declarations inside
+        return Block(_t1_stmts(s.stmts, dict(env), o))
     if isinstance(s, If):
         return If(s.cond, _t1_stmt(s.then, env, o), _t1_stmt(s.els, env, o))
     if isinstance(s, For):
-        saved = dict(env)
-        env[s.counter] = IINT
-        body = _t1_stmt(s.body, env, o)
-        env.clear()
-        env.update(saved)
-        return For(s.counter, s.bound, body)
+        body_env = {**env, s.counter: IINT}
+        return For(s.counter, s.bound, _t1_stmt(s.body, body_env, o))
     raise TransformError(f"max tracker expects a core program, found "
                          f"{type(s).__name__}", getattr(s, "pos", None))
 

@@ -64,33 +64,57 @@ class TypingEnv:
 
     Updates return a new environment; lookups of unbound names give None.
     Each binding remembers its declaration site so the complexity analysis
-    can map diagnostics back to declarations.
+    can map diagnostics back to declarations.  The versions update() makes
+    share one dict, which holds the bindings of the version used last; each
+    other version keeps the change leading from it towards that one (Baker's
+    shallow binding).  So an update takes O(1) time, and a version used again
+    undoes the changes made since.
     """
 
     def __init__(self, bindings=None):
         self._b = dict(bindings) if bindings else {}
+        self._diff = None  # (name, its entry or None, newer version) if stale
+
+    def _table(self):
+        if self._diff is None:
+            return self._b
+        path, env = [], self
+        while env._diff is not None:
+            path.append(env)
+            env = env._diff[2]
+        b = env._b
+        for env in reversed(path):  # the version b holds is one step away
+            name, entry, newer = env._diff
+            newer._diff, env._diff = (name, b.get(name), env), None
+            if entry is None:
+                del b[name]
+            else:
+                b[name] = entry
+        return b
 
     def lookup(self, name):
-        entry = self._b.get(name)
+        entry = self._table().get(name)
         return entry[0] if entry else None
 
     def site(self, name):
-        entry = self._b.get(name)
+        entry = self._table().get(name)
         return entry[1] if entry else None
 
     def update(self, name, annot, site=None):
-        child = TypingEnv(self._b)
-        child._b[name] = (annot, site)
+        child = TypingEnv()
+        child._b = b = self._table()
+        self._diff = (name, b.get(name), child)
+        b[name] = (annot, site)
         return child
 
     def __contains__(self, name):
-        return name in self._b
+        return name in self._table()
 
     def domain(self):
-        return set(self._b)
+        return set(self._table())
 
     def iterable_domain(self):
-        return {n for n, (t, _) in self._b.items()
+        return {n for n, (t, _) in self._table().items()
                 if not isinstance(t, (Arrow, Builtin)) and is_iterable_type(t)}
 
 

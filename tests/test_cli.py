@@ -10,7 +10,8 @@ import pytest
 from conftest import CORPUS, corpus_source
 
 from polyc import parse_source
-from polyc.cli import main
+from polyc import cli
+from polyc.cli import build_parser, main
 from polyc.errors import ParseError
 from polyc.parser import MAX_NESTING
 
@@ -125,11 +126,13 @@ class TestRun:
 
     def test_fuel_counts_statements(self, capsys, monkeypatch):
         # fastmul 6 7 executes 22 statements; its ic is 64
+        path = corpus("fastmul.pc")
         for fuel, code, out in (("21", 2, ""), ("22", 0, "42\n"),
                                 ("0", 2, "")):
             monkeypatch.setenv("POLYC_FUEL", fuel)
-            assert run_cli(capsys, "run", corpus("fastmul.pc"), "6",
-                           "7")[:2] == (code, out), fuel
+            err = (f"{path}:0:0: fuel exhausted: interpreter fuel limit of "
+                   f"{fuel} statements exceeded\n") if code else ""
+            assert run_cli(capsys, "run", path, "6", "7") == (code, out, err)
 
     @pytest.mark.parametrize("raw", ["-5", "1_000", "\u0663\u0660\u0660",
                                      " 30", "+30", "3e2", "0x1e"])
@@ -368,3 +371,29 @@ class TestExitCodeTotality:
     def test_missing_arguments(self, capsys):
         assert main(["run"]) == 3
         capsys.readouterr()
+
+
+class TestCachedParser:
+    """main() parses with one argparse tree per process."""
+
+    def test_cost_flag_does_not_leak_into_run(self, capsys):
+        fastmul = corpus("fastmul.pc")
+        assert run_cli(capsys, "cost", fastmul, "6", "7")[1].startswith(
+            "42\nic: ")
+        assert run_cli(capsys, "run", fastmul, "6", "7") == (0, "42\n", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
+                                      ["run", "--mode", "fast", "f.pc"]])
+    def test_same_bytes_as_a_fresh_tree(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        code = 3 if exc.value.code else 0
+        fresh = (code,) + tuple(capsys.readouterr())
+        cli._parser.cache_clear()
+        calls = [run_cli(capsys, *argv) for _ in range(3)]
+        assert calls[0] == calls[2] == fresh
+
+    def test_bad_mode_choice_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "check", corpus("fastmul.pc"),
+                                 "--mode", "fast")
+        assert (code, out) == (3, "") and "invalid choice: 'fast'" in err

@@ -3,10 +3,13 @@ with an integer output, loop bodies preserve the stores of iterable
 variables, and runs are deterministic."""
 
 import random
+from fractions import Fraction
 
 import fuzzgen
+from hypothesis import given, settings, strategies as st
 
 from polyc import check_program, parse_source, pretty_print, run_program
+from polyc.ops import _div, _mod
 from polyc.values import size_of_value
 
 FUEL = 10 ** 7
@@ -68,3 +71,19 @@ class TestTypeSafety:
             assert rep.max_value_size >= size_of_value(rep.output)
             assert all(rep.max_value_size >= size_of_value(v) for v in args)
             assert rep.ic >= 1
+
+
+# small, word-sized and beyond-64-bit magnitudes of either sign, zero included
+OPERANDS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 64, 2 ** 64),
+                     st.integers(2 ** 64, 2 ** 200).flatmap(
+                         lambda n: st.sampled_from([n, -n])))
+
+
+class TestTruncatingDivision:
+    @settings(derandomize=True, max_examples=500)
+    @given(OPERANDS, OPERANDS)
+    def test_div_and_mod_truncate_toward_zero(self, a, b):
+        # a Fraction is exact at any size and int() truncates it toward zero
+        q = int(Fraction(a, b)) if b else 0
+        assert _div(a, b) == q
+        assert _mod(a, b) == (a - b * q if b else 0)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import compile_src, load
@@ -69,6 +71,44 @@ class TestEnv:
 
     def test_unbound_is_none(self):
         assert TypingEnv().lookup("nope") is None
+
+    def test_update_leaves_parent_unchanged(self):
+        parent = TypingEnv().update("x", INT, site="s1")
+        child = parent.update("x", BOOL, site="s2").update("y", IINT)
+        assert (parent.lookup("x"), parent.site("x")) == (INT, "s1")
+        assert "y" not in parent and parent.lookup("y") is None
+        assert (child.lookup("x"), child.site("x")) == (BOOL, "s2")
+        assert parent.domain() == {"x"} and child.domain() == {"x", "y"}
+
+    def test_siblings_do_not_see_each_other(self):
+        # the two branches of an if both update the environment before it
+        parent = TypingEnv().update("n", IINT)
+        then = parent.update("a", INT).update("b", BOOL)
+        els = parent.update("c", ISTRING)
+        assert then.domain() == {"n", "a", "b"}
+        assert els.domain() == {"n", "c"}
+        assert "c" not in then and "a" not in els and "b" not in els
+        assert parent.domain() == {"n"}
+        assert then.lookup("b") is BOOL and els.lookup("b") is None
+
+    def test_domains_after_switching_versions(self):
+        envs = [TypingEnv()]
+        models = [{}]
+        rng = random.Random(5)
+        for _ in range(400):
+            i = rng.randrange(len(envs))
+            name = rng.choice("abcdefgh")
+            annot = rng.choice([INT, IINT, BOOL, ISTRING])
+            envs.append(envs[i].update(name, annot, site=len(envs)))
+            models.append({**models[i], name: (annot, len(envs) - 1)})
+            for j in (rng.randrange(len(envs)), i, len(envs) - 1):
+                env, model = envs[j], models[j]
+                assert env.domain() == set(model)
+                assert env.iterable_domain() == {
+                    n for n, (t, _) in model.items() if t in (IINT, ISTRING)}
+                for n in "abcdefgh":
+                    entry = model.get(n, (None, None))
+                    assert (env.lookup(n), env.site(n)) == entry
 
 
 def errors_of(src, mode="core"):
