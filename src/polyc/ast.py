@@ -4,7 +4,7 @@ import functools
 from dataclasses import dataclass, field, fields
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pos:
     line: int
     col: int
@@ -328,6 +328,22 @@ def walk(nodes, kind=_NODES):
                 stack.extend([v for v in reversed(value) if isinstance(v, kind)])
             elif isinstance(value, kind):
                 stack.append(value)
+
+
+def left_chain(e):
+    """A left-nested chain of the binary operator of OpApp `e`, as the
+    leftmost operand and the (operator node, right operand) pairs in the
+    order they apply; a parenthesized left operand is looked through.  So a
+    chain of any length is handled in one loop, not one frame per term."""
+    pairs = []
+    node = e
+    while node.__class__ is OpApp and node.op == e.op and len(node.args) == 2:
+        pairs.append((node, node.args[1]))
+        node = node.args[0]
+        while node.__class__ is Paren:
+            node = node.inner
+    pairs.reverse()
+    return node, pairs
 
 
 def walk_stmts(stmts):

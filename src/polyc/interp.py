@@ -3,20 +3,19 @@
 A program is compiled once, at its first run, into Python closures over the
 store and the run state (Feeley and Lapalme, "Using closures for code
 generation", Computer Languages 12(1), 1987): constants are decoded and
-operator functions looked up in polyc.ops while compiling, and a left-nested
-chain of one operator runs in one loop, not one frame per term.  The code
-serves plain and cost mode and is cached per Program object, keyed on id()
-with a weak reference, so a dead program's entry goes with it.  Annotations
-the checker or the analysis fill in or rewrite in place are read when run.
+operators looked up while compiling, and a left-nested chain of one operator
+runs in one loop.  The code serves plain and cost mode and is cached per
+Program object, keyed on id() with a weak reference.  Annotations the checker
+or the analysis fill in or rewrite in place are read when run.
 
 Cost mode charges one step per expression node, declaration, function
 definition, assignment, break, continue and block entry; the conditional,
 loop, empty-block and program rules count without a step.  `&&` and `||`
 evaluate both operands, so each slot -- a statement or a function's or the
-program's return expression -- has a static rule vector: a run counts slot
-executions and folds count x vector into `ic` and `rule_counts` at the end.
-The maximum value size is tracked on every bind.  Fuel counts executed
-statements.
+program's return expression -- has a static rule vector.  Compiling numbers
+the slots in a table the code owns; a run counts `counts[k] += 1` into a list
+per table, then folds count x vector into `rule_counts`.  Ints are sized on
+each bind, arrays when made, passed in or written.  Fuel counts statements.
 """
 
 import weakref
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .ast import (
     NO_POS, ArrayCtor, Assign, Block, Break, Call, CallStmt, Const, Continue,
-    Decl, Expr, For, FunDef, If, Index, OpApp, Paren, Var, walk,
+    Decl, Expr, For, FunDef, If, Index, OpApp, Paren, Var, left_chain, walk,
 )
 from .errors import ArgumentError, FuelExhausted, InternalError, PolyRuntimeError
 from .ops import BINARY, BUILTIN_NAMES, UNARY, apply_op
@@ -33,8 +32,6 @@ from .values import (
     Builtin, Closure, VArray, default_value, format_value, literal_value,
     size_of_value, value_consistent,
 )
-
-_UNLIMITED = 1 << 62
 
 # the rule each expression node charges, one step each
 _RULE = {Var: "Var", Const: "Const", OpApp: "Op", Paren: "Paren",
@@ -68,13 +65,11 @@ def eval_expr(store, expr, cost_mode=False):
     """Evaluate one expression under a store; returns (value, steps)."""
     interp = Interp(cost_mode=cost_mode)
     interp.store = dict(store)
-    v = interp.eval(expr)
-    return v, interp.steps
+    return interp.eval(expr), interp.steps
 
 
 def exec_stmt(store, stmt, cost_mode=False):
-    """Execute one statement under a store; returns
-    (resulting store, steps, loop signal)."""
+    """Execute one statement under a store; returns (store, steps, signal)."""
     interp = Interp(cost_mode=cost_mode)
     interp.store = dict(store)
     sig = interp.exec(stmt)
@@ -85,73 +80,63 @@ class Interp:
     """The state of one run: store, fuel, slot counts and cost totals."""
 
     def __init__(self, cost_mode=False, mode="core", fuel=None, watch=None):
-        self.cost = cost_mode
-        self.mode = mode
-        self.store = {}
-        self.steps = 0
-        self.max_size = 0
-        self.rule_counts = {}
-        self.fuel_limit = fuel if fuel is not None else _UNLIMITED
-        self.fuel = self.fuel_limit  # statements left to execute
-        self.watch = watch
-        self.counts = {}  # slot -> executions not folded yet
-        self.metered = cost_mode or fuel is not None  # enter() has work
-
-    def enter(self, slot):
-        """Start a statement: spend one unit of fuel and count its slot."""
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise FuelExhausted(
-                f"interpreter fuel limit of {self.fuel_limit} statements exceeded")
-        if self.cost:
-            self.count(slot)
-
-    def count(self, slot):
-        self.counts[slot] = self.counts.get(slot, 0) + 1
+        self.cost, self.mode, self.watch = cost_mode, mode, watch
+        self.store, self.rule_counts = {}, {}
+        self.steps = self.max_size = 0
+        self.fuel_limit = self.fuel = fuel  # statements left to execute
+        self.metered = cost_mode or fuel is not None  # statements count slots
+        self.table = self.counts = None  # the slot table counted into now
 
     def bind(self, st, name, v):
         st[name] = v
         if self.cost:
             self.track(v)
 
+    def spend(self):
+        """Spend the fuel of one statement."""
+        self.fuel -= 1
+        if self.fuel < 0:
+            raise FuelExhausted(
+                f"interpreter fuel limit of {self.fuel_limit} statements exceeded")
+
     def track(self, v):
-        if v.__class__ is int:
-            s = v.bit_length()
-        else:
-            s = 0 if isinstance(v, (Closure, Builtin)) else size_of_value(v)
+        """Raise the maximum to v's size; arrays are measured elsewhere."""
+        cls = v.__class__
+        s = (v.bit_length() if cls is int else 1 if cls is bool
+             else len(v) if cls is str else 0)
         if s > self.max_size:
             self.max_size = s
 
-    def fold(self):
-        """Add count x rule vector of every counted slot to the totals."""
-        counts, self.counts = self.counts, {}
-        for slot, n in counts.items():
-            rules, steps = slot.vector()
-            self.steps += n * steps
-            for rule, k in rules:
-                self.rule_counts[rule] = self.rule_counts.get(rule, 0) + n * k
+    def within(self, table, fn, *args):
+        """fn(*args, self), counting into a new list for `table`; then, also
+        if fn fails, count x rule vector of each slot goes to the totals."""
+        outer, self.table = (self.table, self.counts), table
+        self.counts = counts = [0] * len(table) if self.metered else None
+        try:
+            return fn(*args, self)
+        finally:
+            self.table, self.counts = outer
+            if self.cost:
+                totals = self.rule_counts
+                for slot, n in zip(table, counts):
+                    for rule, k in (slot.rules or slot.vector()) if n else ():
+                        totals[rule] = totals.get(rule, 0) + n * k
+                self.steps = sum(n for r, n in totals.items() if r not in _FREE_RULES)
 
     def eval(self, e):
-        try:
-            v = _expr(e)(self.store, self)
-            if self.cost:
-                self.count(_Slot([e]))
-            return v
-        finally:
-            self.fold()
+        t = []
+        return self.within(t, _unit(t, [], e, InternalError, ""), self.store)
 
     def exec(self, s):
         """Execute one statement; returns None, "break" or "continue"."""
-        try:
-            return _stmt(s)(self.store, self)
-        finally:
-            self.fold()
+        t = []
+        return self.within(t, _stmt(s, t), self.store)
 
     def run(self, prog, args):
         if len(args) != len(prog.params):
             raise ArgumentError(
                 f"program expects {len(prog.params)} arguments, got {len(args)}")
-        body, ret, slot = _program(prog)
+        table, main = _program(prog)
         self.store = st = {}
         if self.mode == "extended":
             st.update((name, Builtin(name)) for name in BUILTIN_NAMES)
@@ -160,56 +145,55 @@ class Interp:
                 raise ArgumentError(
                     f"argument {name!r} must be consistent with {annot}, got "
                     f"{format_value(v)}")
-            self.bind(st, name, v)
-        try:
-            _body(body, st, self, InternalError, "the program body")
-            output = ret(st, self)
-            if self.cost:
-                self.count(slot)
-                self.track(output)
-        finally:
-            self.fold()
+            st[name] = v
+            if self.cost and not isinstance(v, (Closure, Builtin)):
+                self.max_size = max(self.max_size, size_of_value(v))
+        output = self.within(table, main, st)
         if not self.cost:
             return CostReport(output)
+        self.track(output)
         return CostReport(output, self.steps, self.max_size,
                           dict(self.rule_counts))
 
 
 class _Slot:
-    """The static rule vector of a slot: one rule per expression node it
-    evaluates, plus its own.  Computed at the first cost-mode fold."""
+    """A statement or return expression: its position and rule vector, one
+    rule per expression node it evaluates plus its own, made at first use."""
 
-    __slots__ = ("exprs", "own", "vec")
+    __slots__ = ("pos", "exprs", "own", "rules")
 
-    def __init__(self, exprs, *own):
-        self.exprs, self.own, self.vec = exprs, own, None
+    def __init__(self, pos, exprs, own):
+        self.pos, self.exprs, self.own, self.rules = pos, exprs, own, None
 
     def vector(self):
-        """((rule, count) pairs, steps)."""
-        if self.vec is None:
-            c = Counter(_RULE.get(n.__class__) for n in walk(self.exprs, Expr))
-            c.update(self.own)
-            c.pop(None, None)  # nodes that cannot run charge nothing
-            steps = sum(k for rule, k in c.items() if rule not in _FREE_RULES)
-            self.vec = tuple(c.items()), steps
-        return self.vec
+        c = Counter(_RULE.get(n.__class__) for n in walk(self.exprs, Expr))
+        c.update(self.own)
+        c.pop(None, None)  # nodes that cannot run charge nothing
+        self.rules = tuple(c.items())
+        return self.rules
 
 
-_CODE = {}  # id(program) -> (weak reference to it, compiled program)
+def _number(table, pos, exprs, *own):
+    """Add a slot to a slot table; returns its number."""
+    table.append(_Slot(pos, exprs, own))
+    return len(table) - 1
+
+
+_CODE = {}  # id(program) -> (weak reference to it, slot table, code)
 
 
 def _program(prog):
-    """The compiled body, return expression and return slot of a program.
-    The entry leaves the cache when the program dies, so the cache keeps no
-    program alive and a reused id() finds no stale code."""
+    """The slot table and code, main(store, run) -> output, of a program; the
+    entry goes with the program, so a reused id() finds no stale code."""
     key = id(prog)
     entry = _CODE.get(key)
     if entry is None or entry[0]() is not prog:
-        code = ([(_stmt(s), s.pos) for s in prog.body], _expr(prog.ret_expr),
-                _Slot([prog.ret_expr], "Prog"))
+        table = []
         entry = _CODE[key] = (
-            weakref.ref(prog, lambda _, key=key: _CODE.pop(key, None)), code)
-    return entry[1]
+            weakref.ref(prog, lambda _, key=key: _CODE.pop(key, None)), table,
+            _unit(table, prog.body, prog.ret_expr, InternalError,
+                  "the program body", "Prog"))
+    return entry[1:]
 
 
 def _fail(message, pos=NO_POS):
@@ -252,7 +236,7 @@ def _expr(e):
         return lambda st, r: _call(st, r, fname, args, pos)
     if cls is ArrayCtor:
         length = _expr(e.length)
-        return lambda st, r: _new_array(length(st, r), e)
+        return lambda st, r: _new_array(length(st, r), e, r)
     return lambda st, r: _fail(f"cannot evaluate {e!r}")
 
 
@@ -265,14 +249,9 @@ def _op(e, table):
 
 def _binary(e):
     fn = _op(e, BINARY)
-    rights, left = [], e  # the right operands of a left-nested chain
-    while left.__class__ is OpApp and left.op == e.op and len(left.args) == 2:
-        rights.append(left.args[1])
-        left = left.args[0]
-        while left.__class__ is Paren:
-            left = left.inner
-    if len(rights) > 1:
-        first, rest = _expr(left), [_expr(x) for x in reversed(rights)]
+    left, pairs = left_chain(e)
+    if len(pairs) > 1:
+        first, rest = _expr(left), [_expr(x) for _, x in pairs]
 
         def chain(st, r):
             v = first(st, r)
@@ -280,7 +259,7 @@ def _binary(e):
                 v = fn(v, f(st, r))
             return v
         return chain
-    right = rights[0]
+    right = pairs[0][1]
     if right.__class__ is Const:  # the common cases: x op k, (...) op k
         k = literal_value(right.text)
         if left.__class__ is Var:
@@ -319,36 +298,42 @@ def _call(st, r, fname, args, pos):
         return apply_op(fv.name, vals)
     if not isinstance(fv, Closure):
         _fail(f"{fname!r} is not callable", pos)
-    code = fv.code or _function(fv.params, fv.body, fv.ret_expr, fv.name)
+    code = fv.code or _function(fv.params, fv.body, fv.ret_expr, fv.name, [])
     return code(fv, vals, r)
 
 
-def _new_array(n, e):
+def _new_array(n, e, r):
     if e.elem is None:  # the checker fills it in place, maybe after compiling
         _fail("array constructor was not type-checked", e.pos)
     if n < 0:
         raise PolyRuntimeError(f"array length {n} is negative", e.pos)
-    return VArray([default_value(e.elem) for _ in range(n)], e.elem)
+    a = VArray([default_value(e.elem) for _ in range(n)], e.elem)
+    if n and r.cost:  # measured once, here: every cell holds the default
+        r.track(a.items[0])
+    return a
 
 
 # -- statements: closures (store, run) -> None, "break" or "continue" ---------
-# Each first calls r.enter(slot) when fuel or cost is metered.
+# Each numbers its slot k in the slot table t; when metered, it first spends
+# fuel, if a limit is set, and counts k.
 
 
-def _stmt(s):
+def _stmt(s, t):
     cls = s.__class__
     if cls is Assign and s.lvalue.__class__ is Var:
         name, expr, pos = s.lvalue.name, _expr(s.expr), s.pos
-        slot = _Slot([s.expr], "Asgmt")
+        k = _number(t, pos, [s.expr], "Asgmt")
 
         def assign(st, r):
             if r.metered:
-                r.enter(slot)
+                if r.fuel is not None:
+                    r.spend()
+                r.counts[k] += 1
             v = expr(st, r)
             if name not in st:
                 _fail(f"assignment to unbound variable {name!r}", pos)
             st[name] = v
-            if r.cost:
+            if r.cost and (v.__class__ is not int or v.bit_length() > r.max_size):
                 r.track(v)
         return assign
     if cls is Assign:  # to an array cell; the target's Index nodes are free
@@ -357,56 +342,62 @@ def _stmt(s):
             chain.insert(0, node.index)
             node = node.base
         base, idxs, expr = _expr(node), [_expr(i) for i in chain], _expr(s.expr)
-        slot = _Slot([node, *chain, s.expr], "Asgmt")
-        return _simple(slot, lambda st, r: _write_cell(
-            r, base(st, r), [f(st, r) for f in idxs], expr(st, r), s.pos))
+        return _simple(_number(t, s.pos, [node, *chain, s.expr], "Asgmt"),
+                       lambda st, r: _write_cell(r, base(st, r), [
+                           f(st, r) for f in idxs], expr(st, r), s.pos))
     if cls is If:
-        cond, then, els = _expr(s.cond), _stmt(s.then), _stmt(s.els)
-        slot = _Slot([s.cond], "Cond")
+        k = _number(t, s.pos, [s.cond], "Cond")
+        cond, then, els = _expr(s.cond), _stmt(s.then, t), _stmt(s.els, t)
 
         def if_(st, r):
             if r.metered:
-                r.enter(slot)
+                if r.fuel is not None:
+                    r.spend()
+                r.counts[k] += 1
             return (then if cond(st, r) else els)(st, r)
         return if_
     if cls is Block:
-        fns = [_stmt(x) for x in s.stmts]
-        slot = _Slot([], "Block", *(() if fns else ("EmptyBlock",)))
+        k = _number(t, s.pos, [], "Block", *(() if s.stmts else ("EmptyBlock",)))
+        fns = [_stmt(x, t) for x in s.stmts]
 
         def block(st, r):
             if r.metered:
-                r.enter(slot)
+                if r.fuel is not None:
+                    r.spend()
+                r.counts[k] += 1
             for fn in fns:
                 sig = fn(st, r)
                 if sig is not None:
                     return sig
         return block
     if cls is For:
-        bound, body = _expr(s.bound), _stmt(s.body)
-        return _simple(_Slot([s.bound], "Loop"),
-                       lambda st, r: _loop(st, r, bound(st, r), body, s))
+        k = _number(t, s.pos, [s.bound], "Loop")
+        bound, body = _expr(s.bound), _stmt(s.body, t)
+        return _simple(k, lambda st, r: _loop(st, r, bound(st, r), body, s))
     if cls is Decl:  # a fresh default each time: no array is shared
-        return _simple(_Slot([], "Decl"), lambda st, r: r.bind(
+        return _simple(_number(t, s.pos, [], "Decl"), lambda st, r: r.bind(
             st, s.name, default_value(s.annot)))
     if cls is FunDef:
-        code = _function(s.params, s.body, s.ret_expr, s.name)
-        return _simple(_Slot([], "Fun"), lambda st, r: r.bind(
-            st, s.name,
-            Closure(dict(st), s.params, s.body, s.ret_expr, s.name, code)))
+        k = _number(t, s.pos, [], "Fun")
+        code = _function(s.params, s.body, s.ret_expr, s.name, t)
+        return _simple(k, lambda st, r: st.__setitem__(s.name, Closure(
+            dict(st), s.params, s.body, s.ret_expr, s.name, code)))
     if cls is CallStmt:
-        return _simple(_Slot([s.call]), _expr(s.call))
+        return _simple(_number(t, s.pos, [s.call]), _expr(s.call))
     if cls is Break or cls is Continue:
-        return _simple(_Slot([], cls.__name__), lambda st, r: None,
+        return _simple(_number(t, s.pos, [], cls.__name__), lambda st, r: None,
                        "break" if cls is Break else "continue")
-    return _simple(_Slot([]), lambda st, r: _fail(
+    return _simple(_number(t, s.pos, []), lambda st, r: _fail(
         f"cannot execute {s!r} (desugar first)"))
 
 
-def _simple(slot, action, sig=None):
-    """A statement that does `action`, then signals `sig`."""
+def _simple(k, action, sig=None):
+    """A statement that counts slot k, does `action`, then signals `sig`."""
     def simple(st, r):
         if r.metered:
-            r.enter(slot)
+            if r.fuel is not None:
+                r.spend()
+            r.counts[k] += 1
         action(st, r)
         return sig
     return simple
@@ -423,7 +414,7 @@ def _write_cell(r, target, idxs, v, pos):
             target = target.items[idx]
         else:
             target.items[idx] = v
-            if r.cost:
+            if r.cost and (v.__class__ is not int or v.bit_length() > r.max_size):
                 r.track(v)
 
 
@@ -442,26 +433,35 @@ def _loop(st, r, n, body, s):
         r.track(j)  # the counter only grows: its last value is the largest
 
 
-def _function(params, body, ret_expr, name):
+def _function(params, body, ret_expr, name, t):
     """Compile a function to code(closure value, arguments, run)."""
-    names, stmts = [n for _, n in params], [(_stmt(x), x.pos) for x in body]
-    ret, slot = _expr(ret_expr), _Slot([ret_expr])
-    where = f"the body of function {name!r}"
+    names, main = [n for _, n in params], _unit(
+        t, body, ret_expr, PolyRuntimeError, f"the body of function {name!r}")
 
     def invoke(fv, vals, r):
+        if r.metered and r.table is not t:  # called from another table's code
+            return r.within(t, invoke, fv, vals)
         st = dict(fv.def_store)
-        for n, v in zip(names, vals):
-            r.bind(st, n, v)
-        _body(stmts, st, r, PolyRuntimeError, where)
-        v = ret(st, r)
-        if r.cost:
-            r.count(slot)
-        return v
+        st.update(zip(names, vals))
+        for v in vals if r.cost else ():
+            if v.__class__ is not int or v.bit_length() > r.max_size:
+                r.track(v)
+        return main(st, r)
     return invoke
 
 
-def _body(stmts, st, r, error, where):
-    for fn, pos in stmts:
-        sig = fn(st, r)
-        if sig is not None:
-            raise error(f"{sig} escaped {where}", pos)
+def _unit(t, body, ret_expr, error, where, *own):
+    """Compile a body and return expression to main(store, run) -> value."""
+    stmts, ret = [(_stmt(x, t), x.pos) for x in body], _expr(ret_expr)
+    k = _number(t, ret_expr.pos, [ret_expr], *own)
+
+    def main(st, r):
+        for fn, pos in stmts:
+            sig = fn(st, r)
+            if sig is not None:
+                raise error(f"{sig} escaped {where}", pos)
+        v = ret(st, r)
+        if r.cost:
+            r.counts[k] += 1
+        return v
+    return main

@@ -13,7 +13,7 @@ from .ast import (
     Continue, Decl, For, FunDef, If, Index, OpApp, Paren, Var,
     BOOL, IINT, INT, ISTRING, STRING, NO_POS, Pos,
     is_int_type, is_iterable_type, is_string_type, type_class,
-    subtype_of, walk_exprs,
+    left_chain, subtype_of, walk_exprs,
 )
 # sup_type is part of this module's typing surface, re-exported from the table
 from .ops import BUILTIN_NAMES, op_signature, sup_type
@@ -208,21 +208,21 @@ class Checker:
             return const_type(e.text)
         if isinstance(e, Paren):
             return self.expr(env, l, e.inner)
+        if isinstance(e, OpApp) and len(e.args) == 2:
+            left, pairs = left_chain(e)  # a long chain must not recurse
+            t = self.expr(env, l, left)
+            for node, right in pairs:
+                rt = self.expr(env, l, right)
+                if t is not None and rt is not None:
+                    t = self.op_type(node, [t, rt])
+                else:
+                    t = None
+            return t
         if isinstance(e, OpApp):
             argts = [self.expr(env, l, a) for a in e.args]
             if any(t is None for t in argts):
                 return None
-            res = op_signature(e.op, argts, self.extended)
-            if res is None:
-                shown = ",".join(str(t) for t in argts)
-                if e.op == "size":
-                    msg = f"size needs an iterable operand, got {shown}"
-                else:
-                    msg = f"operator {e.op!r} not defined on ({shown})"
-                self.diag("operand-type-mismatch", msg, e.pos,
-                          names=self._var_names(e))
-                return None
-            return res
+            return self.op_type(e, argts)
         if isinstance(e, Call):
             return self.call(env, l, e)
         if isinstance(e, Index):
@@ -233,6 +233,19 @@ class Checker:
                       "of an assignment to an array variable", e.pos)
             return None
         raise TypeError(f"cannot check expression {e!r}")
+
+    def op_type(self, e, argts):
+        """The result type of operator node `e` on operand types `argts`."""
+        res = op_signature(e.op, argts, self.extended)
+        if res is None:
+            shown = ",".join(str(t) for t in argts)
+            if e.op == "size":
+                msg = f"size needs an iterable operand, got {shown}"
+            else:
+                msg = f"operator {e.op!r} not defined on ({shown})"
+            self.diag("operand-type-mismatch", msg, e.pos,
+                      names=self._var_names(e))
+        return res
 
     def call(self, env, l, e):
         argts = [self.expr(env, l, a) for a in e.args]

@@ -134,6 +134,28 @@ class TestRun:
                    f"{fuel} statements exceeded\n") if code else ""
             assert run_cli(capsys, "run", path, "6", "7") == (code, out, err)
 
+    def test_fuel_counts_statements_in_cost_mode(self, capsys, monkeypatch):
+        # the same statement exhausts the fuel, whether or not cost is metered
+        path = corpus("fastmul.pc")
+        for fuel in ("21", "22"):
+            monkeypatch.setenv("POLYC_FUEL", fuel)
+            code, out, err = run_cli(capsys, "run", path, "6", "7")
+            assert run_cli(capsys, "run", path, "6", "7", "--cost") == (
+                code, out + "ic: 64\nmax value size: 6\n" if out else "", err)
+
+    @pytest.mark.parametrize("m", [999, 65536])
+    def test_scalar_multiple_chain(self, capsys, tmp_path, m):
+        # desugar turns m*x into a chain of m terms, which the checker
+        # handles in one loop: `return m*x;` costs m Vars and m-1 Ops
+        f = tmp_path / "mul.pc"
+        f.write_text(f"int main(int x){{int o; o={m}*x; return o;}}")
+        assert run_cli(capsys, "check", f) == (0, "well-typed: int\n", "")
+        assert run_cli(capsys, "run", f, "3") == (0, f"{3 * m}\n", "")
+        f.write_text(f"int main(int x){{return {m}*x;}}")
+        code, out, err = run_cli(capsys, "run", f, "3", "--cost")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == [str(3 * m), f"ic: {2 * m - 1}"]
+
     @pytest.mark.parametrize("raw", ["-5", "1_000", "\u0663\u0660\u0660",
                                      " 30", "+30", "3e2", "0x1e"])
     def test_fuel_env_takes_decimal_digits_only(self, capsys, monkeypatch,

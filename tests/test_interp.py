@@ -1,17 +1,18 @@
 import gc
 import itertools
+import json
 import random
 import weakref
 
 import pytest
 
 import fuzzgen
-from conftest import compile_src, load_checked
+from conftest import ROOT, compile_src, load_checked
 
 from polyc import check_program, eval_expr, load_program, run_program
 from polyc.ast import (
-    ArrayT, Assign, Block, BOOL, Call, Const, IINT, If, INT, ISTRING, OpApp,
-    Paren, Program, STRING, Var,
+    ArrayT, Arrow, Assign, Block, BOOL, Call, Const, Decl, IINT, If, INT,
+    ISTRING, OpApp, Paren, Program, STRING, Var,
 )
 from polyc.errors import (
     ArgumentError, FuelExhausted, InternalError, PolyRuntimeError,
@@ -23,7 +24,7 @@ from polyc.parser import Parser
 from polyc.printer import expr_str
 from polyc.typecheck import op_signature
 from polyc.values import (
-    Builtin, VArray, default_value, literal_value, size_of_value,
+    Builtin, Closure, VArray, default_value, literal_value, size_of_value,
 )
 
 
@@ -381,6 +382,149 @@ class TestCompiledEngine:
             assert rep.ic == sum(n for rule, n in rep.rule_counts.items()
                                  if rule not in free), seed
             assert all(n > 0 for n in rep.rule_counts.values()), seed
+
+
+class TestSlotTable:
+    """Cost mode counts into a per-run list of slot counts; the compiled code
+    it shares between runs holds none."""
+
+    COSTS = json.loads((ROOT / "bench" / "costs.json").read_text("utf-8"))
+
+    @staticmethod
+    def args_of(prog, raw):
+        return [VArray(list(v), t.elem) if isinstance(t, ArrayT) else v
+                for (t, _), v in zip(prog.params, raw)]
+
+    @pytest.mark.parametrize("name", sorted(COSTS))
+    def test_failed_run_leaves_no_counts(self, name):
+        prog, mode = load_checked(name)
+        for entry in self.COSTS[name][::12]:
+            with pytest.raises(FuelExhausted):
+                run_program(prog, self.args_of(prog, entry["args"]),
+                            cost_mode=True, mode=mode, fuel=10)
+            rep = run_program(prog, self.args_of(prog, entry["args"]),
+                              cost_mode=True, mode=mode)
+            assert (rep.ic, rep.max_value_size, rep.rule_counts) == (
+                entry["ic"], entry["max_value_size"], entry["rule_counts"])
+
+    def test_nested_run_of_the_same_program(self, monkeypatch):
+        # a run started while another run of the same program is in progress
+        # must not count into the outer run
+        src = "int main(int a,int b){int m; m=min(a,b); return m+a;}"
+        prog = compile_src(src, "extended")
+        assert check_program(prog, "extended").ok
+        want = run_program(prog, [3, 9], cost_mode=True, mode="extended")
+        nested = []
+
+        def apply(name, vals):
+            if not nested:
+                nested.append(None)
+                nested[0] = run_program(prog, [5, 2], cost_mode=True,
+                                        mode="extended")
+            return apply_op(name, vals)
+        monkeypatch.setattr("polyc.interp.apply_op", apply)
+        got = run_program(prog, [3, 9], cost_mode=True, mode="extended")
+        assert (got.output, got.ic, got.rule_counts) == (
+            want.output, want.ic, want.rule_counts)
+        assert (nested[0].output, nested[0].ic) == (7, want.ic)
+
+    def test_function_compiled_at_call_has_its_own_table(self):
+        # a closure that arrives as an argument is compiled when called
+        body = [Decl(INT, "b"), Assign(Var("b"), OpApp("+", [Var("a"),
+                                                            Const("1")]))]
+        f = Closure({}, [(INT, "a")], body, Var("b"), "f")
+        prog = Program([(Arrow((INT,), INT), "f"), (INT, "x")], [],
+                       Call("f", [Var("x")]))
+        inline = compile_src("int main(int x){int f(int a){int b; b=a+1; "
+                             "return b;} return f(x);}", "extended")
+        assert check_program(inline, "extended").ok
+        want = run_program(inline, [4], cost_mode=True, mode="extended")
+        got = run_program(prog, [f, 4], cost_mode=True, mode="extended")
+        assert got.output == want.output == 5
+        del want.rule_counts["Fun"]  # no step for the definition
+        assert (got.ic, got.rule_counts) == (want.ic - 1, want.rule_counts)
+        # its statements spend fuel like any other
+        for cost in (False, True):
+            assert run_program(prog, [f, 4], cost_mode=cost, mode="extended",
+                               fuel=2).output == 5
+            with pytest.raises(FuelExhausted):
+                run_program(prog, [f, 4], cost_mode=cost, mode="extended",
+                            fuel=1)
+
+    def test_exec_folds_its_counts(self):
+        it = Interp(cost_mode=True)
+        for n in (1, 2):
+            assert it.exec(Decl(IINT, "z")) is None
+            assert (it.steps, it.rule_counts) == (n, {"Decl": n})
+        assert it.store == {"z": 0}
+
+    def test_cost_mode_does_not_change_output(self):
+        rng = random.Random(23)
+        for seed in range(200):
+            prog = fuzzgen.gen_program(seed)
+            args = [rng.randrange(-2 ** 12, 2 ** 12) for _ in prog.params]
+            watch = fuzzgen.watch_sets(prog)
+            plain = run_program(prog, args, fuel=10 ** 7, watch=watch)
+            cost = run_program(prog, args, cost_mode=True, fuel=10 ** 7,
+                               watch=watch)
+            assert plain.output == cost.output, seed
+
+    def test_fuel_fails_at_the_same_statement(self):
+        rng = random.Random(29)
+        for seed in range(200):
+            prog = fuzzgen.gen_program(seed)
+            args = [rng.randrange(-2 ** 12, 2 ** 12) for _ in prog.params]
+            for fuel in (0, 1, 7, 40):
+                seen = []
+                for cost in (False, True):
+                    it = Interp(cost_mode=cost, fuel=fuel)
+                    try:
+                        seen.append(("output", it.run(prog, list(args)).output))
+                    except FuelExhausted as e:
+                        seen.append(("fuel", str(e), dict(it.store)))
+                assert seen[0] == seen[1], (seed, fuel)
+
+
+class TestValueSizes:
+    """An array is measured when made, passed in or written; binding it
+    again costs nothing."""
+
+    def run(self, src, args):
+        prog = compile_src("// mode: extended\n" + src, "extended")
+        assert check_program(prog, "extended").ok
+        return run_program(prog, args, cost_mode=True, mode="extended")
+
+    def test_new_bool_array_has_size_one(self):
+        src = "int main(iint n){array<bool> b; b=array(N); return 0;}"
+        assert self.run(src.replace("N", "1"), [0]).max_value_size == 1
+        assert self.run(src.replace("N", "0"), [0]).max_value_size == 0
+
+    def test_argument_array_is_measured_whole(self):
+        rep = self.run("int main(array<int> a){return a[0];}",
+                       [VArray([1, 2 ** 40, 3], INT)])
+        assert (rep.output, rep.max_value_size) == (1, 41)
+
+    def test_inner_array_written_before_it_is_stored(self):
+        rep = self.run("int main(iint n){array<array<int>> d; d=array(2); "
+                       "array<int> r; r=array(3); r[1]=1000000; d[0]=r; "
+                       "return 0;}", [0])
+        assert rep.max_value_size == 20
+
+    def test_array_passed_many_times_is_measured_once(self, monkeypatch):
+        calls = []
+
+        def counting(v, original=size_of_value):
+            calls.append(v)
+            return original(v)
+        monkeypatch.setattr("polyc.values.size_of_value", counting)
+        monkeypatch.setattr("polyc.interp.size_of_value", counting)
+        src = ("int main(array<int> a, iint m){int f(array<int> b)"
+               "{return b[0];} int s; for(i<size(m)) s=f(a); return s;}")
+        n, m = 1000, 300
+        rep = self.run(src, [VArray([7] * (n - 1) + [2 ** 30], INT),
+                             2 ** m - 1])
+        assert (rep.output, rep.max_value_size) == (7, 300)
+        assert len(calls) <= 2 * (n + m)  # the parent measured it m times
 
 
 class TestOperatorChains:

@@ -8,8 +8,8 @@ from polyc.analysis import IllTypedError, poly_check
 from polyc.ast import (
     ArrayCtor, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
     Continue, Decl, DeclInit, Expr, For, FunDef, If, Incr, Index, OpApp,
-    Paren, Pos, Program, Stmt, Var, INT, children, clone, rebuild, stmt_exprs,
-    walk, walk_exprs, walk_stmts,
+    Paren, Pos, Program, Stmt, Var, INT, NO_POS, children, clone, left_chain,
+    rebuild, stmt_exprs, walk, walk_exprs, walk_stmts,
 )
 
 
@@ -141,3 +141,37 @@ def test_walk_exprs_is_depth_safe():
     assert len(seen) == 6001
     assert seen[0] is e and isinstance(seen[3000], Var)
     assert [c.text for c in seen[3001:3004]] == ["0", "1", "2"]
+
+
+def test_left_chain():
+    a, b, c, d = _vars(4)
+    inner = OpApp("+", [a, b])
+    mid = OpApp("+", [Paren(Paren(inner)), c])
+    top = OpApp("+", [mid, d])
+    left, pairs = left_chain(top)
+    assert left is a
+    assert [(id(op), id(r)) for op, r in pairs] == [
+        (id(inner), id(b)), (id(mid), id(c)), (id(top), id(d))]
+    # another operator, or a unary one, ends the chain
+    sub = OpApp("-", [a, b])
+    left, pairs = left_chain(OpApp("+", [sub, c]))
+    assert left is sub and [r for _, r in pairs] == [c]
+    neg = OpApp("-", [a])
+    assert left_chain(OpApp("-", [neg, b]))[0] is neg
+
+
+def test_left_chain_is_depth_safe():
+    e = Var("x")
+    for k in range(3000):
+        e = OpApp("+", [e, Const(str(k))])
+    left, pairs = left_chain(e)
+    assert left == Var("x") and [r.text for _, r in pairs] == [
+        str(k) for k in range(3000)]
+
+
+def test_pos_is_a_hashable_value():
+    assert Pos(3, 4) == Pos(3, 4) and Pos(3, 4) != Pos(4, 3)
+    assert hash(Pos(3, 4)) == hash(Pos(3, 4))
+    assert {NO_POS: 1}[Pos(0, 0)] == 1
+    assert str(Pos(3, 4)) == "3:4" and repr(Pos(3, 4)) == "Pos(line=3, col=4)"
+    assert not hasattr(Pos(3, 4), "__dict__")

@@ -131,6 +131,43 @@ class TestExprJudgments:
         assert kinds_of("int main(){return y;}") == ["unbound-variable"]
 
 
+class TestOperatorChains:
+    """A left-nested chain of one operator is checked in one loop; its
+    diagnostics, their order and positions are those of the recursion."""
+
+    @pytest.mark.parametrize("body, want", [
+        ("bool b; int o; o=x+x+b+x+x;",
+         [("operand-type-mismatch", "operator '+' not defined on (int,bool)",
+           "1:37", ("b", "x"))]),
+        ("bool b; int o; o=b+x+(b+x)+y+b;",
+         [("operand-type-mismatch", "operator '+' not defined on (bool,int)",
+           "1:35", ("b", "x")),
+          ("operand-type-mismatch", "operator '+' not defined on (bool,int)",
+           "1:40", ("b", "x")),
+          ("unbound-variable", "variable 'y' is not declared", "1:44",
+           ("y",))]),
+        ("bool b; b=x<x<x;",
+         [("operand-type-mismatch", "operator '<' not defined on (bool,int)",
+           "1:30", ("x",))]),
+        ("int o; o=(x+x)+(x+z)+w+4*x;",
+         [("unbound-variable", "variable 'z' is not declared", "1:35",
+           ("z",)),
+          ("unbound-variable", "variable 'w' is not declared", "1:38",
+           ("w",))]),
+    ])
+    def test_diagnostics(self, body, want):
+        errs = errors_of(f"int main(int x){{{body} return x;}}")
+        assert [(d.kind, d.message, str(d.pos), d.names)
+                for d in errs] == want
+
+    def test_long_chain(self):
+        assert errors_of("int main(int x){int o; o=65536*x; return o;}") == []
+        errs = errors_of("int main(int x){bool b; int o; o=3000*x+b; "
+                         "return o;}")
+        assert [d.message for d in errs] == [
+            "operator '+' not defined on (int,bool)"]
+
+
 class TestStmtJudgments:
     def test_assign_int_in_loop_ok(self):
         src = "int main(int x){iint z; for(i<size(z)) x=x+x; return x;}"
