@@ -7,12 +7,10 @@ from .parser import parse_program, parse_source, detect_mode
 from .desugar import desugar
 from .printer import pretty_print
 from .typecheck import (
-    check_program, check_expr, check_stmt, const_type, sup_type, type_equiv,
-    asg_predicate, op_signature, TypingEnv, Diag,
+    check_program, const_type, sup_type, type_equiv, asg_predicate,
+    op_signature, TypingEnv, Diag,
 )
-from .interp import (
-    run_program, eval_expr, exec_stmt, apply_op, CostReport, Interp,
-)
+from .interp import run_program, apply_op, CostReport, Interp
 from .values import (
     VArray, Closure, default_value, literal_value, size_of_value, format_value,
 )
@@ -21,11 +19,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "tokenize", "parse_program", "parse_source", "detect_mode", "desugar",
-    "pretty_print", "check_program", "check_expr", "check_stmt", "const_type",
-    "sup_type", "type_equiv", "asg_predicate", "op_signature", "TypingEnv",
-    "Diag", "run_program", "eval_expr", "exec_stmt", "apply_op", "CostReport",
-    "Interp", "VArray", "Closure", "default_value", "literal_value",
-    "size_of_value", "format_value", "__version__",
+    "pretty_print", "check_program", "const_type", "sup_type", "type_equiv",
+    "asg_predicate", "op_signature", "TypingEnv", "Diag", "run_program",
+    "apply_op", "CostReport", "Interp", "VArray", "Closure", "default_value",
+    "literal_value", "size_of_value", "format_value", "__version__",
 ]
 
 

@@ -294,7 +294,16 @@ def children(node):
 def rebuild(node, fn):
     """A new node of the same class with `fn` applied to each child; every
     other field, the position included, is kept.  Built by the constructor,
-    whose nodes the interpreter reads faster than ones with a copied dict."""
+    whose nodes the interpreter reads faster than ones with a copied dict.
+    A left-nested chain of one binary operator is rebuilt in one loop: `fn`
+    goes to its leftmost operand, then to each right operand, in the order
+    the recursion would take, and must rebuild the chain's inner nodes."""
+    if node.__class__ is OpApp and len(node.args) == 2:
+        left, pairs = left_chain(node)
+        acc = fn(left)
+        for op, right in pairs:
+            acc = OpApp(op.op, [acc, fn(right)], op.pos)
+        return acc
     values = []
     for name in _field_names(type(node)):
         value = getattr(node, name)
@@ -333,15 +342,13 @@ def walk(nodes, kind=_NODES):
 def left_chain(e):
     """A left-nested chain of the binary operator of OpApp `e`, as the
     leftmost operand and the (operator node, right operand) pairs in the
-    order they apply; a parenthesized left operand is looked through.  So a
-    chain of any length is handled in one loop, not one frame per term."""
+    order they apply; a parenthesis ends the chain.  So a chain of any
+    length is handled in one loop, not one frame per term."""
     pairs = []
     node = e
     while node.__class__ is OpApp and node.op == e.op and len(node.args) == 2:
         pairs.append((node, node.args[1]))
         node = node.args[0]
-        while node.__class__ is Paren:
-            node = node.inner
     pairs.reverse()
     return node, pairs
 

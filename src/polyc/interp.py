@@ -13,8 +13,8 @@ definition, assignment, break, continue and block entry; the conditional,
 loop, empty-block and program rules count without a step.  `&&` and `||`
 evaluate both operands, so each slot -- a statement or a function's or the
 program's return expression -- has a static rule vector.  Compiling numbers
-the slots in a table the code owns; a run counts `counts[k] += 1` into a list
-per table, then folds count x vector into `rule_counts`.  Ints are sized on
+the slots in one table per program; a run counts `counts[k] += 1` into one
+list per run, then folds count x vector into `rule_counts`.  Ints are sized on
 each bind, arrays when made, passed in or written.  Fuel counts statements.
 """
 
@@ -61,21 +61,6 @@ def run_program(prog, args, cost_mode=False, mode="core", fuel=None, watch=None)
     return interp.run(prog, args)
 
 
-def eval_expr(store, expr, cost_mode=False):
-    """Evaluate one expression under a store; returns (value, steps)."""
-    interp = Interp(cost_mode=cost_mode)
-    interp.store = dict(store)
-    return interp.eval(expr), interp.steps
-
-
-def exec_stmt(store, stmt, cost_mode=False):
-    """Execute one statement under a store; returns (store, steps, signal)."""
-    interp = Interp(cost_mode=cost_mode)
-    interp.store = dict(store)
-    sig = interp.exec(stmt)
-    return interp.store, interp.steps, sig
-
-
 class Interp:
     """The state of one run: store, fuel, slot counts and cost totals."""
 
@@ -85,7 +70,7 @@ class Interp:
         self.steps = self.max_size = 0
         self.fuel_limit = self.fuel = fuel  # statements left to execute
         self.metered = cost_mode or fuel is not None  # statements count slots
-        self.table = self.counts = None  # the slot table counted into now
+        self.counts = None  # executions per slot of the program's table
 
     def bind(self, st, name, v):
         st[name] = v
@@ -107,31 +92,6 @@ class Interp:
         if s > self.max_size:
             self.max_size = s
 
-    def within(self, table, fn, *args):
-        """fn(*args, self), counting into a new list for `table`; then, also
-        if fn fails, count x rule vector of each slot goes to the totals."""
-        outer, self.table = (self.table, self.counts), table
-        self.counts = counts = [0] * len(table) if self.metered else None
-        try:
-            return fn(*args, self)
-        finally:
-            self.table, self.counts = outer
-            if self.cost:
-                totals = self.rule_counts
-                for slot, n in zip(table, counts):
-                    for rule, k in (slot.rules or slot.vector()) if n else ():
-                        totals[rule] = totals.get(rule, 0) + n * k
-                self.steps = sum(n for r, n in totals.items() if r not in _FREE_RULES)
-
-    def eval(self, e):
-        t = []
-        return self.within(t, _unit(t, [], e, InternalError, ""), self.store)
-
-    def exec(self, s):
-        """Execute one statement; returns None, "break" or "continue"."""
-        t = []
-        return self.within(t, _stmt(s, t), self.store)
-
     def run(self, prog, args):
         if len(args) != len(prog.params):
             raise ArgumentError(
@@ -146,9 +106,18 @@ class Interp:
                     f"argument {name!r} must be consistent with {annot}, got "
                     f"{format_value(v)}")
             st[name] = v
-            if self.cost and not isinstance(v, (Closure, Builtin)):
+            if self.cost:
                 self.max_size = max(self.max_size, size_of_value(v))
-        output = self.within(table, main, st)
+        self.counts = counts = [0] * len(table) if self.metered else None
+        try:
+            output = main(st, self)
+        finally:  # a failed run folds what it counted too
+            if self.cost:
+                totals = self.rule_counts
+                for slot, n in zip(table, counts):
+                    for rule, k in (slot.rules or slot.vector()) if n else ():
+                        totals[rule] = totals.get(rule, 0) + n * k
+                self.steps = sum(n for r, n in totals.items() if r not in _FREE_RULES)
         if not self.cost:
             return CostReport(output)
         self.track(output)
@@ -298,8 +267,7 @@ def _call(st, r, fname, args, pos):
         return apply_op(fv.name, vals)
     if not isinstance(fv, Closure):
         _fail(f"{fname!r} is not callable", pos)
-    code = fv.code or _function(fv.params, fv.body, fv.ret_expr, fv.name, [])
-    return code(fv, vals, r)
+    return fv.code(fv, vals, r)
 
 
 def _new_array(n, e, r):
@@ -379,9 +347,9 @@ def _stmt(s, t):
             st, s.name, default_value(s.annot)))
     if cls is FunDef:
         k = _number(t, s.pos, [], "Fun")
-        code = _function(s.params, s.body, s.ret_expr, s.name, t)
-        return _simple(k, lambda st, r: st.__setitem__(s.name, Closure(
-            dict(st), s.params, s.body, s.ret_expr, s.name, code)))
+        code = _function(s, t)
+        return _simple(k, lambda st, r: st.__setitem__(
+            s.name, Closure(dict(st), s.name, code)))
     if cls is CallStmt:
         return _simple(_number(t, s.pos, [s.call]), _expr(s.call))
     if cls is Break or cls is Continue:
@@ -433,14 +401,13 @@ def _loop(st, r, n, body, s):
         r.track(j)  # the counter only grows: its last value is the largest
 
 
-def _function(params, body, ret_expr, name, t):
-    """Compile a function to code(closure value, arguments, run)."""
-    names, main = [n for _, n in params], _unit(
-        t, body, ret_expr, PolyRuntimeError, f"the body of function {name!r}")
+def _function(f, t):
+    """Compile FunDef f to code(closure value, arguments, run)."""
+    names = [n for _, n in f.params]
+    main = _unit(t, f.body, f.ret_expr, PolyRuntimeError,
+                 f"the body of function {f.name!r}")
 
     def invoke(fv, vals, r):
-        if r.metered and r.table is not t:  # called from another table's code
-            return r.within(t, invoke, fv, vals)
         st = dict(fv.def_store)
         st.update(zip(names, vals))
         for v in vals if r.cost else ():

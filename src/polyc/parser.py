@@ -20,7 +20,7 @@ JUMPS = {"break": Break, "continue": Continue}
 LITERALS = ("decimal-literal", "binary-literal", "string-literal")
 # Nested statements, subexpressions and array element types count one level
 # each.  A fixed count, not the Python stack, makes the limit the same for
-# every caller; passes recursing up to 3 frames a level stay within 1,000.
+# every caller; passes recursing up to 3 frames a level stay under 1,000.
 MAX_NESTING = 260
 
 

@@ -9,6 +9,7 @@ infix surface form needs parentheses.  For other ASTs it still emits correct
 from .ast import (
     ArrayCtor, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
     Continue, Decl, DeclInit, For, FunDef, If, Incr, Index, OpApp, Paren, Var,
+    left_chain,
 )
 from .ops import LEVELS, PRECEDENCE
 
@@ -48,9 +49,12 @@ def _expr_str(e):
         if len(e.args) == 1:
             return e.op + expr_str(e.args[0], LEVELS)
         lv = PRECEDENCE[e.op]
-        left = expr_str(e.args[0], lv)
-        right = expr_str(e.args[1], lv + 1)
-        return f"{left}{e.op}{right}"
+        left, right = e.args
+        if left.__class__ is not OpApp or left.op != e.op:
+            return f"{expr_str(left, lv)}{e.op}{expr_str(right, lv + 1)}"
+        left, pairs = left_chain(e)  # one loop, not one frame per term
+        return e.op.join([expr_str(left, lv)] + [
+            expr_str(right, lv + 1) for _, right in pairs])
     if isinstance(e, Call):
         args = ",".join(map(expr_str, e.args))
         return f"{e.fname}({args})"
@@ -177,10 +181,3 @@ def pretty_print(prog, mode_marker=None):
     em.indented(prog.body, ret=prog.ret_expr)
     em.line("}")
     return "\n".join(em.lines) + "\n"
-
-
-def stmt_str(s):
-    """Render a single statement (testing convenience)."""
-    em = _Emitter()
-    em.stmt(s)
-    return "\n".join(em.lines)

@@ -122,7 +122,7 @@ def tm_run(machine, input_str, fuel=1_000_000):
     steps = 0
     while q != machine.HALT:
         if steps >= fuel:
-            raise TmError(f"machine did not halt within {fuel} steps")
+            raise TmError(f"machine did not halt in {fuel} steps")
         steps += 1
         sym = tape[head] if head < len(tape) else BLANK
         q, write, move = machine.transitions[(q, sym)]

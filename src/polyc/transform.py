@@ -6,7 +6,7 @@ The normalizer compiles a program into a budget-driven machine: one loop
 over size(y) whose body dispatches on an explicit program counter, with all
 locals hoisted (iterable locals demoted to plain int) and every size()
 occurrence replaced by an incremental bit-length computation.  Consecutive
-forward steps run within a single budget iteration, so the budget needed is
+forward steps run in a single budget iteration, so the budget needed is
 about one tick per loop back-edge of the original program.
 """
 
@@ -400,9 +400,8 @@ class _Normalizer:
             self.compile_stmt(s, scope)
 
     def compile_stmt(self, s, scope):
-        if isinstance(s, (Decl, Assign)) or (_stmt_is_flat(s)
-                                             and isinstance(s, (Block, If))):
-            self.emit_flat(s, scope)
+        if isinstance(s, (Decl, Assign)) or isinstance(s, If) and _stmt_is_flat(s):
+            self.emit(self.flat_if(s, scope))
             return
         if isinstance(s, Block):
             self.compile_seq(s.stmts, dict(scope))
@@ -464,16 +463,6 @@ class _Normalizer:
         self.jump(head)
         self.place(after)
 
-    def emit_flat(self, s, scope):
-        """Declarations, assignments and size/loop-free if trees; blocks are
-        spliced into the current machine block."""
-        if isinstance(s, Block):
-            child = dict(scope)
-            for inner in s.stmts:
-                self.emit_flat(inner, child)
-        else:
-            self.emit(self.flat_if(s, scope))
-
     def flat_if(self, s, scope):
         """Rename a loop-free, size-free statement tree without splitting."""
         if isinstance(s, If):
@@ -513,14 +502,10 @@ class _Normalizer:
             except KeyError:
                 raise TransformError(f"unbound variable {e.name!r}",
                                      e.pos) from None
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Paren):
-            return Paren(self.rewrite_expr(e.inner, scope))
-        if isinstance(e, OpApp):
-            if e.op == "size":
-                return self.size_value(e.args[0], scope)
-            return OpApp(e.op, [self.rewrite_expr(a, scope) for a in e.args])
+        if isinstance(e, OpApp) and e.op == "size":
+            return self.size_value(e.args[0], scope)
+        if isinstance(e, (Const, Paren, OpApp)):
+            return rebuild(e, lambda sub: self.rewrite_expr(sub, scope))
         raise TransformError(
             f"normalizer cannot handle expression {type(e).__name__}",
             getattr(e, "pos", None))

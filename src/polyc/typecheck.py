@@ -156,29 +156,6 @@ def check_program(prog, mode="core"):
     return CheckResult(t, checker.errors)
 
 
-def check_expr(env, loop_indicator, expr, mode="core"):
-    """Type one expression; raises on the first error (operation surface)."""
-    checker = Checker(mode)
-    t = checker.expr(env, loop_indicator, expr)
-    if checker.errors:
-        raise TypeCheckFailure(checker.errors)
-    return t
-
-
-def check_stmt(env, loop_indicator, stmt, mode="core"):
-    checker = Checker(mode)
-    env2 = checker.stmt(env, loop_indicator, stmt)
-    if checker.errors:
-        raise TypeCheckFailure(checker.errors)
-    return env2
-
-
-class TypeCheckFailure(Exception):
-    def __init__(self, errors):
-        super().__init__("; ".join(d.message for d in errors))
-        self.errors = errors
-
-
 class Checker:
     def __init__(self, mode="core"):
         self.mode = mode

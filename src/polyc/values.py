@@ -5,7 +5,7 @@ Python str.  Arrays are mutable reference values; closures capture the store
 at definition time.
 """
 
-from .ast import ArrayT, Arrow, BOOL, is_int_type, is_string_type
+from .ast import ArrayT, BOOL, is_int_type, is_string_type
 
 
 class VArray:
@@ -25,16 +25,13 @@ class VArray:
 
 
 class Closure:
-    """A function value; `code`, when set, is the interpreter's compiled
-    body for it."""
+    """A function value: its store at definition time and the code the
+    interpreter compiled from its FunDef."""
 
-    __slots__ = ("def_store", "params", "body", "ret_expr", "name", "code")
+    __slots__ = ("def_store", "name", "code")
 
-    def __init__(self, def_store, params, body, ret_expr, name, code=None):
+    def __init__(self, def_store, name, code):
         self.def_store = def_store
-        self.params = params
-        self.body = body
-        self.ret_expr = ret_expr
         self.name = name
         self.code = code
 
@@ -103,9 +100,7 @@ def value_consistent(v, annot):
     if isinstance(annot, ArrayT):
         return isinstance(v, VArray) and all(
             value_consistent(x, annot.elem) for x in v.items)
-    if isinstance(annot, Arrow):
-        return isinstance(v, (Closure, Builtin))
-    return False
+    return False  # no source program declares a function-typed parameter
 
 
 def format_value(v):

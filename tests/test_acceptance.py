@@ -14,8 +14,6 @@ from polyc import check_program, parse_source, run_program
 from polyc.ast import Block, For, If, INT
 from polyc.desugar import desugar
 from polyc.interp import Interp
-from polyc.lexer import tokenize
-from polyc.parser import Parser
 from polyc.tm import (
     clock_program, compile_tm, decode_output, encode_input, parse_tm, tm_run,
 )
@@ -47,12 +45,12 @@ class Budget:
 
 def test_c01_cost_semantics_exactness():
     with Budget("criterion 1: cost exactness, 4n+6 and x=2^(n+1)", 1.0):
-        stmt = Parser(tokenize("for(i<size(z)) x=x+x;"), "core").stmt()[0]
+        prog = compile_src("int main(int z, int x){for(i<size(z)) x=x+x; "
+                           "return 0;}")
         for n in range(1, 17):
             it = Interp(cost_mode=True)
-            it.store = {"z": 2 ** n, "x": 1}
-            it.exec(stmt)
-            assert it.steps == 4 * n + 6
+            it.run(prog, [2 ** n, 1])
+            assert it.steps - 1 == 4 * n + 6  # `return 0;` takes one step
             assert it.store["x"] == 2 ** (n + 1)
 
 

@@ -395,6 +395,48 @@ class TestExitCodeTotality:
         capsys.readouterr()
 
 
+# shapes that desugar or a long sum make deep, with output and ic at x = 2
+DEEP = {
+    "65536x": ("o=65536*x;", 131072, 131074),
+    "999(x+1)": ("o=999*(x+1);", 2997, 4997),
+    "sum20000": ("o=" + "+".join(["x"] * 20000) + ";", 40000, 40002),
+}
+DEEP_COMMANDS = [["check"], ["run"], ["run", "--cost"], ["cost", "--json"],
+                 ["analyze"], ["transform", "t1"], ["transform", "t2"],
+                 ["transform", "normalize"], ["equiv"]]
+
+
+class TestDeepShapes:
+    """Every pass walks a chain of one operator in one loop, so no command
+    needs a Python frame per term."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deep")
+        paths = {}
+        for shape, (stmt, _, _) in DEEP.items():
+            paths[shape] = root / f"{shape}.pc"
+            paths[shape].write_text(f"int main(int x){{int o; {stmt} return o;}}")
+        return paths
+
+    @pytest.mark.parametrize("command", DEEP_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("shape", DEEP)
+    def test_command_succeeds(self, capsys, files, shape, command):
+        f = files[shape]
+        args = ([f, f, 1] if command == ["equiv"]
+                else [f, 2] if command[0] in ("run", "cost") else [f])
+        code, out, err = run_cli(capsys, *command, *args)
+        assert code == 0 and "internal error:" not in err, err
+        _, output, ic = DEEP[shape]
+        if command == ["run"]:
+            assert out == f"{output}\n"
+        elif command == ["run", "--cost"]:
+            assert out.splitlines()[:2] == [str(output), f"ic: {ic}"]
+        elif command == ["cost", "--json"]:
+            doc = json.loads(out)
+            assert (doc["output"], doc["ic"]) == (str(output), ic)
+
+
 class TestCachedParser:
     """main() parses with one argparse tree per process."""
 

@@ -9,10 +9,10 @@ import pytest
 import fuzzgen
 from conftest import ROOT, compile_src, load_checked
 
-from polyc import check_program, eval_expr, load_program, run_program
+from polyc import check_program, load_program, run_program
 from polyc.ast import (
-    ArrayT, Arrow, Assign, Block, BOOL, Call, Const, Decl, IINT, If, INT,
-    ISTRING, OpApp, Paren, Program, STRING, Var,
+    ArrayT, Arrow, Assign, Block, BOOL, Break, Call, Const, Decl, For, IINT,
+    If, INT, ISTRING, OpApp, Paren, Program, STRING, Var,
 )
 from polyc.errors import (
     ArgumentError, FuelExhausted, InternalError, PolyRuntimeError,
@@ -99,72 +99,70 @@ class TestApplyOp:
                 assert size_of_value(apply_op(op, [p, q])) == 1
 
 
+def run_expr(src, store):
+    """Run `src` as the return expression of a program whose int parameters
+    are the store; returns the output and ic, the expression's steps."""
+    prog = Program([(INT, n) for n in store], [], expr_of(src))
+    rep = run_program(prog, list(store.values()), cost_mode=True)
+    return rep.output, rep.ic
+
+
 class TestCostSemantics:
-    def run_expr(self, src, store):
+    def run_stmt(self, src, store):
+        """Run `src; return 0;` with the store's names as int parameters;
+        returns the run and the steps of `src`."""
+        params = ",".join(f"int {n}" for n in store)
         it = Interp(cost_mode=True)
-        it.store = dict(store)
-        v = it.eval(expr_of(src))
-        return v, it.steps
-
-    def run_stmt(self, src, store, mode="core"):
-        from polyc.desugar import _stmt
-
-        it = Interp(cost_mode=True)
-        it.store = dict(store)
-        parsed = Parser(tokenize(src), mode).stmt()
-        for s in parsed:
-            for low in _stmt(s):
-                it.exec(low)
-        return it
+        it.run(compile_src(f"int main({params}){{{src} return 0;}}"),
+               list(store.values()))
+        return it, it.steps - 1  # `return 0;` takes one step
 
     def test_variable_and_const_cost_one(self):
-        assert self.run_expr("x", {"x": 1}) == (1, 1)
-        assert self.run_expr("514", {}) == (514, 1)
+        assert run_expr("x", {"x": 1}) == (1, 1)
+        assert run_expr("514", {}) == (514, 1)
 
     def test_addition_cost(self):
-        assert self.run_expr("x+x", {"x": 1}) == (2, 3)
+        assert run_expr("x+x", {"x": 1}) == (2, 3)
 
     def test_size_cost(self):
         for n in (0, 1, 9):
-            assert self.run_expr("size(z)", {"z": 2 ** n}) == (n + 1, 2)
+            assert run_expr("size(z)", {"z": 2 ** n}) == (n + 1, 2)
 
     def test_paren_cost(self):
-        assert self.run_expr("(x)", {"x": 5}) == (5, 2)
+        assert run_expr("(x)", {"x": 5}) == (5, 2)
 
     def test_decl_cost(self):
-        it = self.run_stmt("iint z;", {})
-        assert it.store["z"] == 0 and it.steps == 1
+        it, steps = self.run_stmt("iint z;", {})
+        assert it.store["z"] == 0 and steps == 1
 
     def test_loop_cost_is_4n_plus_6(self):
         for n in range(0, 17):
-            it = self.run_stmt("for(i<size(z)) x=x+x;", {"z": 2 ** n, "x": 1})
-            assert it.steps == 4 * n + 6
+            it, steps = self.run_stmt("for(i<size(z)) x=x+x;",
+                                      {"z": 2 ** n, "x": 1})
+            assert steps == 4 * n + 6
             assert it.store["x"] == 2 ** (n + 1)
 
     def test_zero_iteration_loop(self):
-        it = self.run_stmt("for(i<size(z)) x=x+x;", {"z": 0, "x": 1})
-        assert it.steps == 2 and it.store["x"] == 1
+        it, steps = self.run_stmt("for(i<size(z)) x=x+x;", {"z": 0, "x": 1})
+        assert steps == 2 and it.store["x"] == 1
 
     def test_negative_bound_runs_zero_iterations(self):
         # size() is never negative, so drive the loop rule directly
-        from polyc.ast import Assign, Const, For, OpApp, Var
-
-        it = Interp()
-        it.store = {"n": -3, "x": 0}
         loop = For("i", Var("n"), Assign(Var("x"),
                                          OpApp("+", [Var("x"), Const("1")])))
-        it.exec(loop)
+        it = Interp()
+        it.run(Program([(INT, "n"), (INT, "x")], [loop], Const("0")), [-3, 0])
         assert it.store["x"] == 0 and it.store == {"n": -3, "x": 0}
 
     def test_loop_bound_evaluated_once(self):
         # bound cost (2) charged once; body cost 4 per iteration
-        it = self.run_stmt("for(i<size(z)) x=x+x;", {"z": 2 ** 4, "x": 1})
-        assert it.steps == 2 + 4 * 5
+        _, steps = self.run_stmt("for(i<size(z)) x=x+x;", {"z": 2 ** 4, "x": 1})
+        assert steps == 2 + 4 * 5
 
     def test_counter_not_charged(self):
-        it = self.run_stmt("for(i<size(z)) {}", {"z": 2 ** 3})
+        _, steps = self.run_stmt("for(i<size(z)) {}", {"z": 2 ** 3})
         # bound 2 + per-iteration block cost 1
-        assert it.steps == 2 + 4
+        assert steps == 2 + 4
 
 
 class TestRunProgram:
@@ -288,25 +286,23 @@ class TestExtendedRuntime:
 
 
 class TestStatementSurface:
-    def test_eval_expr_surface(self):
-        from polyc import eval_expr
+    """Expressions and statements run as parts of a whole program."""
 
-        v, steps = eval_expr({"x": 1}, expr_of("x+x"), cost_mode=True)
-        assert (v, steps) == (2, 3)
+    def test_eval_expr_surface(self):
+        assert run_expr("x+x", {"x": 1}) == (2, 3)
 
     def test_exec_stmt_surface(self):
-        from polyc import exec_stmt
-        from polyc.ast import Decl, IINT
-
-        store, steps, sig = exec_stmt({}, Decl(IINT, "z"), cost_mode=True)
-        assert store == {"z": 0} and steps == 1 and sig is None
+        it = Interp(cost_mode=True)
+        rep = it.run(Program([], [Decl(IINT, "z")], Const("0")), [])
+        assert it.store == {"z": 0} and rep.ic == 1 + 1  # and `return 0;`
 
     def test_exec_stmt_signal(self):
-        from polyc import exec_stmt
-        from polyc.ast import Break
-
-        _, _, sig = exec_stmt({}, Break())
-        assert sig == "break"
+        # unchecked, a top-level break reaches the end of the program body
+        prog = Program([], [Break()], Const("0"))
+        for cost in (False, True):
+            with pytest.raises(InternalError,
+                               match="break escaped the program body"):
+                run_program(prog, [], cost_mode=cost)
 
 
 class TestCompiledEngine:
@@ -366,10 +362,8 @@ class TestCompiledEngine:
             If(Const("false"), Assign(Var("x"), bad), Block([]))], Var("x"))
         for cost in (False, True):
             assert run_program(prog, [4], cost_mode=cost).output == 4
-        it = Interp()
-        it.store = {"x": 1}
         with pytest.raises(InternalError, match=r"unknown operator '\^'"):
-            it.eval(bad)
+            run_program(Program([(INT, "x")], [], bad), [1])
 
     def test_ic_sums_the_step_rules(self):
         # every rule charges one step except these four, which only count
@@ -428,34 +422,29 @@ class TestSlotTable:
             want.output, want.ic, want.rule_counts)
         assert (nested[0].output, nested[0].ic) == (7, want.ic)
 
-    def test_function_compiled_at_call_has_its_own_table(self):
-        # a closure that arrives as an argument is compiled when called
-        body = [Decl(INT, "b"), Assign(Var("b"), OpApp("+", [Var("a"),
-                                                            Const("1")]))]
-        f = Closure({}, [(INT, "a")], body, Var("b"), "f")
+    def test_closure_argument_is_rejected(self):
+        # every closure comes from a FunDef of the program that runs it; no
+        # source program declares a function-typed parameter
+        inline = compile_src("int main(int x){int f(int a){int b; b=a+1; "
+                             "return b;} int g; g=f(x); return g;}",
+                             "extended")
+        assert check_program(inline, "extended").ok
+        it = Interp(mode="extended")
+        assert it.run(inline, [4]).output == 5
         prog = Program([(Arrow((INT,), INT), "f"), (INT, "x")], [],
                        Call("f", [Var("x")]))
-        inline = compile_src("int main(int x){int f(int a){int b; b=a+1; "
-                             "return b;} return f(x);}", "extended")
-        assert check_program(inline, "extended").ok
-        want = run_program(inline, [4], cost_mode=True, mode="extended")
-        got = run_program(prog, [f, 4], cost_mode=True, mode="extended")
-        assert got.output == want.output == 5
-        del want.rule_counts["Fun"]  # no step for the definition
-        assert (got.ic, got.rule_counts) == (want.ic - 1, want.rule_counts)
-        # its statements spend fuel like any other
-        for cost in (False, True):
-            assert run_program(prog, [f, 4], cost_mode=cost, mode="extended",
-                               fuel=2).output == 5
-            with pytest.raises(FuelExhausted):
-                run_program(prog, [f, 4], cost_mode=cost, mode="extended",
-                            fuel=1)
+        for f in (it.store["f"], Builtin("min")):
+            assert isinstance(f, (Closure, Builtin))
+            with pytest.raises(ArgumentError, match="argument 'f' must be"):
+                run_program(prog, [f, 4], mode="extended")
 
-    def test_exec_folds_its_counts(self):
+    def test_run_folds_its_counts(self):
         it = Interp(cost_mode=True)
+        prog = Program([], [Decl(IINT, "z")], Const("0"))
         for n in (1, 2):
-            assert it.exec(Decl(IINT, "z")) is None
-            assert (it.steps, it.rule_counts) == (n, {"Decl": n})
+            assert it.run(prog, []).output == 0
+            assert (it.steps, it.rule_counts) == (
+                2 * n, {"Decl": n, "Const": n, "Prog": n})
         assert it.store == {"z": 0}
 
     def test_cost_mode_does_not_change_output(self):
@@ -537,13 +526,12 @@ class TestOperatorChains:
         return e
 
     def test_long_chain_needs_no_frame_per_term(self):
-        # built directly: desugar itself still recurses once per term
         prog = Program([(INT, "x")], [], self.chain(5000))
         for cost in (False, True):
             assert run_program(prog, [3], cost_mode=cost).output == 15000
         rep = run_program(prog, [3], cost_mode=True)
         assert rep.rule_counts == {"Var": 5000, "Op": 4999, "Prog": 1}
-        assert eval_expr({"x": 3}, self.chain(5000), True) == (15000, 9999)
+        assert (rep.output, rep.ic) == (15000, 9999)
 
     def test_scalar_multiple_keeps_its_cost(self):
         # 450 reads of x and 449 additions; with (x+1), each of the 450
@@ -558,6 +546,7 @@ class TestOperatorChains:
 # -- the operator table: one case per row ------------------------------------
 
 INTS = [-7, -2, -1, 0, 1, 2, 7, 2 ** 70 + 3]
+VALUE_TYPE = {int: INT, bool: BOOL, str: STRING}
 BOOLS = [False, True]
 STRS = ["", "0", "110"]
 
@@ -676,27 +665,26 @@ class TestOperatorTable:
             with pytest.raises(InternalError):
                 apply_op(row.lexeme, [2, 3])
             with pytest.raises(InternalError):
-                Interp().eval(expr)
+                run_program(Program([(INT, n) for n in names], [], expr),
+                            [2, 3][:row.arity])
             return
+        # builtins are bound in extended mode; the operands are parameters
+        mode = "extended" if row.extended else "core"
         oracle, cases = ORACLES[row.lexeme, row.arity]
         for vals in cases:
             want = oracle(*vals)
-            store = dict(zip(names, vals))
-            if row.extended:
-                store[row.lexeme] = Builtin(row.lexeme)
             got = apply_op(row.lexeme, list(vals))
             assert (got, type(got)) == (want, type(want)), vals
-            plain = Interp()
-            plain.store = dict(store)
-            got = plain.eval(expr)
+            prog = Program([(VALUE_TYPE[type(v)], n)
+                            for n, v in zip(names, vals)], [], expr)
+            got = run_program(prog, list(vals), mode=mode).output
             assert (got, type(got)) == (want, type(want)), vals
-            cost = Interp(cost_mode=True)
-            cost.store = dict(store)
-            assert cost.eval(expr) == want, vals
+            cost = run_program(prog, list(vals), cost_mode=True, mode=mode)
+            assert cost.output == want, vals
             # one step per operand read and one for the operator itself
-            assert cost.steps == row.arity + 1
+            assert cost.ic == row.arity + 1
             rule = "App" if row.extended else "Op"
-            assert cost.rule_counts == {"Var": row.arity, rule: 1}
+            assert cost.rule_counts == {"Var": row.arity, rule: 1, "Prog": 1}
 
     @pytest.mark.parametrize("row", TABLE, ids=row_id)
     def test_signature(self, row):

@@ -149,9 +149,9 @@ def test_left_chain():
     mid = OpApp("+", [Paren(Paren(inner)), c])
     top = OpApp("+", [mid, d])
     left, pairs = left_chain(top)
-    assert left is a
+    assert left is mid.args[0]  # a parenthesis ends the chain
     assert [(id(op), id(r)) for op, r in pairs] == [
-        (id(inner), id(b)), (id(mid), id(c)), (id(top), id(d))]
+        (id(mid), id(c)), (id(top), id(d))]
     # another operator, or a unary one, ends the chain
     sub = OpApp("-", [a, b])
     left, pairs = left_chain(OpApp("+", [sub, c]))
