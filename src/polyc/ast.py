@@ -295,7 +295,7 @@ def rebuild(node, fn):
     """A new node of the same class with `fn` applied to each child; every
     other field, the position included, is kept.  Built by the constructor,
     whose nodes the interpreter reads faster than ones with a copied dict.
-    A left-nested chain of one binary operator is rebuilt in one loop: `fn`
+    A left-nested chain of one precedence level is rebuilt in one loop: `fn`
     goes to its leftmost operand, then to each right operand, in the order
     the recursion would take, and must rebuild the chain's inner nodes."""
     if node.__class__ is OpApp and len(node.args) == 2:
@@ -339,14 +339,25 @@ def walk(nodes, kind=_NODES):
                 stack.append(value)
 
 
+@functools.cache
+def _chain_level():
+    from .ops import CHAIN_LEVEL  # ops imports this module
+    return CHAIN_LEVEL
+
+
 def left_chain(e):
-    """A left-nested chain of the binary operator of OpApp `e`, as the
-    leftmost operand and the (operator node, right operand) pairs in the
-    order they apply; a parenthesis ends the chain.  So a chain of any
-    length is handled in one loop, not one frame per term."""
+    """A left-nested chain of the binary operators of one precedence level,
+    ending at OpApp `e`, as the leftmost operand and the (operator node,
+    right operand) pairs in the order they apply; a parenthesis ends the
+    chain, and an operator without a level chains only with itself.  So a
+    chain of any length, `x+x-x+...` included, is handled in one loop, not
+    one frame per term."""
+    levels = _chain_level()
+    level = levels.get(e.op, e.op)
     pairs = []
     node = e
-    while node.__class__ is OpApp and node.op == e.op and len(node.args) == 2:
+    while (node.__class__ is OpApp and len(node.args) == 2
+           and levels.get(node.op, node.op) == level):
         pairs.append((node, node.args[1]))
         node = node.args[0]
     pairs.reverse()

@@ -3,19 +3,23 @@
 A program is compiled once, at its first run, into Python closures over the
 store and the run state (Feeley and Lapalme, "Using closures for code
 generation", Computer Languages 12(1), 1987): constants are decoded and
-operators looked up while compiling, and a left-nested chain of one operator
-runs in one loop.  The code serves plain and cost mode and is cached per
-Program object, keyed on id() with a weak reference.  Annotations the checker
-or the analysis fill in or rewrite in place are read when run.
+operators looked up while compiling, a left-nested chain of one precedence
+level runs in one loop, and common shapes get closures of their own: `!v`
+and `v op k` read the variable inline, and plain mode does not call an empty
+else.  The code serves plain and cost mode and is cached per Program object,
+keyed on id() with a weak reference.  Annotations the checker or the analysis
+fill in or rewrite in place are read when run.
 
 Cost mode charges one step per expression node, declaration, function
 definition, assignment, break, continue and block entry; the conditional,
-loop, empty-block and program rules count without a step.  `&&` and `||`
-evaluate both operands, so each slot -- a statement or a function's or the
-program's return expression -- has a static rule vector.  Compiling numbers
+loop, empty-block and program rules count without a step.  Each slot -- a
+statement or a function's or the program's return expression -- has a static
+rule vector, in which `&&` and `||` evaluate both operands.  Compiling numbers
 the slots in one table per program; a run counts `counts[k] += 1` into one
 list per run, then folds count x vector into `rule_counts`.  Ints are sized on
-each bind, arrays when made, passed in or written.  Fuel counts statements.
+each bind, arrays when made, passed in or written; no other value is, so `&&`
+and `||` may stop at the operand that decides them when all operands after
+the first are pure, at no change in cost.  Fuel counts statements.
 """
 
 import weakref
@@ -71,11 +75,6 @@ class Interp:
         self.fuel_limit = self.fuel = fuel  # statements left to execute
         self.metered = cost_mode or fuel is not None  # statements count slots
         self.counts = None  # executions per slot of the program's table
-
-    def bind(self, st, name, v):
-        st[name] = v
-        if self.cost:
-            self.track(v)
 
     def spend(self):
         """Spend the fuel of one statement."""
@@ -174,6 +173,8 @@ def _unbound(v):
 
 
 # -- expressions: closures (store, run) -> value ------------------------------
+# _expr also returns the set of variables a pure expression reads, None for
+# any other; a pure one has only variables, constants and known operators.
 
 
 def _expr(e):
@@ -188,25 +189,35 @@ def _expr(e):
                 return st[name]
             except KeyError:
                 raise _unbound(e) from None
-        return var
+        return var, frozenset((name,))
     if cls is Const:
         k = literal_value(e.text)
-        return lambda st, r: k
+        return (lambda st, r: k), frozenset()
     if cls is OpApp and len(e.args) == 2:
         return _binary(e)
     if cls is OpApp:
-        fn, f = _op(e, UNARY), _expr(e.args[0])
-        return lambda st, r: fn(f(st, r))
+        (f, reads), fn, v = _expr(e.args[0]), _op(e, UNARY), e.args[0]
+        reads = reads if e.op in UNARY else None
+        if v.__class__ is not Var:
+            return (lambda st, r: fn(f(st, r))), reads
+        name = v.name
+
+        def op_var(st, r):  # !v, -v, size(v)
+            try:
+                return fn(st[name])
+            except KeyError:
+                raise _unbound(v) from None
+        return op_var, reads
     if cls is Index:
-        base, index, pos = _expr(e.base), _expr(e.index), e.pos
-        return lambda st, r: _index(base(st, r), index(st, r), pos)
+        base, index, pos = _expr(e.base)[0], _expr(e.index)[0], e.pos
+        return (lambda st, r: _index(base(st, r), index(st, r), pos)), None
     if cls is Call:
-        fname, args, pos = e.fname, [_expr(a) for a in e.args], e.pos
-        return lambda st, r: _call(st, r, fname, args, pos)
+        fname, args, pos = e.fname, [_expr(a)[0] for a in e.args], e.pos
+        return (lambda st, r: _call(st, r, fname, args, pos)), None
     if cls is ArrayCtor:
-        length = _expr(e.length)
-        return lambda st, r: _new_array(length(st, r), e, r)
-    return lambda st, r: _fail(f"cannot evaluate {e!r}")
+        length = _expr(e.length)[0]
+        return (lambda st, r: _new_array(length(st, r), e, r)), None
+    return (lambda st, r: _fail(f"cannot evaluate {e!r}")), None
 
 
 def _op(e, table):
@@ -217,33 +228,64 @@ def _op(e, table):
 
 
 def _binary(e):
-    fn = _op(e, BINARY)
     left, pairs = left_chain(e)
-    if len(pairs) > 1:
-        first, rest = _expr(left), [_expr(x) for _, x in pairs]
+    if (len(pairs) == 1 and left.__class__ is Var and e.op not in ("&&", "||")
+            and e.args[1].__class__ is Const):  # the common case: v op k
+        fn, k, name = _op(e, BINARY), literal_value(e.args[1].text), left.name
+
+        def var_const(st, r):
+            try:
+                return fn(st[name], k)
+            except KeyError:
+                raise _unbound(left) from None
+        return var_const, frozenset((name,)) if e.op in BINARY else None
+    (first, reads), fns = _expr(left), [_op(node, BINARY) for node, _ in pairs]
+    rest, sets = zip(*[_expr(right) for _, right in pairs])
+    pure = None not in sets and all(node.op in BINARY for node, _ in pairs)
+    tail = frozenset().union(*sets) if pure else None
+    reads = None if reads is None or tail is None else reads | tail
+    if e.op in ("&&", "||") and tail is not None:
+        return _logic(e.op, first, rest, tail), reads
+    if len(rest) > 1:
+        steps = list(zip(fns, rest))
 
         def chain(st, r):
             v = first(st, r)
-            for f in rest:
+            for fn, f in steps:
                 v = fn(v, f(st, r))
             return v
-        return chain
-    right = pairs[0][1]
-    if right.__class__ is Const:  # the common cases: x op k, (...) op k
+        return chain, reads
+    fn, right, g = fns[0], pairs[0][1], rest[0]
+    if right.__class__ is Const:  # x op k
         k = literal_value(right.text)
-        if left.__class__ is Var:
-            name = left.name
+        return (lambda st, r: fn(first(st, r), k)), reads
+    return (lambda st, r: fn(first(st, r), g(st, r))), reads
 
-            def var_const(st, r):
-                try:
-                    return fn(st[name], k)
-                except KeyError:
-                    raise _unbound(left) from None
-            return var_const
-        f = _expr(left)
-        return lambda st, r: fn(f(st, r), k)
-    f, g = _expr(left), _expr(right)
-    return lambda st, r: fn(f(st, r), g(st, r))
+
+def _logic(op, first, rest, tail):
+    """&& or || with pure operands after `first`: it stops at the deciding
+    value if their variables, `tail`, are bound, else reads on to the error."""
+    fn, decided, (f1, *more) = BINARY[op], op == "||", rest
+
+    def logic(st, r):
+        v = first(st, r)
+        if v is not decided:
+            v = fn(v, f1(st, r))
+            if v is not decided:
+                for f in more:
+                    v = fn(v, f(st, r))
+                    if v is decided:
+                        break
+                else:
+                    return v
+        for name in tail:
+            if name not in st:
+                break
+        else:
+            return v
+        for f in rest:  # raises on the first unbound variable
+            f(st, r)
+    return logic
 
 
 def _index(b, i, pos):
@@ -289,7 +331,7 @@ def _new_array(n, e, r):
 def _stmt(s, t):
     cls = s.__class__
     if cls is Assign and s.lvalue.__class__ is Var:
-        name, expr, pos = s.lvalue.name, _expr(s.expr), s.pos
+        name, expr, pos = s.lvalue.name, _expr(s.expr)[0], s.pos
         k = _number(t, pos, [s.expr], "Asgmt")
 
         def assign(st, r):
@@ -309,20 +351,27 @@ def _stmt(s, t):
         while node.__class__ is Index:
             chain.insert(0, node.index)
             node = node.base
-        base, idxs, expr = _expr(node), [_expr(i) for i in chain], _expr(s.expr)
+        base, expr = _expr(node)[0], _expr(s.expr)[0]
+        idxs = [_expr(i)[0] for i in chain]
         return _simple(_number(t, s.pos, [node, *chain, s.expr], "Asgmt"),
                        lambda st, r: _write_cell(r, base(st, r), [
                            f(st, r) for f in idxs], expr(st, r), s.pos))
     if cls is If:
         k = _number(t, s.pos, [s.cond], "Cond")
-        cond, then, els = _expr(s.cond), _stmt(s.then, t), _stmt(s.els, t)
+        cond, then, els = _expr(s.cond)[0], _stmt(s.then, t), _stmt(s.els, t)
+        # plain mode does not call an empty else; metered, it counts its slot
+        skip = s.els.__class__ is Block and not s.els.stmts
 
         def if_(st, r):
             if r.metered:
                 if r.fuel is not None:
                     r.spend()
                 r.counts[k] += 1
-            return (then if cond(st, r) else els)(st, r)
+                return (then if cond(st, r) else els)(st, r)
+            if cond(st, r):
+                return then(st, r)
+            if not skip:
+                return els(st, r)
         return if_
     if cls is Block:
         k = _number(t, s.pos, [], "Block", *(() if s.stmts else ("EmptyBlock",)))
@@ -340,18 +389,27 @@ def _stmt(s, t):
         return block
     if cls is For:
         k = _number(t, s.pos, [s.bound], "Loop")
-        bound, body = _expr(s.bound), _stmt(s.body, t)
+        bound, body = _expr(s.bound)[0], _stmt(s.body, t)
         return _simple(k, lambda st, r: _loop(st, r, bound(st, r), body, s))
     if cls is Decl:  # a fresh default each time: no array is shared
-        return _simple(_number(t, s.pos, [], "Decl"), lambda st, r: r.bind(
-            st, s.name, default_value(s.annot)))
+        k, name, annot = _number(t, s.pos, [], "Decl"), s.name, s.annot
+
+        def decl(st, r):
+            if r.metered:
+                if r.fuel is not None:
+                    r.spend()
+                r.counts[k] += 1
+            st[name] = v = default_value(annot)
+            if r.cost:
+                r.track(v)
+        return decl
     if cls is FunDef:
         k = _number(t, s.pos, [], "Fun")
         code = _function(s, t)
         return _simple(k, lambda st, r: st.__setitem__(
             s.name, Closure(dict(st), s.name, code)))
     if cls is CallStmt:
-        return _simple(_number(t, s.pos, [s.call]), _expr(s.call))
+        return _simple(_number(t, s.pos, [s.call]), _expr(s.call)[0])
     if cls is Break or cls is Continue:
         return _simple(_number(t, s.pos, [], cls.__name__), lambda st, r: None,
                        "break" if cls is Break else "continue")
@@ -419,7 +477,7 @@ def _function(f, t):
 
 def _unit(t, body, ret_expr, error, where, *own):
     """Compile a body and return expression to main(store, run) -> value."""
-    stmts, ret = [(_stmt(x, t), x.pos) for x in body], _expr(ret_expr)
+    stmts, ret = [(_stmt(x, t), x.pos) for x in body], _expr(ret_expr)[0]
     k = _number(t, ret_expr.pos, [ret_expr], *own)
 
     def main(st, r):

@@ -128,6 +128,10 @@ TABLE = (
 OPS = {(op.lexeme, op.arity): op for op in TABLE}
 PRECEDENCE = {op.lexeme: op.level for op in TABLE if op.level is not None}
 LEVELS = max(PRECEDENCE.values()) + 1
+# lexeme -> the level whose left-nested operators form one chain in
+# ast.left_chain; `*` chains only with itself, since desugar lowers each `*`
+# node on its own
+CHAIN_LEVEL = {op: lv for op, lv in PRECEDENCE.items() if op != "*"}
 BUILTIN_NAMES = tuple(op.lexeme for op in TABLE if op.extended)
 
 # lexeme -> Python function per arity, for the interpreter's hot path.  They

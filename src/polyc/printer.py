@@ -49,12 +49,11 @@ def _expr_str(e):
         if len(e.args) == 1:
             return e.op + expr_str(e.args[0], LEVELS)
         lv = PRECEDENCE[e.op]
-        left, right = e.args
-        if left.__class__ is not OpApp or left.op != e.op:
-            return f"{expr_str(left, lv)}{e.op}{expr_str(right, lv + 1)}"
         left, pairs = left_chain(e)  # one loop, not one frame per term
-        return e.op.join([expr_str(left, lv)] + [
-            expr_str(right, lv + 1) for _, right in pairs])
+        parts = [expr_str(left, lv)]
+        for node, right in pairs:
+            parts += (node.op, expr_str(right, lv + 1))
+        return "".join(parts)
     if isinstance(e, Call):
         args = ",".join(map(expr_str, e.args))
         return f"{e.fname}({args})"

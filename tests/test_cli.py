@@ -400,6 +400,11 @@ DEEP = {
     "65536x": ("o=65536*x;", 131072, 131074),
     "999(x+1)": ("o=999*(x+1);", 2997, 4997),
     "sum20000": ("o=" + "+".join(["x"] * 20000) + ";", 40000, 40002),
+    # chains that alternate the operators of one precedence level
+    "plusminus3000": ("o=x" + "".join(
+        "-x" if k % 2 else "+x" for k in range(2999)) + ";", 4, 6002),
+    "divmod3000": ("o=x" + "".join(
+        "%9" if k % 2 else "/1" for k in range(2999)) + ";", 2, 6002),
 }
 DEEP_COMMANDS = [["check"], ["run"], ["run", "--cost"], ["cost", "--json"],
                  ["analyze"], ["transform", "t1"], ["transform", "t2"],
@@ -407,8 +412,8 @@ DEEP_COMMANDS = [["check"], ["run"], ["run", "--cost"], ["cost", "--json"],
 
 
 class TestDeepShapes:
-    """Every pass walks a chain of one operator in one loop, so no command
-    needs a Python frame per term."""
+    """Every pass walks a chain of one precedence level in one loop, so no
+    command needs a Python frame per term."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):

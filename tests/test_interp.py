@@ -12,7 +12,7 @@ from conftest import ROOT, compile_src, load_checked
 from polyc import check_program, load_program, run_program
 from polyc.ast import (
     ArrayT, Arrow, Assign, Block, BOOL, Break, Call, Const, Decl, For, IINT,
-    If, INT, ISTRING, OpApp, Paren, Program, STRING, Var,
+    If, INT, ISTRING, OpApp, Paren, Pos, Program, STRING, Var,
 )
 from polyc.errors import (
     ArgumentError, FuelExhausted, InternalError, PolyRuntimeError,
@@ -541,6 +541,67 @@ class TestOperatorChains:
             assert check_program(prog, mode).ok
             rep = run_program(prog, [7], cost_mode=True)
             assert (rep.output, rep.ic) == (out, ic)
+
+
+class TestShortCircuit:
+    """`&&` and `||` stop at the operand that decides them only when every
+    later operand is pure and its variables are bound, so a run counts,
+    sizes and fails as full evaluation does."""
+
+    @staticmethod
+    def run(src, arg, cost):
+        prog, mode = load_program(src)
+        assert check_program(prog, mode).ok
+        it = Interp(cost_mode=cost, mode=mode)
+        return it.run(prog, [arg]), it.store
+
+    def test_skipping_keeps_the_cost_of_full_evaluation(self):
+        # b and c skip their pure operands; f(x) runs both times, so its
+        # statements count and z=2^41 is sized
+        src = ("// mode: extended\nint main(int x){\n"
+               "    bool f(int y){int z; z=y+y; return true;}\n"
+               "    bool b;\n    b=false&&x>1&&x<9;\n"
+               "    bool c;\n    c=true||x==0||x!=3;\n"
+               "    b=b||false&&f(x);\n    c=c&&(true||f(x));\n"
+               "    return x;\n}")
+        for cost in (False, True):
+            rep, st = self.run(src, 2 ** 40, cost)
+            assert (rep.output, st["b"], st["c"]) == (2 ** 40, False, True)
+        assert (rep.ic, rep.max_value_size) == (51, 42)
+        assert rep.rule_counts == {
+            "Fun": 1, "Decl": 4, "Op": 14, "Var": 13, "Asgmt": 6,
+            "Const": 10, "App": 2, "Paren": 1, "Prog": 1}
+
+    def test_index_after_the_deciding_operand_fails(self):
+        src = ("// mode: extended\nint main(int x){\n    array<int> a;\n"
+               "    a=array(2);\n    bool b;\n    b=false&&a[x]==1;\n"
+               "    return x;\n}")
+        for cost in (False, True):
+            with pytest.raises(PolyRuntimeError, match=r"index 9 out of range") \
+                    as exc:
+                self.run(src, 9, cost)
+            assert exc.value.pos == Pos(6, 15)
+
+    @pytest.mark.parametrize("src,pos", [
+        ("int main(int x){bool b; b=x>9&&y>1; return x;}", Pos(1, 32)),
+        ("int main(int x){bool b; b=x<9||(x+y)>1; return x;}", Pos(1, 35)),
+    ])
+    def test_unbound_variable_in_a_skipped_operand_fails(self, src, pos):
+        # only an unchecked program can read an unbound variable
+        for cost in (False, True):
+            with pytest.raises(InternalError, match="'y' unbound") as exc:
+                run_program(compile_src(src), [5], cost_mode=cost)
+            assert exc.value.pos == pos
+
+    @pytest.mark.parametrize("op,first", [("&&", "false"), ("||", "true")])
+    def test_unknown_operator_in_a_skipped_operand_fails(self, op, first):
+        bad = OpApp("^", [Var("x"), Const("1")], Pos(2, 7))
+        prog = Program([(INT, "x")], [], OpApp(op, [Const(first), bad]))
+        for cost in (False, True):
+            with pytest.raises(InternalError, match=r"unknown operator '\^'") \
+                    as exc:
+                run_program(prog, [1], cost_mode=cost)
+            assert exc.value.pos == Pos(2, 7)
 
 
 # -- the operator table: one case per row ------------------------------------

@@ -1,14 +1,20 @@
 """Executable shadows of the metatheory: every well-typed program terminates
 with an integer output, loop bodies preserve the stores of iterable
-variables, and runs are deterministic."""
+variables, and runs are deterministic.  Every CLI command answers every
+input with a documented exit code."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import fuzzgen
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyc import check_program, parse_source, pretty_print, run_program
+from polyc.ast import Assign, BOOL, Block, Const, Decl, For, If, INT, OpApp, Var
+from polyc.cli import main
 from polyc.ops import _div, _mod
 from polyc.values import size_of_value
 
@@ -87,3 +93,70 @@ class TestTruncatingDivision:
         q = int(Fraction(a, b)) if b else 0
         assert _div(a, b) == q
         assert _mod(a, b) == (a - b * q if b else 0)
+
+
+# -- the CLI on fuzzgen programs with long chains and deep nests spliced in --
+
+COMMANDS = [["check"], ["run"], ["run", "--cost"], ["cost", "--json"],
+            ["analyze"], ["transform", "t1"], ["transform", "t2"],
+            ["transform", "normalize"], ["equiv"]]
+
+
+def spliced(seed, shape, n, at):
+    """fuzzgen program `seed` with, before its statement `at`, an int chain
+    of n terms mixing + - / %, a bool chain of n comparisons mixing && ||,
+    or an if or for nest n deep, all over the parameter x0.  The chains are
+    spliced into the printed text, so only the command under test parses
+    and prints them."""
+    prog, rng = fuzzgen.gen_program(seed), random.Random(seed)
+    chain = None
+    if shape == "ints":
+        chain = "x0" + "".join(rng.choice("+-/%") + rng.choice(["x0", "3"])
+                               for _ in range(n))
+    elif shape == "bools":
+        chain = "true" + "".join(
+            rng.choice(["&&", "||"]) + "x0" + rng.choice(["<", ">=", "!="])
+            + str(rng.randrange(9)) for _ in range(n))
+    if chain:
+        stmts = [Decl(INT if shape == "ints" else BOOL, "w"),
+                 Assign(Var("w"), Var("w"))]
+    else:
+        body = Assign(Var("x0"), OpApp("+", [Var("x0"), Const("1")]))
+        for d in range(n):
+            body = Block([If(OpApp(">", [Var("x0"), Const(str(d))]), body,
+                             Block([])) if shape == "if" else
+                          For(f"n{d}", Const(str(rng.randrange(2))), body)])
+        stmts = [body]
+    prog.body[at:at] = stmts
+    text = pretty_print(prog)
+    return text.replace("w=w;", f"w={chain};") if chain else text, len(
+        prog.params)
+
+
+@pytest.fixture(scope="module")
+def source_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("spliced") / "p.pc"
+
+
+class TestCliNeverCrashes:
+    # a nest takes two levels of the parser's limit per if or for, so depths
+    # up to 150 land on both sides of it
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from(["ints", "bools", "if", "for"]),
+           st.integers(1, 4000), st.integers(0, 20), st.sampled_from(COMMANDS))
+    def test_exit_code_is_documented(self, source_file, seed, shape, n, at,
+                                     command):
+        if shape in ("if", "for"):
+            n %= 150
+        text, arity = spliced(seed, shape, n, at)
+        source_file.write_text(text)
+        f = str(source_file)
+        args = ([f, f, "1"] if command == ["equiv"] else
+                [f] + ["2"] * arity if command[0] in ("run", "cost") else [f])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(command + args)
+        assert code in (0, 1, 2, 3), (command, code)
+        assert "internal error:" not in err.getvalue(), (command, err.getvalue())

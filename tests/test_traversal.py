@@ -152,10 +152,16 @@ def test_left_chain():
     assert left is mid.args[0]  # a parenthesis ends the chain
     assert [(id(op), id(r)) for op, r in pairs] == [
         (id(mid), id(c)), (id(top), id(d))]
-    # another operator, or a unary one, ends the chain
+    # the operators of one precedence level form one chain
     sub = OpApp("-", [a, b])
     left, pairs = left_chain(OpApp("+", [sub, c]))
-    assert left is sub and [r for _, r in pairs] == [c]
+    assert left is a and [(op.op, r) for op, r in pairs] == [("-", b), ("+", c)]
+    # another level, `*` (lowered node by node) or a unary operator ends it
+    lt = OpApp("<", [a, b])
+    left, pairs = left_chain(OpApp("==", [lt, c]))
+    assert left is lt and [r for _, r in pairs] == [c]
+    mul = OpApp("*", [a, b])
+    assert left_chain(OpApp("/", [mul, c]))[0] is mul
     neg = OpApp("-", [a])
     assert left_chain(OpApp("-", [neg, b]))[0] is neg
 
