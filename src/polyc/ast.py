@@ -297,12 +297,16 @@ def rebuild(node, fn):
     whose nodes the interpreter reads faster than ones with a copied dict.
     A left-nested chain of one precedence level is rebuilt in one loop: `fn`
     goes to its leftmost operand, then to each right operand, in the order
-    the recursion would take, and must rebuild the chain's inner nodes."""
+    the recursion would take; a link whose operands `fn` returns as they are
+    is kept, not copied."""
     if node.__class__ is OpApp and len(node.args) == 2:
         left, pairs = left_chain(node)
         acc = fn(left)
         for op, right in pairs:
-            acc = OpApp(op.op, [acc, fn(right)], op.pos)
+            new = fn(right)
+            if acc is not op.args[0] or new is not right:
+                op = OpApp(op.op, [acc, new], op.pos)
+            acc = op
         return acc
     values = []
     for name in _field_names(type(node)):

@@ -174,11 +174,10 @@ def parse_arg_literal(text, annot, mode):
         body = text[1:] if neg else text
         # the language's own numerals: one decimal or binary literal token
         try:
-            tok = tokenize(body)[0]
+            kind, lexeme, _, _ = tokenize(body)[0]
         except LexError:
-            tok = None
-        if (tok is None or tok.lexeme != body
-                or tok.kind not in ("decimal-literal", "binary-literal")):
+            kind = lexeme = None
+        if lexeme != body or kind not in ("decimal-literal", "binary-literal"):
             raise ArgumentError(f"expected an integer literal, got {text!r}")
         v = literal_value(body)
         return -v if neg else v

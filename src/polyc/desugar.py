@@ -1,66 +1,84 @@
 """Lowering of surface sugar to the core constructs (plus the extended
-primitives: functions, arrays, strings, break and continue)."""
+primitives: functions, arrays, strings, break and continue).
+
+Lowering is copy-on-write: a subtree with no sugar comes back as the same
+object, only the path above what is lowered is rebuilt, and the input is
+not changed.
+"""
+
+from dataclasses import replace
+from operator import is_
 
 from .ast import (
-    Assign, AugAssign, Block, CallStmt, Const, Decl, DeclInit, For, FunDef,
-    If, Incr, OpApp, Paren, Program, Var, rebuild,
+    ArrayCtor, Assign, AugAssign, Block, Break, Const, Continue, Decl,
+    DeclInit, If, Incr, OpApp, Paren, Var, _node_fields, rebuild,
 )
 from .errors import DesugarError
 
 MAX_SCALAR = 1 << 16
+# nodes with nothing to lower; a tuple is a (type, name) parameter
+_LEAVES = {Var, Const, Decl, Break, Continue, tuple}
 
 
 def desugar(prog):
     """Expand m*a, +=, ++, declaration initializers and if-without-else."""
-    body = _stmts(prog.body)
-    return Program(list(prog.params), body, _expr(prog.ret_expr), pos=prog.pos)
+    return _lower(prog)
 
 
-def _stmts(stmts):
-    return [out for s in stmts for out in _stmt(s)]
+def _lower(node):
+    cls = node.__class__
+    if cls in _LEAVES:
+        return node
+    pos = node.pos
+    if cls is OpApp and len(node.args) == 2:
+        left, right = node.args
+        if node.op == "*":
+            return _scalar_mul(node)
+        if left.__class__ in _LEAVES and right.__class__ in _LEAVES:
+            return node
+        return rebuild(node, _lower)  # a chain, in one loop
+    if cls is Assign:  # the commonest statement, without the loop below
+        lv, e = _lower(node.lvalue), _lower(node.expr)
+        if lv is node.lvalue and e is node.expr:
+            return node
+        return Assign(lv, e, pos=pos)
+    if cls is AugAssign or cls is Incr:  # x += e, x -= e and x++
+        lv = _lower(node.lvalue)
+        rhs = _paren(_lower(node.expr)) if cls is AugAssign else Const("1", pos=pos)
+        op = node.op if cls is AugAssign else "+"
+        return Assign(lv, OpApp(op, [lv, rhs], pos=pos), pos=pos)
+    if cls is If:  # the else branch first, so its errors are reported first
+        els = Block([], pos=pos) if node.els is None else _lower(node.els)
+        cond, then = _lower(node.cond), _lower(node.then)
+        if cond is node.cond and then is node.then and els is node.els:
+            return node
+        return If(cond, then, els, pos=pos)
+    if cls is DeclInit:  # a branch of its own; in a list, _list lowers it
+        return Block(_list([node]), pos=pos)
+    if cls is ArrayCtor:  # always a new node: the checker writes its elem
+        return ArrayCtor(_lower(node.length), pos=pos)
+    changes = {}
+    for name in _node_fields(cls):
+        old = getattr(node, name)
+        new = _list(old) if old.__class__ is list else _lower(old)
+        if new is not old:
+            changes[name] = new
+    return replace(node, **changes) if changes else node
 
 
-def _stmt(s):
-    if isinstance(s, DeclInit):
-        return [Decl(s.annot, s.name, pos=s.pos),
-                Assign(Var(s.name, pos=s.pos), _expr(s.init), pos=s.pos)]
-    if isinstance(s, Assign):
-        return [Assign(_expr(s.lvalue), _expr(s.expr), pos=s.pos)]
-    if isinstance(s, AugAssign):
-        lv = _expr(s.lvalue)
-        rhs = OpApp(s.op, [lv, _paren(_expr(s.expr))], pos=s.pos)
-        return [Assign(lv, rhs, pos=s.pos)]
-    if isinstance(s, Incr):
-        lv = _expr(s.lvalue)
-        return [Assign(lv, OpApp("+", [lv, Const("1", pos=s.pos)], pos=s.pos), pos=s.pos)]
-    if isinstance(s, Block):
-        return [Block(_stmts(s.stmts), pos=s.pos)]
-    if isinstance(s, If):
-        els = _stmt_one(s.els) if s.els is not None else Block([], pos=s.pos)
-        return [If(_expr(s.cond), _stmt_one(s.then), els, pos=s.pos)]
-    if isinstance(s, For):
-        return [For(s.counter, _expr(s.bound), _stmt_one(s.body), pos=s.pos)]
-    if isinstance(s, FunDef):
-        return [FunDef(s.ret, s.name, list(s.params), _stmts(s.body),
-                       _expr(s.ret_expr), pos=s.pos)]
-    if isinstance(s, CallStmt):
-        return [CallStmt(_expr(s.call), pos=s.pos)]
-    return [s]  # Decl, Break, Continue
-
-
-def _stmt_one(s):
-    lowered = _stmt(s)
-    if len(lowered) == 1:
-        return lowered[0]
-    return Block(lowered, pos=s.pos)
-
-
-def _expr(e):
-    if isinstance(e, (Var, Const)):
-        return e  # shared with the parsed tree; copies would double the time
-    if isinstance(e, OpApp) and e.op == "*":
-        return _scalar_mul(e)
-    return rebuild(e, _expr)
+def _list(items):
+    """Lowered statements, expressions or parameters; `items` itself when
+    none changes."""
+    out = []
+    for s in items:
+        if s.__class__ is DeclInit:
+            out += [Decl(s.annot, s.name, pos=s.pos),
+                    Assign(Var(s.name, pos=s.pos), _lower(s.init), pos=s.pos)]
+        else:
+            out.append(_lower(s))
+    if len(out) == len(items) and all(map(is_, out, items)):
+        return items
+    return out
 
 
 def _is_numeral(e):
@@ -80,7 +98,7 @@ def _scalar_mul(e):
     count = int(m.text, 2) if m.text.startswith("0b") else int(m.text)
     if count > MAX_SCALAR:
         raise DesugarError(f"scalar multiplier {count} too large", e.pos)
-    a = _paren(_expr(a))
+    a = _paren(_lower(a))
     if count == 0:
         return Const("0", pos=e.pos)
     acc = a

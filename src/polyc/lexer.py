@@ -1,7 +1,6 @@
 """Tokenizer for .pc source text."""
 
 import re
-from dataclasses import dataclass
 
 from .ast import Pos
 from .errors import LexError
@@ -11,67 +10,71 @@ KEYWORDS = {
     "true", "false", "array", "string", "istring", "void", "break",
     "continue",
 }
+OPERATORS = ("&&", "||", "++", "+=", "-=", "==", "!=", "<=", ">=",
+             "+", "-", "*", "/", "%", "!", "<", ">", "=")
+PUNCTUATION = "(){}[];,"
 
-# One group per token class, tried in order, so the first one that matches
-# wins: comments before `/`, two-character symbols before their one-character
-# prefixes.  A group is named after its token kind, with _ for -.  Every
-# character matches some group, the last ones being errors.  Only spaces can
-# hold a newline.
-_TOKEN = re.compile(r"""
-    (?P<space>            (?: [ \t\r\n] | //[^\n]* )+ )
-  | (?P<binary_literal>   0b[01]+ )
-  | (?P<no_digit>         0b )
-  | (?P<decimal_literal>  [0-9]+ )
-  | (?P<identifier>       \w+ )
-  | (?P<string_literal>   "[^"\n]*" )
-  | (?P<unterminated>     " )
-  | (?P<operator_symbol>  && | \|\| | \+\+ | [-+=!<>]= | [-+*/%!<>=] )
-  | (?P<punctuation>      [(){}\[\];,] )
-  | (?P<illegal>          . )
-""", re.VERBOSE | re.DOTALL)
+# Each match is the text skipped (spaces and // comments, greedy, so it
+# ends where a token starts) and one lexeme: the first alternative that
+# matches, so two-character symbols before their prefixes.  Every character
+# but a space starts some alternative, the last ones being errors; `\Z`
+# ends the source with an empty lexeme.  Only skipped text holds a newline.
+_TOKEN = re.compile(r"((?:[ \t\r\n]+|//[^\n]*)*)(0b[01]+|0b|[0-9]+|\w+"
+                    r'|"[^"\n]*"|"|'
+                    + "|".join(map(re.escape, OPERATORS))
+                    + "|[" + re.escape(PUNCTUATION) + r"]|.|\Z)")
 
-_KINDS = {g: g.replace("_", "-") for g in [*_TOKEN.groupindex, "keyword"]}
+# the kind of every lexeme that has a fixed one
+_FIXED = {"": "eof", **dict.fromkeys(KEYWORDS, "keyword"),
+          **dict.fromkeys(OPERATORS, "operator-symbol"),
+          **dict.fromkeys(PUNCTUATION, "punctuation")}
 _ERRORS = {
-    "no_digit": "binary literal needs at least one digit",
+    "no-digit": "binary literal needs at least one digit",
     "unterminated": "unterminated string literal",
     "illegal": "illegal character {!r}",
 }
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # keyword | identifier | decimal-literal | binary-literal |
-    #            operator-symbol | punctuation | string-literal | eof
-    lexeme: str
-    pos: Pos
-
-    def __repr__(self):
-        return f"Token({self.kind},{self.lexeme!r},{self.pos})"
+def _kind(lexeme):
+    """The kind of a lexeme without a fixed one, or a key of _ERRORS for one
+    that cannot start a token."""
+    c = lexeme[0]
+    if c in "0123456789":
+        if lexeme[1:2] != "b":
+            return "decimal-literal"
+        return "binary-literal" if len(lexeme) > 2 else "no-digit"
+    if c == '"':
+        return "string-literal" if len(lexeme) > 1 else "unterminated"
+    # \w also matches digits outside 0-9, which cannot start a name
+    return "identifier" if c.isalpha() or c == "_" else "illegal"
 
 
 def tokenize(source):
-    """Turn source text into a token list ending with an eof token.
+    """Turn source text into a list of (kind, lexeme, line, col) tuples, the
+    last one of kind eof with an empty lexeme.
 
-    Comments run from // to end of line and are discarded.
+    kind is keyword, identifier, decimal-literal, binary-literal,
+    string-literal, operator-symbol, punctuation or eof.  Comments run from
+    // to end of line and are discarded.
     """
+    found = _TOKEN.findall(source)
+    if len(found) > 1 and not found[-2][1]:
+        del found[-1]  # after trailing space, \Z also matches once more
+    kinds = _FIXED.copy()
     toks = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        group, lexeme = m.lastgroup, m.group()
-        if group == "space":
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                line_start = m.start() + lexeme.rindex("\n") + 1
-            continue
-        pos = Pos(line, m.start() - line_start + 1)
-        if group == "identifier":
-            if lexeme in KEYWORDS:  # only an identifier can spell a keyword
-                group = "keyword"
-            elif not (lexeme[0].isalpha() or lexeme[0] == "_"):
-                # \w also matches digits outside 0-9, which cannot start a name
-                group, lexeme = "illegal", lexeme[0]
-        if group in _ERRORS:
-            raise LexError(_ERRORS[group].format(lexeme), pos)
-        toks.append(Token(_KINDS[group], lexeme, pos))
-    toks.append(Token("eof", "", Pos(line, len(source) - line_start + 1)))
+    line, offset, line_start = 1, 0, 0
+    for skipped, lexeme in found:
+        if skipped:
+            if "\n" in skipped:
+                line += skipped.count("\n")
+                line_start = offset + skipped.rindex("\n") + 1
+            offset += len(skipped)
+        kind = kinds.get(lexeme)
+        if kind is None:
+            kind = kinds[lexeme] = _kind(lexeme)
+            if kind in _ERRORS:
+                raise LexError(_ERRORS[kind].format(lexeme[0]),
+                               Pos(line, offset - line_start + 1))
+        toks.append((kind, lexeme, line, offset - line_start + 1))
+        offset += len(lexeme)
     return toks

@@ -8,7 +8,7 @@ in the AST and lowered by desugar().
 from .ast import (
     ArrayCtor, ArrayT, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
     Continue, Decl, DeclInit, For, FunDef, If, Incr, Index, OpApp, Paren,
-    Program, Var, BOOL, IINT, INT, ISTRING, STRING,
+    Pos, Program, Var, BOOL, IINT, INT, ISTRING, STRING,
 )
 from .errors import ParseError
 from .lexer import tokenize
@@ -60,46 +60,43 @@ class Parser:
         self.depth = 0
 
     # -- token helpers ------------------------------------------------------
+    # A token is a (kind, lexeme, line, col) tuple; a Pos is made only for
+    # a token that positions a node or a diagnostic.  `self.i += 1` passes
+    # only a token that was matched, never the closing eof token, so
+    # toks[i] always exists, and so does toks[i + 1] after a matched token.
 
-    def peek(self, ahead=0):
-        # next() stops at the closing eof token, so toks[i] always exists
-        if ahead:
-            return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def pos(self):
+        """The position of the next token."""
+        _, _, line, col = self.toks[self.i]
+        return Pos(line, col)
 
     def at(self, lexeme):
         # identifiers and literals never spell a keyword or a symbol
-        return self.toks[self.i].lexeme == lexeme
+        return self.toks[self.i][1] == lexeme
 
     def accept(self, lexeme):
-        # a token that matches is not the eof token, so it can be passed
         t = self.toks[self.i]
-        if t.lexeme == lexeme:
+        if t[1] == lexeme:
             self.i += 1
             return t
         return None
 
     def expect(self, lexeme):
         t = self.toks[self.i]
-        if t.lexeme != lexeme:
-            self.fail(f"expected {lexeme!r}, found {t.lexeme!r}")
+        if t[1] != lexeme:
+            self.fail(f"expected {lexeme!r}, found {t[1]!r}")
         self.i += 1
         return t
 
     def expect_ident(self):
-        t = self.peek()
-        if t.kind != "identifier":
-            self.fail(f"expected identifier, found {t.lexeme!r}")
-        return self.next()
+        t = self.toks[self.i]
+        if t[0] != "identifier":
+            self.fail(f"expected identifier, found {t[1]!r}")
+        self.i += 1
+        return t
 
     def fail(self, msg, pos=None, core=False):
-        raise ParseError(msg, pos or self.peek().pos, core_violation=core)
+        raise ParseError(msg, pos or self.pos(), core_violation=core)
 
     def deeper(self):
         """Enter one nesting level; the caller leaves it with `depth -= 1`.
@@ -115,11 +112,11 @@ class Parser:
     # -- grammar ------------------------------------------------------------
 
     def program(self):
-        start = self.peek().pos
+        start = self.pos()
         self.expect("int")
         main = self.expect_ident()
-        if main.lexeme != "main":
-            self.fail("program entry point must be named 'main'", main.pos)
+        if main[1] != "main":
+            self.fail("program entry point must be named 'main'", Pos(main[2], main[3]))
         self.expect("(")
         params = self.params(allow_any_type=(self.mode == "extended"))
         self.expect(")")
@@ -129,8 +126,9 @@ class Parser:
         ret = self.expr()
         self.expect(";")
         self.expect("}")
-        if self.peek().kind != "eof":
-            self.fail(f"trailing input after program: {self.peek().lexeme!r}")
+        kind, lexeme, _, _ = self.toks[self.i]
+        if kind != "eof":
+            self.fail(f"trailing input after program: {lexeme!r}")
         return Program(params, body, ret, pos=start)
 
     def params(self, allow_any_type):
@@ -141,68 +139,70 @@ class Parser:
             t = self.type_annot()
             if not allow_any_type and t is not INT:
                 self.fail("main parameters must be int in core mode", core=True)
-            name = self.expect_ident()
-            params.append((t, name.lexeme))
+            params.append((t, self.expect_ident()[1]))
             if not self.accept(","):
                 return params
 
     def type_annot(self):
-        t = self.peek()
-        if t.lexeme in CORE_TYPES:
-            self.next()
-            return CORE_TYPES[t.lexeme]
-        if t.lexeme in EXT_TYPES:
-            self.need_extended(f"type {t.lexeme}")
-            self.next()
-            return EXT_TYPES[t.lexeme]
-        if t.lexeme == "array":
+        lexeme = self.toks[self.i][1]
+        if lexeme in CORE_TYPES:
+            self.i += 1
+            return CORE_TYPES[lexeme]
+        if lexeme in EXT_TYPES:
+            self.need_extended(f"type {lexeme}")
+            self.i += 1
+            return EXT_TYPES[lexeme]
+        if lexeme == "array":
             self.need_extended("array types")
-            self.next()
+            self.i += 1
             self.expect("<")
             self.deeper()
             elem = self.type_annot()
             self.depth -= 1
             self.expect(">")
             return ArrayT(elem)
-        self.fail(f"expected a type, found {t.lexeme!r}")
+        self.fail(f"expected a type, found {lexeme!r}")
 
     def stmts_until(self, ends, unterminated):
         """Statements up to a token in `ends`; eof or a stray '}' fails."""
         out = []
-        while self.toks[self.i].lexeme not in ends:
-            if self.peek().kind == "eof" or self.at("}"):
+        while True:
+            kind, lexeme, _, _ = self.toks[self.i]
+            if lexeme in ends:
+                return out
+            if kind == "eof" or lexeme == "}":
                 self.fail(unterminated)
             out.extend(self.stmt())
-        return out
 
     def stmt(self):
         """Parse one statement; multi-declarator lines yield several nodes."""
-        t = self.peek()
-        rule = STMT_RULES.get(t.lexeme)
+        t = self.toks[self.i]
+        rule = STMT_RULES.get(t[1])
         if rule is not None:
             return rule(self)
-        if t.kind == "identifier":
-            if self.peek(1).lexeme == "(":
+        if t[0] == "identifier":
+            if self.toks[self.i + 1][1] == "(":
                 self.need_extended("call statements")
                 call = self.expr_primary()
                 self.expect(";")
-                return [CallStmt(call, pos=t.pos)]
+                return [CallStmt(call, pos=Pos(t[2], t[3]))]
             return [self.assign_stmt()]
-        self.fail(f"expected statement, found {t.lexeme!r}")
+        self.fail(f"expected statement, found {t[1]!r}")
 
     def jump_stmt(self):
-        t = self.peek()
-        self.need_extended(t.lexeme)
-        self.next()
+        t = self.toks[self.i]
+        self.need_extended(t[1])
+        self.i += 1
         self.expect(";")
-        return [JUMPS[t.lexeme](pos=t.pos)]
+        return [JUMPS[t[1]](pos=Pos(t[2], t[3]))]
 
     def typed_stmt(self):
         """A function definition or declaration(s): '(' after the name
         tells them apart."""
         start = self.i
         annot = self.type_annot()
-        if self.peek().kind == "identifier" and self.peek(1).lexeme == "(":
+        t = self.toks[self.i]
+        if t[0] == "identifier" and self.toks[self.i + 1][1] == "(":
             self.i = start
             return self.fun_def()
         return self.decl_stmt(annot)
@@ -216,7 +216,8 @@ class Parser:
         return stmts[0]
 
     def block(self):
-        start = self.expect("{").pos
+        start = self.pos()
+        self.expect("{")
         self.deeper()
         stmts = self.stmts_until(("}",), "unterminated block")
         self.depth -= 1
@@ -224,7 +225,8 @@ class Parser:
         return [Block(stmts, pos=start)]
 
     def if_stmt(self):
-        start = self.expect("if").pos
+        start = self.pos()
+        self.expect("if")
         cond = self.parenthesized()
         then = self.branch_stmt()
         if self.accept("else"):
@@ -235,27 +237,28 @@ class Parser:
         return [If(cond, then, els, pos=start)]
 
     def for_stmt(self):
-        start = self.expect("for").pos
+        start = self.pos()
+        self.expect("for")
         self.expect("(")
-        counter = self.expect_ident()
+        counter = self.expect_ident()[1]
         self.expect("<")
         bound = self.loop_bound()
         self.expect(")")
         body = self.branch_stmt()
-        return [For(counter.lexeme, bound, body, pos=start)]
+        return [For(counter, bound, body, pos=start)]
 
     def loop_bound(self):
-        t = self.peek()
-        if self.at("size") or t.kind in ("decimal-literal", "binary-literal"):
+        t = self.toks[self.i]
+        if t[1] == "size" or t[0] in ("decimal-literal", "binary-literal"):
             return self.expr_primary()
-        self.fail("loop bound must be size(e) or an integer literal", t.pos)
+        self.fail("loop bound must be size(e) or an integer literal", Pos(t[2], t[3]))
 
     def fun_def(self):
         self.need_extended("function definitions")
         self.deeper()
-        start = self.peek().pos
+        start = self.pos()
         ret = None if self.accept("void") else self.type_annot()
-        name = self.expect_ident()
+        name = self.expect_ident()[1]
         self.expect("(")
         params = self.params(allow_any_type=True)
         self.expect(")")
@@ -266,23 +269,24 @@ class Parser:
             self.expect(";")
         else:
             if ret is not None:
-                self.fail(f"function {name.lexeme!r} must end with a return statement")
+                self.fail(f"function {name!r} must end with a return statement")
             ret_expr = Const("0", pos=start)
         self.expect("}")
         if ret is None:
             ret = INT  # void sugar
         self.depth -= 1
-        return [FunDef(ret, name.lexeme, params, body, ret_expr, pos=start)]
+        return [FunDef(ret, name, params, body, ret_expr, pos=start)]
 
     def decl_stmt(self, annot):
         out = []
         while True:
             name = self.expect_ident()
+            pos = Pos(name[2], name[3])
             if self.accept("="):
                 self.need_extended("declaration initializers")
-                out.append(DeclInit(annot, name.lexeme, self.expr(), pos=name.pos))
+                out.append(DeclInit(annot, name[1], self.expr(), pos=pos))
             else:
-                out.append(Decl(annot, name.lexeme, pos=name.pos))
+                out.append(Decl(annot, name[1], pos=pos))
             if not self.accept(","):
                 break
             self.need_extended("multiple declarators")
@@ -291,26 +295,29 @@ class Parser:
 
     def assign_stmt(self):
         lv = self.lvalue()
-        t = self.peek()
-        if self.accept("="):
+        t = self.toks[self.i]
+        op = t[1]
+        if op == "=":
+            self.i += 1
             rhs = self.expr()
             self.expect(";")
-            return Assign(lv, rhs, pos=t.pos)
-        if t.lexeme in ("+=", "-="):
-            self.need_extended(f"{t.lexeme} assignment")
-            self.next()
+            return Assign(lv, rhs, pos=Pos(t[2], t[3]))
+        if op in ("+=", "-="):
+            self.need_extended(f"{op} assignment")
+            self.i += 1
             rhs = self.expr()
             self.expect(";")
-            return AugAssign(t.lexeme[0], lv, rhs, pos=t.pos)
-        if self.accept("++"):
+            return AugAssign(op[0], lv, rhs, pos=Pos(t[2], t[3]))
+        if op == "++":
+            self.i += 1
             self.need_extended("++ statements")
             self.expect(";")
-            return Incr(lv, pos=t.pos)
-        self.fail(f"expected assignment operator, found {t.lexeme!r}")
+            return Incr(lv, pos=Pos(t[2], t[3]))
+        self.fail(f"expected assignment operator, found {op!r}")
 
     def lvalue(self):
-        name = self.expect_ident()
-        return self.indexed(Var(name.lexeme, pos=name.pos))
+        t = self.expect_ident()
+        return self.indexed(Var(t[1], pos=Pos(t[2], t[3])))
 
     # -- expressions --------------------------------------------------------
 
@@ -319,12 +326,14 @@ class Parser:
         precedence climbing: a right operand binds tighter than its operator."""
         self.deeper()
         node = self.expr_unary()
-        t = self.peek()
-        while PRECEDENCE.get(t.lexeme, -1) >= min_level:
-            self.next()
-            rhs = self.expr(PRECEDENCE[t.lexeme] + 1)
-            node = OpApp(t.lexeme, [node, rhs], pos=t.pos)
-            t = self.peek()
+        t = self.toks[self.i]
+        level = PRECEDENCE.get(t[1], -1)
+        while level >= min_level:
+            self.i += 1  # an operator is not the eof token
+            rhs = self.expr(level + 1)
+            node = OpApp(t[1], [node, rhs], pos=Pos(t[2], t[3]))
+            t = self.toks[self.i]
+            level = PRECEDENCE.get(t[1], -1)
         self.depth -= 1
         return node
 
@@ -335,60 +344,63 @@ class Parser:
         return inner
 
     def expr_unary(self):
-        t = self.peek()
-        if t.kind == "operator-symbol" and (t.lexeme, 1) in OPS:
-            self.next()
+        t = self.toks[self.i]
+        if t[0] == "operator-symbol" and (t[1], 1) in OPS:
+            self.i += 1
             self.deeper()
-            node = OpApp(t.lexeme, [self.expr_unary()], pos=t.pos)
+            node = OpApp(t[1], [self.expr_unary()], pos=Pos(t[2], t[3]))
             self.depth -= 1
             return node
-        return self.indexed(self.expr_primary())
+        node = self.expr_primary()
+        return self.indexed(node) if self.toks[self.i][1] == "[" else node
 
     def indexed(self, node):
         """`node` followed by any number of [index] suffixes."""
         while self.at("["):
             self.need_extended("array indexing")
-            lb = self.next()
+            lb = self.toks[self.i]
+            self.i += 1
             idx = self.expr()
             self.expect("]")
-            node = Index(node, idx, pos=lb.pos)
+            node = Index(node, idx, pos=Pos(lb[2], lb[3]))
         return node
 
     def expr_primary(self):
-        t = self.peek()
-        if t.kind in LITERALS or t.lexeme in ("true", "false"):
-            if t.kind == "string-literal":
+        t = self.toks[self.i]
+        kind, lexeme, line, col = t
+        if kind == "identifier":
+            self.i += 1
+            if self.toks[self.i][1] != "(":
+                return Var(lexeme, pos=Pos(line, col))
+            self.need_extended("function calls")
+            self.i += 1
+            args = []
+            if not self.at(")"):
+                while True:
+                    args.append(self.expr())
+                    if not self.accept(","):
+                        break
+            self.expect(")")
+            return Call(lexeme, args, pos=Pos(line, col))
+        if kind in LITERALS or lexeme in ("true", "false"):
+            if kind == "string-literal":
                 self.need_extended("string literals")
-            self.next()
-            return Const(t.lexeme, pos=t.pos)
-        if self.at("size"):
-            self.next()
-            return OpApp("size", [self.parenthesized()], pos=t.pos)
-        if self.at("array"):
+            self.i += 1
+            return Const(lexeme, pos=Pos(line, col))
+        if lexeme == "size":
+            self.i += 1
+            return OpApp("size", [self.parenthesized()], pos=Pos(line, col))
+        if lexeme == "array":
             self.need_extended("array constructors")
-            self.next()
-            return ArrayCtor(self.parenthesized(), pos=t.pos)
-        if self.at("("):
+            self.i += 1
+            return ArrayCtor(self.parenthesized(), pos=Pos(line, col))
+        if lexeme == "(":
             # not parenthesized(): one frame less per nesting level
-            self.next()
+            self.i += 1
             inner = self.expr()
             self.expect(")")
-            return Paren(inner, pos=t.pos)
-        if t.kind == "identifier":
-            self.next()
-            if self.at("("):
-                self.need_extended("function calls")
-                self.next()
-                args = []
-                if not self.at(")"):
-                    while True:
-                        args.append(self.expr())
-                        if not self.accept(","):
-                            break
-                self.expect(")")
-                return Call(t.lexeme, args, pos=t.pos)
-            return Var(t.lexeme, pos=t.pos)
-        self.fail(f"expected expression, found {t.lexeme!r}")
+            return Paren(inner, pos=Pos(line, col))
+        self.fail(f"expected expression, found {lexeme!r}")
 
 
 # The statement a token starts, keyed on its lexeme (no identifier or literal

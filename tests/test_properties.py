@@ -12,10 +12,14 @@ import fuzzgen
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyc import check_program, parse_source, pretty_print, run_program
+from conftest import CORPUS, corpus_source
+from polyc import (
+    check_program, parse_source, pretty_print, run_program, tokenize,
+)
 from polyc.ast import Assign, BOOL, Block, Const, Decl, For, If, INT, OpApp, Var
 from polyc.cli import main
 from polyc.ops import _div, _mod
+from polyc.parser import detect_mode
 from polyc.values import size_of_value
 
 FUEL = 10 ** 7
@@ -133,6 +137,34 @@ def spliced(seed, shape, n, at):
         prog.params)
 
 
+CORPUS_PROGRAMS = sorted(p.name for p in CORPUS.glob("*.pc"))
+# every lexeme of the corpus, the replacements a token edit draws from
+LEXEMES = sorted({t[1] for name in CORPUS_PROGRAMS
+                  for t in tokenize(corpus_source(name))[:-1]})
+EDITS = st.tuples(st.sampled_from(["delete", "duplicate", "swap", "replace"]),
+                  st.integers(0, 10 ** 4), st.integers(0, 10 ** 4))
+
+
+def token_edited(name, edits):
+    """Corpus program `name` with each edit applied to its token list: delete
+    token i, duplicate it, swap it with token j, or replace it with corpus
+    lexeme j.  The tokens are joined by spaces under the mode line."""
+    source = corpus_source(name)
+    lexemes = [t[1] for t in tokenize(source)[:-1]]
+    for op, i, j in edits:
+        i, j = i % len(lexemes), j % len(lexemes)
+        if op == "delete":
+            del lexemes[i]
+        elif op == "duplicate":
+            lexemes.insert(i, lexemes[i])
+        elif op == "swap":
+            lexemes[i], lexemes[j] = lexemes[j], lexemes[i]
+        else:
+            lexemes[i] = LEXEMES[j % len(LEXEMES)]
+    arity = len(parse_source(source).params)
+    return f"// mode: {detect_mode(source)}\n" + " ".join(lexemes) + "\n", arity
+
+
 @pytest.fixture(scope="module")
 def source_file(tmp_path_factory):
     return tmp_path_factory.mktemp("spliced") / "p.pc"
@@ -149,14 +181,27 @@ class TestCliNeverCrashes:
                                      command):
         if shape in ("if", "for"):
             n %= 150
-        text, arity = spliced(seed, shape, n, at)
-        source_file.write_text(text)
-        f = str(source_file)
-        args = ([f, f, "1"] if command == ["equiv"] else
-                [f] + ["2"] * arity if command[0] in ("run", "cost") else [f])
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = main(command + args)
-        assert code in (0, 1, 2, 3), (command, code)
-        assert "internal error:" not in err.getvalue(), (command, err.getvalue())
+        assert_documented_exit(source_file, *spliced(seed, shape, n, at),
+                               command)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.sampled_from(CORPUS_PROGRAMS), st.lists(EDITS, min_size=1,
+                                                       max_size=3),
+           st.sampled_from(COMMANDS))
+    def test_token_edits_of_the_corpus(self, source_file, name, edits,
+                                       command):
+        assert_documented_exit(source_file, *token_edited(name, edits),
+                               command)
+
+
+def assert_documented_exit(source_file, text, arity, command):
+    source_file.write_text(text, encoding="utf-8")
+    f = str(source_file)
+    args = ([f, f, "1"] if command == ["equiv"] else
+            [f] + ["2"] * arity if command[0] in ("run", "cost") else [f])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(command + args)
+    assert code in (0, 1, 2, 3), (command, code)
+    assert "internal error:" not in err.getvalue(), (command, err.getvalue())

@@ -1,19 +1,24 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import compile_src, corpus_source, load
+from conftest import CORPUS, compile_src, corpus_source, load
 
-from polyc import desugar, parse_source, pretty_print, tokenize
+from polyc import (
+    check_program, desugar, parse_source, pretty_print, run_program, tokenize,
+)
 from polyc.lexer import KEYWORDS
 from polyc.ast import (
-    Assign, Block, Const, Decl, For, If, OpApp, Paren, Program, Var, IINT,
+    ArrayCtor, Assign, AugAssign, Block, Const, Decl, DeclInit, For, FunDef,
+    If, Incr, OpApp, Paren, Program, Var, IINT, walk, walk_stmts,
 )
 from polyc.errors import DesugarError, LexError, ParseError
 from polyc.parser import detect_mode
 
 
 def kinds(source):
-    return [(t.kind, t.lexeme) for t in tokenize(source)[:-1]]
+    return [t[:2] for t in tokenize(source)[:-1]]
 
 
 def _kind(kind, strategy):
@@ -35,6 +40,37 @@ _LEXEMES = st.one_of(
     _kind("punctuation", st.sampled_from(list("(){}[];,"))),
 )
 _SPACE = st.text(alphabet=" \t\r\n", min_size=1, max_size=3)
+
+# pieces of valid and invalid source, to lex in any order
+_PIECES = st.sampled_from([
+    " ", "\t", "\r\n", "\n", "//", "// c\"0b", '"', '"a b"', "0b", "0b1", "0",
+    "7", "&&", "&", "||", "|", "++", "+=", "==", "=", "!", "<", "-", "*", "/",
+    "(", "}", "[", ";", ",", "x", "Z", "_", "\u00e9", "\u0663", "\u00b2", "@",
+    "\xa0", "int", "true",
+])
+_SKIPPED = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*")
+_SYMBOL_CHARS = "+-*/%!<>=(){}[];,"
+
+
+def offset(source, line, col):
+    """The index in `source` of a 1-based line and column."""
+    starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    return starts[line - 1] + col - 1
+
+
+def lex_error_at(source, k):
+    """The LexError message for a token starting at source[k], or None when
+    a token can start there."""
+    c, rest = source[k], source[k:]
+    if c == '"':
+        closed = '"' in rest[1:].split("\n")[0]
+        return None if closed else "unterminated string literal"
+    if rest.startswith("0b") and rest[2:3] not in ("0", "1"):
+        return "binary literal needs at least one digit"
+    if c in "&|" and rest[1:2] != c or not (
+            c.isalpha() or c == "_" or c in "0123456789&|" + _SYMBOL_CHARS):
+        return f"illegal character {c!r}"
+    return None
 
 
 class TestTokenize:
@@ -59,19 +95,19 @@ class TestTokenize:
 
     def test_positions(self):
         toks = tokenize("x\n  y")
-        assert (toks[0].pos.line, toks[0].pos.col) == (1, 1)
-        assert (toks[1].pos.line, toks[1].pos.col) == (2, 3)
+        assert toks[0][2:] == (1, 1)
+        assert toks[1][2:] == (2, 3)
 
     def test_lexemes_reconstruct_source(self):
         src = corpus_source("fastmul.pc")
-        lexemes = [t.lexeme for t in tokenize(src)[:-1]]
+        lexemes = [t[1] for t in tokenize(src)[:-1]]
         squashed = "".join(src.split())
         # comments are discarded, everything else survives
         for lx in lexemes:
             assert lx in squashed
 
     def test_operators_maximal_munch(self):
-        assert [t.lexeme for t in tokenize("a<=b==c&&d")[:-1]] == [
+        assert [t[1] for t in tokenize("a<=b==c&&d")[:-1]] == [
             "a", "<=", "b", "==", "c", "&&", "d"]
 
     @pytest.mark.parametrize("source,expected", [
@@ -126,27 +162,43 @@ class TestTokenize:
             assert (err.message, err.pos.line, err.pos.col) == expected
         else:
             toks = tokenize(source)[:-1]
-            assert [(t.kind, t.lexeme, t.pos.line, t.pos.col)
-                    for t in toks] == expected
+            assert toks == expected
 
     @pytest.mark.parametrize("source,line,col", [
         ("", 1, 1), ("x\n", 2, 1), ("x // c", 1, 7), ("a\r\n\tb ", 2, 4)])
     def test_eof_position(self, source, line, col):
-        eof = tokenize(source)[-1]
-        assert (eof.kind, eof.lexeme, eof.pos.line, eof.pos.col) == (
-            "eof", "", line, col)
+        assert tokenize(source)[-1] == ("eof", "", line, col)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.lists(st.tuples(_LEXEMES, _SPACE), max_size=30), _SPACE)
     def test_valid_lexemes_round_trip(self, pairs, lead):
         source = lead + "".join(lexeme + space for (_, lexeme), space in pairs)
         toks = tokenize(source)
-        assert [(t.kind, t.lexeme) for t in toks[:-1]] == [
-            kl for kl, _ in pairs]
-        line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
-        for t in toks[:-1]:
-            start = line_starts[t.pos.line - 1] + t.pos.col - 1
-            assert source[start:start + len(t.lexeme)] == t.lexeme
+        assert [t[:2] for t in toks[:-1]] == [kl for kl, _ in pairs]
+        for _, lexeme, line, col in toks[:-1]:
+            assert source.startswith(lexeme, offset(source, line, col))
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.lists(_PIECES, max_size=25).map("".join))
+    def test_positions_or_first_offending_character(self, source):
+        """Every token's line and col point at its lexeme, and the lexemes
+        with the skipped spaces and comments between them make up the
+        source; or LexError names the first character no token can start."""
+        try:
+            toks = tokenize(source)
+        except LexError as e:
+            k = offset(source, e.pos.line, e.pos.col)
+            tokenize(source[:k])  # nothing before it is an error
+            assert e.message == lex_error_at(source, k)
+            return
+        end = 0
+        for kind, lexeme, line, col in toks:
+            k = offset(source, line, col)
+            assert _SKIPPED.fullmatch(source, end, k), (source, end, k)
+            assert source.startswith(lexeme, k)
+            assert (kind == "eof") == (lexeme == "") == (k == len(source))
+            end = k + len(lexeme)
+        assert [kind for kind, *_ in toks].count("eof") == 1
 
 
 class TestParse:
@@ -206,6 +258,31 @@ class TestParse:
             src = corpus_source(name)
             assert parse_source(src, "core") == parse_source(src, "extended")
 
+    def test_node_positions_point_at_their_text(self):
+        import fuzzgen
+        from polyc.tm import compile_tm, parse_tm
+
+        sources = [corpus_source(p.name) for p in sorted(CORPUS.glob("*.pc"))]
+        for name in ("bitflip.tm", "successor.tm"):
+            machine = parse_tm(corpus_source(name), name=name)
+            sources += [pretty_print(compile_tm(machine, d)) for d in (1, 2, 3)]
+        sources += [pretty_print(fuzzgen.gen_program(k)) for k in range(100)]
+        seen = 0
+        for src in sources:
+            prog = parse_source(src)
+            # the implicit return of a void function is positioned at `void`
+            implicit = [s.ret_expr for s in walk_stmts(prog.body)
+                        if isinstance(s, FunDef) and src.startswith(
+                            "void", offset(src, s.pos.line, s.pos.col))]
+            for node in walk(prog.body + [prog.ret_expr]):
+                text = {Var: "name", Const: "text", OpApp: "op"}.get(type(node))
+                if text is None or any(node is n for n in implicit):
+                    continue
+                at = offset(src, node.pos.line, node.pos.col)
+                assert src.startswith(getattr(node, text), at), (node, src)
+                seen += 1
+        assert seen > 5_000
+
     def test_mode_detection(self):
         assert detect_mode(corpus_source("knapsack.pc")) == "extended"
         assert detect_mode(corpus_source("fastmul.pc")) == "core"
@@ -252,6 +329,74 @@ class TestDesugar:
         assert prog.body[0].expr == OpApp("-", [Var("x"),
                                                 Paren(OpApp("+", [Var("y"),
                                                                   Const("1")]))])
+
+
+# every sugar form, in blocks, branches, a loop and a function
+SUGARED = """// mode: extended
+int main(int x, int y) {
+    int a = 2*x;
+    array<int> r;
+    r = array(3);
+    r[0] += y;
+    void f(array<int> p) { p[1]++; }
+    f(r);
+    for (i < 3) { if (x > i) int b = x*3; a -= (y+1); }
+    if (y < 2) { a++; }
+    if (x == y) { a = y; } else { a = a+x*2; }
+    return a + 0b10*y - r[0];
+}
+"""
+DESUGAR_SOURCES = [SUGARED] + [corpus_source(p.name)
+                               for p in sorted(CORPUS.glob("*.pc"))]
+
+
+def has_sugar(node):
+    return any(isinstance(n, (DeclInit, AugAssign, Incr, ArrayCtor))
+               or isinstance(n, If) and n.els is None
+               or isinstance(n, OpApp) and n.op == "*" for n in walk([node]))
+
+
+def nodes_of(prog):
+    return list(walk(prog.body + [prog.ret_expr]))
+
+
+class TestDesugarCopyOnWrite:
+    @pytest.mark.parametrize("src", DESUGAR_SOURCES)
+    def test_sugar_free_subtrees_are_kept(self, src):
+        parsed = parse_source(src)
+        lowered = desugar(parsed)
+        kept = {id(n) for n in nodes_of(lowered)}
+        # lowering m*a keeps a, and drops only the numeral m
+        numerals = {id(a) for n in nodes_of(parsed)
+                    if isinstance(n, OpApp) and n.op == "*"
+                    for a in n.args if isinstance(a, Const)}
+        free = [n for n in nodes_of(parsed)
+                if not has_sugar(n) and id(n) not in numerals]
+        assert free and all(id(n) in kept for n in free)
+        if not any(map(has_sugar, parsed.body + [parsed.ret_expr])):
+            assert lowered is parsed
+
+    @pytest.mark.parametrize("src", DESUGAR_SOURCES)
+    def test_input_is_unchanged(self, src):
+        parsed, fresh = parse_source(src), parse_source(src)
+        desugar(parsed)
+        assert parsed == fresh and parsed.pos == fresh.pos
+        assert [n.pos for n in nodes_of(parsed)] == \
+               [n.pos for n in nodes_of(fresh)]
+
+    @pytest.mark.parametrize("src", DESUGAR_SOURCES)
+    def test_idempotent_and_array_constructors_are_new(self, src):
+        parsed = parse_source(src)
+        lowered = desugar(parsed)
+        assert desugar(lowered) == lowered
+        ctors = [n for n in nodes_of(parsed) if isinstance(n, ArrayCtor)]
+        assert not {id(n) for n in ctors} & {id(n) for n in nodes_of(lowered)}
+
+    def test_sugared_program_runs_as_written(self):
+        lowered = desugar(parse_source(SUGARED))
+        assert check_program(lowered, "extended").ok
+        # a = 6, r[0] = 4, r[1] = 1, a = 6 - 3*5 = -9, then a = -9 + 3*2
+        assert run_program(lowered, [3, 4], mode="extended").output == -3 + 8 - 4
 
 
 class TestPrettyPrint:
