@@ -31,17 +31,9 @@ def _lower(node):
         return node
     pos = node.pos
     if cls is OpApp and len(node.args) == 2:
-        left, right = node.args
         if node.op == "*":
             return _scalar_mul(node)
-        if left.__class__ in _LEAVES and right.__class__ in _LEAVES:
-            return node
         return rebuild(node, _lower)  # a chain, in one loop
-    if cls is Assign:  # the commonest statement, without the loop below
-        lv, e = _lower(node.lvalue), _lower(node.expr)
-        if lv is node.lvalue and e is node.expr:
-            return node
-        return Assign(lv, e, pos=pos)
     if cls is AugAssign or cls is Incr:  # x += e, x -= e and x++
         lv = _lower(node.lvalue)
         rhs = _paren(_lower(node.expr)) if cls is AugAssign else Const("1", pos=pos)

@@ -65,9 +65,9 @@ class Parser:
     # only a token that was matched, never the closing eof token, so
     # toks[i] always exists, and so does toks[i + 1] after a matched token.
 
-    def pos(self):
-        """The position of the next token."""
-        _, _, line, col = self.toks[self.i]
+    def pos(self, t=None):
+        """The position of token `t`, by default the next token."""
+        _, _, line, col = t or self.toks[self.i]
         return Pos(line, col)
 
     def at(self, lexeme):
@@ -116,7 +116,7 @@ class Parser:
         self.expect("int")
         main = self.expect_ident()
         if main[1] != "main":
-            self.fail("program entry point must be named 'main'", Pos(main[2], main[3]))
+            self.fail("program entry point must be named 'main'", self.pos(main))
         self.expect("(")
         params = self.params(allow_any_type=(self.mode == "extended"))
         self.expect(")")
@@ -185,7 +185,7 @@ class Parser:
                 self.need_extended("call statements")
                 call = self.expr_primary()
                 self.expect(";")
-                return [CallStmt(call, pos=Pos(t[2], t[3]))]
+                return [CallStmt(call, pos=self.pos(t))]
             return [self.assign_stmt()]
         self.fail(f"expected statement, found {t[1]!r}")
 
@@ -194,7 +194,7 @@ class Parser:
         self.need_extended(t[1])
         self.i += 1
         self.expect(";")
-        return [JUMPS[t[1]](pos=Pos(t[2], t[3]))]
+        return [JUMPS[t[1]](pos=self.pos(t))]
 
     def typed_stmt(self):
         """A function definition or declaration(s): '(' after the name
@@ -216,8 +216,7 @@ class Parser:
         return stmts[0]
 
     def block(self):
-        start = self.pos()
-        self.expect("{")
+        start = self.pos(self.expect("{"))
         self.deeper()
         stmts = self.stmts_until(("}",), "unterminated block")
         self.depth -= 1
@@ -225,8 +224,7 @@ class Parser:
         return [Block(stmts, pos=start)]
 
     def if_stmt(self):
-        start = self.pos()
-        self.expect("if")
+        start = self.pos(self.expect("if"))
         cond = self.parenthesized()
         then = self.branch_stmt()
         if self.accept("else"):
@@ -237,8 +235,7 @@ class Parser:
         return [If(cond, then, els, pos=start)]
 
     def for_stmt(self):
-        start = self.pos()
-        self.expect("for")
+        start = self.pos(self.expect("for"))
         self.expect("(")
         counter = self.expect_ident()[1]
         self.expect("<")
@@ -251,7 +248,7 @@ class Parser:
         t = self.toks[self.i]
         if t[1] == "size" or t[0] in ("decimal-literal", "binary-literal"):
             return self.expr_primary()
-        self.fail("loop bound must be size(e) or an integer literal", Pos(t[2], t[3]))
+        self.fail("loop bound must be size(e) or an integer literal", self.pos(t))
 
     def fun_def(self):
         self.need_extended("function definitions")
@@ -281,7 +278,7 @@ class Parser:
         out = []
         while True:
             name = self.expect_ident()
-            pos = Pos(name[2], name[3])
+            pos = self.pos(name)
             if self.accept("="):
                 self.need_extended("declaration initializers")
                 out.append(DeclInit(annot, name[1], self.expr(), pos=pos))
@@ -301,23 +298,23 @@ class Parser:
             self.i += 1
             rhs = self.expr()
             self.expect(";")
-            return Assign(lv, rhs, pos=Pos(t[2], t[3]))
+            return Assign(lv, rhs, pos=self.pos(t))
         if op in ("+=", "-="):
             self.need_extended(f"{op} assignment")
             self.i += 1
             rhs = self.expr()
             self.expect(";")
-            return AugAssign(op[0], lv, rhs, pos=Pos(t[2], t[3]))
+            return AugAssign(op[0], lv, rhs, pos=self.pos(t))
         if op == "++":
             self.i += 1
             self.need_extended("++ statements")
             self.expect(";")
-            return Incr(lv, pos=Pos(t[2], t[3]))
+            return Incr(lv, pos=self.pos(t))
         self.fail(f"expected assignment operator, found {op!r}")
 
     def lvalue(self):
         t = self.expect_ident()
-        return self.indexed(Var(t[1], pos=Pos(t[2], t[3])))
+        return self.indexed(Var(t[1], pos=self.pos(t)))
 
     # -- expressions --------------------------------------------------------
 
@@ -331,7 +328,7 @@ class Parser:
         while level >= min_level:
             self.i += 1  # an operator is not the eof token
             rhs = self.expr(level + 1)
-            node = OpApp(t[1], [node, rhs], pos=Pos(t[2], t[3]))
+            node = OpApp(t[1], [node, rhs], pos=self.pos(t))
             t = self.toks[self.i]
             level = PRECEDENCE.get(t[1], -1)
         self.depth -= 1
@@ -348,30 +345,28 @@ class Parser:
         if t[0] == "operator-symbol" and (t[1], 1) in OPS:
             self.i += 1
             self.deeper()
-            node = OpApp(t[1], [self.expr_unary()], pos=Pos(t[2], t[3]))
+            node = OpApp(t[1], [self.expr_unary()], pos=self.pos(t))
             self.depth -= 1
             return node
-        node = self.expr_primary()
-        return self.indexed(node) if self.toks[self.i][1] == "[" else node
+        return self.indexed(self.expr_primary())
 
     def indexed(self, node):
         """`node` followed by any number of [index] suffixes."""
         while self.at("["):
             self.need_extended("array indexing")
-            lb = self.toks[self.i]
-            self.i += 1
+            lb = self.expect("[")
             idx = self.expr()
             self.expect("]")
-            node = Index(node, idx, pos=Pos(lb[2], lb[3]))
+            node = Index(node, idx, pos=self.pos(lb))
         return node
 
     def expr_primary(self):
         t = self.toks[self.i]
-        kind, lexeme, line, col = t
+        kind, lexeme, _, _ = t
         if kind == "identifier":
             self.i += 1
             if self.toks[self.i][1] != "(":
-                return Var(lexeme, pos=Pos(line, col))
+                return Var(lexeme, pos=self.pos(t))
             self.need_extended("function calls")
             self.i += 1
             args = []
@@ -381,25 +376,25 @@ class Parser:
                     if not self.accept(","):
                         break
             self.expect(")")
-            return Call(lexeme, args, pos=Pos(line, col))
+            return Call(lexeme, args, pos=self.pos(t))
         if kind in LITERALS or lexeme in ("true", "false"):
             if kind == "string-literal":
                 self.need_extended("string literals")
             self.i += 1
-            return Const(lexeme, pos=Pos(line, col))
+            return Const(lexeme, pos=self.pos(t))
         if lexeme == "size":
             self.i += 1
-            return OpApp("size", [self.parenthesized()], pos=Pos(line, col))
+            return OpApp("size", [self.parenthesized()], pos=self.pos(t))
         if lexeme == "array":
             self.need_extended("array constructors")
             self.i += 1
-            return ArrayCtor(self.parenthesized(), pos=Pos(line, col))
+            return ArrayCtor(self.parenthesized(), pos=self.pos(t))
         if lexeme == "(":
             # not parenthesized(): one frame less per nesting level
             self.i += 1
             inner = self.expr()
             self.expect(")")
-            return Paren(inner, pos=Pos(line, col))
+            return Paren(inner, pos=self.pos(t))
         self.fail(f"expected expression, found {lexeme!r}")
 
 
