@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 type error, 2 runtime error, 3 usage error.
+Exit codes: 0 success, 1 type error, 2 runtime error, 3 usage error; output
+that cannot be written (a closed pipe, a full disk) is a usage error too.
 POLYC_FUEL caps the number of statements a run executes (absent = unlimited).
 """
 
@@ -17,13 +18,13 @@ from .errors import ArgumentError, LexError, ParseError, DesugarError, \
 from .interp import run_program
 from .lexer import tokenize
 from .printer import pretty_print
-from .tm import TmError, clock_program, compile_tm, parse_tm
+from .tm import MAX_DEGREE, TmError, clock_program, compile_tm, parse_tm
 from .transform import (
     TransformError, bounded_equiv, normalize_simple, simple_form_shape_ok,
     t1_max_tracker, t2_cost_tracker,
 )
 from .typecheck import check_program
-from .values import VArray, format_value, literal_value
+from .values import VArray, decimal_to_int, format_value, literal_value
 from .ast import ArrayT, BOOL, is_int_type, is_string_type
 
 EXIT_OK = 0
@@ -46,7 +47,12 @@ def main(argv=None):
         # argparse exits on its own for bad usage or --help
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed or full stdout fails here, not at exit
+        return code
+    except OSError as e:  # files are read in _read: this is a stdout write
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except CliFailure as e:
         print(e.message, file=sys.stderr)
         return e.code
@@ -138,7 +144,7 @@ def _fuel():
     if not (raw.isascii() and raw.isdigit()):
         raise CliFailure(EXIT_USAGE, "POLYC_FUEL must be a non-negative "
                                      f"decimal integer, got {raw!r}")
-    return int(raw)
+    return decimal_to_int(raw)
 
 
 def _read(path):
@@ -266,10 +272,15 @@ def cmd_check(args):
     return EXIT_OK
 
 
+def _degree(d):
+    """A degree whose clock loops the parser reads back."""
+    if not 1 <= d <= MAX_DEGREE:
+        raise CliFailure(EXIT_USAGE, f"degree must be between 1 and {MAX_DEGREE}")
+    return d
+
+
 def cmd_clock(args):
-    if args.degree < 1:
-        raise CliFailure(EXIT_USAGE, "degree must be at least 1")
-    print(pretty_print(clock_program(args.degree)), end="")
+    print(pretty_print(clock_program(_degree(args.degree))), end="")
     return EXIT_OK
 
 
@@ -281,7 +292,7 @@ def cmd_compile_tm(args):
         print("note: no --degree given; defaulting to 2. A degree below the "
               "machine's polynomial running time truncates the simulation.",
               file=sys.stderr)
-    prog = compile_tm(machine, degree)
+    prog = compile_tm(machine, _degree(degree))
     print(pretty_print(prog), end="")
     return EXIT_OK
 

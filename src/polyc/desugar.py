@@ -14,6 +14,7 @@ from .ast import (
     DeclInit, If, Incr, OpApp, Paren, Var, _node_fields, rebuild,
 )
 from .errors import DesugarError
+from .values import int_to_decimal, literal_value
 
 MAX_SCALAR = 1 << 16
 # nodes with nothing to lower; a tuple is a (type, name) parameter
@@ -87,9 +88,10 @@ def _scalar_mul(e):
         raise DesugarError(
             "general multiplication prohibited: one factor must be a literal",
             e.pos)
-    count = int(m.text, 2) if m.text.startswith("0b") else int(m.text)
+    count = literal_value(m.text)
     if count > MAX_SCALAR:
-        raise DesugarError(f"scalar multiplier {count} too large", e.pos)
+        raise DesugarError(
+            f"scalar multiplier {int_to_decimal(count)} too large", e.pos)
     a = _paren(_lower(a))
     if count == 0:
         return Const("0", pos=e.pos)

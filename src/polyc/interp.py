@@ -1,14 +1,17 @@
-"""Closure-compiling evaluator with an exact cost mode.
+"""Evaluator with an exact cost mode: statements compile to closures,
+expressions to generated Python.
 
-A program is compiled once, at its first run, into Python closures over the
-store and the run state (Feeley and Lapalme, "Using closures for code
-generation", Computer Languages 12(1), 1987): constants are decoded and
-operators looked up while compiling, a left-nested chain of one precedence
-level runs in one loop, and common shapes get closures of their own: `!v`
-and `v op k` read the variable inline, and plain mode does not call an empty
-else.  The code serves plain and cost mode and is cached per Program object,
-keyed on id() with a weak reference.  Annotations the checker or the analysis
-fill in or rewrite in place are read when run.
+A program is compiled once, at its first run, for plain and cost mode, and
+the code is cached per Program object, keyed on id() with a weak reference.
+Statements become closures over the store and the run state (Feeley and
+Lapalme, "Using closures for code generation", Computer Languages 12(1),
+1987); plain mode does not call an empty else.  Each expression becomes one
+generated function g(store, run).  Its source is the expression's shape:
+names, decoded constants and positions are parameters of a factory, and a
+bounded cache keeps one compiled factory per shape.  A scope tracks the
+names bound at each point of the program: a read of one indexes the store,
+any other read checks that it is bound.  Annotations the checker or the
+analysis fill in or rewrite in place are read when run.
 
 Cost mode charges one step per expression node, declaration, function
 definition, assignment, break, continue and block entry; the conditional,
@@ -19,7 +22,8 @@ the slots in one table per program; a run counts `counts[k] += 1` into one
 list per run, then folds count x vector into `rule_counts`.  Ints are sized on
 each bind, arrays when made, passed in or written; no other value is, so `&&`
 and `||` may stop at the operand that decides them when all operands after
-the first are pure, at no change in cost.  Fuel counts statements.
+the first are pure and read bound names, at no change in cost.  Fuel counts
+statements.
 """
 
 import weakref
@@ -52,11 +56,8 @@ class CostReport:
     rule_counts: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "output": format_value(self.output).strip('"'),
-            "ic": self.ic,
-            "max_value_size": self.max_value_size,
-        }
+        return {"output": format_value(self.output).strip('"'), "ic": self.ic,
+                "max_value_size": self.max_value_size}
 
 
 def run_program(prog, args, cost_mode=False, mode="core", fuel=None, watch=None):
@@ -114,7 +115,7 @@ class Interp:
             if self.cost:
                 totals = self.rule_counts
                 for slot, n in zip(table, counts):
-                    for rule, k in (slot.rules or slot.vector()) if n else ():
+                    for rule, k in (slot[0] or _vector(slot)) if n else ():
                         totals[rule] = totals.get(rule, 0) + n * k
                 self.steps = sum(n for r, n in totals.items() if r not in _FREE_RULES)
         if not self.cost:
@@ -124,27 +125,20 @@ class Interp:
                           dict(self.rule_counts))
 
 
-class _Slot:
-    """A statement or return expression: its position and rule vector, one
-    rule per expression node it evaluates plus its own, made at first use."""
-
-    __slots__ = ("pos", "exprs", "own", "rules")
-
-    def __init__(self, pos, exprs, own):
-        self.pos, self.exprs, self.own, self.rules = pos, exprs, own, None
-
-    def vector(self):
-        c = Counter(_RULE.get(n.__class__) for n in walk(self.exprs, Expr))
-        c.update(self.own)
-        c.pop(None, None)  # nodes that cannot run charge nothing
-        self.rules = tuple(c.items())
-        return self.rules
-
-
-def _number(table, pos, exprs, *own):
-    """Add a slot to a slot table; returns its number."""
-    table.append(_Slot(pos, exprs, own))
+def _number(table, exprs, *own):
+    """Add a slot -- a statement's or return expression's rule vector, made at
+    first use, the expressions it evaluates and its own rules; its number."""
+    table.append([None, exprs, own])
     return len(table) - 1
+
+
+def _vector(slot):
+    """One rule per expression node the slot evaluates, plus its own."""
+    c = Counter(_RULE.get(n.__class__) for n in walk(slot[1], Expr))
+    c.update(slot[2])
+    c.pop(None, None)  # nodes that cannot run charge nothing
+    slot[0] = tuple(c.items())
+    return slot[0]
 
 
 _CODE = {}  # id(program) -> (weak reference to it, slot table, code)
@@ -160,7 +154,8 @@ def _program(prog):
         entry = _CODE[key] = (
             weakref.ref(prog, lambda _, key=key: _CODE.pop(key, None)), table,
             _unit(table, prog.body, prog.ret_expr, InternalError,
-                  "the program body", "Prog"))
+                  "the program body", dict.fromkeys(n for _, n in prog.params),
+                  "Prog"))
     return entry[1:]
 
 
@@ -168,124 +163,143 @@ def _fail(message, pos=NO_POS):
     raise InternalError(message, pos)
 
 
-def _unbound(v):
-    return InternalError(f"variable {v.name!r} unbound at runtime", v.pos)
+# -- expressions: generated functions g(store, run) -> value -----------------
+# A shape's factory takes what its source reads as parameters p0, p1, ...
+
+_SHAPES = {}  # (parameter count, source) -> factory, oldest first
+SHAPES_MAX = 4096
+_DEPTH = 48  # the most brackets one shape nests; deeper parts are own shapes
+_CHAIN = 32  # the most operators one shape chains; a longer chain runs _fold
+_INFIX = {"+": " + ", "-": " - ", "==": " == ", "!=": " != ", "<": " < ",
+          "<=": " <= ", ">": " > ", ">=": " >= ", "&&": " & ", "||": " | "}
+_STOP = {"&&": (" and ", False), "||": (" or ", True)}
 
 
-# -- expressions: closures (store, run) -> value ------------------------------
-# _expr also returns the set of variables a pure expression reads, None for
-# any other; a pure one has only variables, constants and known operators.
+def _branch(s, t, sc, *names):
+    """Compile s with `names` bound too, then unbind the names bound since
+    (the last keys of sc, a dict): a branch may not run to its end."""
+    mark = len(sc)
+    for name in names:
+        sc[name] = None
+    code = _stmt(s, t, sc)
+    while len(sc) > mark:
+        sc.popitem()
+    return code
 
 
-def _expr(e):
-    while e.__class__ is Paren:  # a parenthesis costs a step but does no work
-        e = e.inner
+def _expr(e, scope):
+    """Compile expression e to (g, pure); see _emit for pure."""
+    ps = []
+    text, pure = _emit(e, scope, ps, 0)
+    key = (len(ps), text)
+    factory = _SHAPES.get(key)
+    if factory is None:
+        if len(_SHAPES) >= SHAPES_MAX:
+            del _SHAPES[next(iter(_SHAPES))]
+        names = ", ".join([f"p{k}" for k in range(len(ps))])
+        code = compile(f"def factory({names}):\n def g(st, r):\n  return "
+                       f"{text}\n return g", "<polyc expression>", "exec")
+        exec(code, globals(), ns := {})
+        factory = _SHAPES[key] = ns["factory"]
+    return factory(*ps), pure
+
+
+def _emit(e, scope, ps, depth):
+    """Python source of e, which reads parameter k, appended to ps, as p<k>,
+    and whether e is pure: only variables in `scope`, constants and known
+    operators, so evaluating it cannot fail or size a value."""
     cls = e.__class__
     if cls is Var:
-        name = e.name
-
-        def var(st, r):
-            try:
-                return st[name]
-            except KeyError:
-                raise _unbound(e) from None
-        return var, frozenset((name,))
+        k = len(ps)
+        if e.name in scope:
+            ps.append(e.name)
+            return f"st[p{k}]", True
+        ps += e.name, e.pos
+        return f"_load(st, p{k}, p{k + 1})", False
     if cls is Const:
-        k = literal_value(e.text)
-        return (lambda st, r: k), frozenset()
+        ps.append(literal_value(e.text))
+        return f"p{len(ps) - 1}", True
+    if cls is Paren:  # a parenthesis costs a step but does no work
+        return _emit(e.inner, scope, ps, depth)
+    if depth > _DEPTH:
+        g, pure = _expr(e, scope)
+        ps.append(g)
+        return f"p{len(ps) - 1}(st, r)", pure
     if cls is OpApp and len(e.args) == 2:
-        return _binary(e)
+        left, right = e.args
+        pairs = left_chain(e)[1] if left.__class__ is OpApp else ((e, right),)
+        if len(pairs) > _CHAIN:  # each operand is a shape of its own
+            (first, pure), k = _expr(pairs[0][0].args[0], scope), len(ps)
+            steps = [(BINARY.get(n.op) or _unknown(n), *_expr(x, scope))
+                     for n, x in pairs]
+            tail = all(p and n.op in BINARY
+                       for (n, _), (_, _, p) in zip(pairs, steps))
+            ps += first, steps, _STOP[e.op][1] if e.op in _STOP and tail else None
+            return f"_fold(st, r, p{k}, p{k + 1}, p{k + 2})", pure and tail
+        depth += len(pairs)
+        text, pure = _emit(pairs[0][0].args[0], scope, ps, depth)
+        if e.op in _STOP:  # which chains only with itself
+            texts, tail = [text], True
+            for _, right in pairs:
+                text, p = _emit(right, scope, ps, depth)
+                texts.append(text)
+                tail = tail and p
+            # it stops at the operand that decides it when the rest are pure
+            join = _STOP[e.op][0] if tail else _INFIX[e.op]
+            return f"({join.join(texts)})", pure and tail
+        for node, right in pairs:
+            t, p = _emit(right, scope, ps, depth)
+            infix, pure = _INFIX.get(node.op), pure and p and node.op in BINARY
+            if not infix:  # a function: / and % here, or an unknown operator
+                ps.append(BINARY.get(node.op) or _unknown(node))
+            text = f"({text}{infix}{t})" if infix else f"p{len(ps) - 1}({text}, {t})"
+        return text, pure
     if cls is OpApp:
-        (f, reads), fn, v = _expr(e.args[0]), _op(e, UNARY), e.args[0]
-        reads = reads if e.op in UNARY else None
-        if v.__class__ is not Var:
-            return (lambda st, r: fn(f(st, r))), reads
-        name = v.name
-
-        def op_var(st, r):  # !v, -v, size(v)
-            try:
-                return fn(st[name])
-            except KeyError:
-                raise _unbound(v) from None
-        return op_var, reads
+        text, pure = _emit(e.args[0], scope, ps, depth + 1)
+        if e.op == "!" or e.op == "-":
+            return f"({'not ' if e.op == '!' else '-'}{text})", pure
+        ps.append(UNARY.get(e.op) or _unknown(e))
+        return f"p{len(ps) - 1}({text})", pure and e.op in UNARY
     if cls is Index:
-        base, index, pos = _expr(e.base)[0], _expr(e.index)[0], e.pos
-        return (lambda st, r: _index(base(st, r), index(st, r), pos)), None
-    if cls is Call:
-        fname, args, pos = e.fname, [_expr(a)[0] for a in e.args], e.pos
-        return (lambda st, r: _call(st, r, fname, args, pos)), None
+        base, index = [_emit(x, scope, ps, depth + 1)[0] for x in (e.base, e.index)]
+        ps.append(e.pos)
+        return f"_index({base}, {index}, p{len(ps) - 1})", False
+    if cls is Call:  # the callee is looked up before the arguments run
+        k = len(ps)
+        ps += e.fname, e.pos
+        fn = (f"st[p{k}]" if e.fname in scope
+              else f'_load(st, p{k}, p{k + 1}, "function")')
+        args = ", ".join([_emit(a, scope, ps, depth + 2)[0] for a in e.args])
+        return f"_call({fn}, [{args}], p{k}, p{k + 1}, r)", False
     if cls is ArrayCtor:
-        length = _expr(e.length)[0]
-        return (lambda st, r: _new_array(length(st, r), e, r)), None
-    return (lambda st, r: _fail(f"cannot evaluate {e!r}")), None
+        length = _emit(e.length, scope, ps, depth + 1)[0]
+        ps.append(e)
+        return f"_new_array({length}, p{len(ps) - 1}, r)", False
+    ps.append(f"cannot evaluate {e!r}")
+    return f"_fail(p{len(ps) - 1})", False
 
 
-def _op(e, table):
-    """The operator's function; an unknown operator fails once its operands
-    are evaluated."""
-    return table.get(e.op) or (
-        lambda *vals: _fail(f"unknown operator {e.op!r}", e.pos))
+def _fold(st, r, first, steps, decided):
+    """A long chain, left to right; it stops at the value `decided`."""
+    v = first(st, r)
+    for fn, g, _ in steps:
+        if v is decided:
+            break
+        v = fn(v, g(st, r))
+    return v
 
 
-def _binary(e):
-    left, pairs = left_chain(e)
-    if (len(pairs) == 1 and left.__class__ is Var and e.op not in ("&&", "||")
-            and e.args[1].__class__ is Const):  # the common case: v op k
-        fn, k, name = _op(e, BINARY), literal_value(e.args[1].text), left.name
-
-        def var_const(st, r):
-            try:
-                return fn(st[name], k)
-            except KeyError:
-                raise _unbound(left) from None
-        return var_const, frozenset((name,)) if e.op in BINARY else None
-    (first, reads), fns = _expr(left), [_op(node, BINARY) for node, _ in pairs]
-    rest, sets = zip(*[_expr(right) for _, right in pairs])
-    pure = None not in sets and all(node.op in BINARY for node, _ in pairs)
-    tail = frozenset().union(*sets) if pure else None
-    reads = None if reads is None or tail is None else reads | tail
-    if e.op in ("&&", "||") and tail is not None:
-        return _logic(e.op, first, rest, tail), reads
-    if len(rest) > 1:
-        steps = list(zip(fns, rest))
-
-        def chain(st, r):
-            v = first(st, r)
-            for fn, f in steps:
-                v = fn(v, f(st, r))
-            return v
-        return chain, reads
-    fn, right, g = fns[0], pairs[0][1], rest[0]
-    if right.__class__ is Const:  # x op k
-        k = literal_value(right.text)
-        return (lambda st, r: fn(first(st, r), k)), reads
-    return (lambda st, r: fn(first(st, r), g(st, r))), reads
+def _unknown(e):
+    """An operator outside the table: it fails once its operands are run."""
+    return lambda *vals: _fail(f"unknown operator {e.op!r}", e.pos)
 
 
-def _logic(op, first, rest, tail):
-    """&& or || with pure operands after `first`: it stops at the deciding
-    value if their variables, `tail`, are bound, else reads on to the error."""
-    fn, decided, (f1, *more) = BINARY[op], op == "||", rest
-
-    def logic(st, r):
-        v = first(st, r)
-        if v is not decided:
-            v = fn(v, f1(st, r))
-            if v is not decided:
-                for f in more:
-                    v = fn(v, f(st, r))
-                    if v is decided:
-                        break
-                else:
-                    return v
-        for name in tail:
-            if name not in st:
-                break
-        else:
-            return v
-        for f in rest:  # raises on the first unbound variable
-            f(st, r)
-    return logic
+def _load(st, name, pos, kind="variable"):
+    """A read of a name that may be unbound, in an unchecked program."""
+    try:
+        return st[name]
+    except KeyError:
+        raise InternalError(f"{kind} {name!r} unbound at runtime", pos) from None
 
 
 def _index(b, i, pos):
@@ -301,10 +315,7 @@ def _index(b, i, pos):
         f"{kind} index {i} out of range (length {len(items)})", pos)
 
 
-def _call(st, r, fname, args, pos):
-    if fname not in st:
-        _fail(f"function {fname!r} unbound at runtime", pos)
-    fv, vals = st[fname], [a(st, r) for a in args]
+def _call(fv, vals, fname, pos, r):
     if isinstance(fv, Builtin):
         return apply_op(fv.name, vals)
     if not isinstance(fv, Closure):
@@ -325,14 +336,16 @@ def _new_array(n, e, r):
 
 # -- statements: closures (store, run) -> None, "break" or "continue" ---------
 # Each numbers its slot k in the slot table t; when metered, it first spends
-# fuel, if a limit is set, and counts k.
+# fuel, if a limit is set, and counts k.  The scope `sc` gains the names its
+# Decls and FunDefs bind: a block that is run to its end has run them, but
+# a branch, a loop body or a function body may not have.
 
 
-def _stmt(s, t):
+def _stmt(s, t, sc):
     cls = s.__class__
     if cls is Assign and s.lvalue.__class__ is Var:
-        name, expr, pos = s.lvalue.name, _expr(s.expr)[0], s.pos
-        k = _number(t, pos, [s.expr], "Asgmt")
+        name, expr, pos = s.lvalue.name, _expr(s.expr, sc)[0], s.pos
+        k, check = _number(t, [s.expr], "Asgmt"), name not in sc
 
         def assign(st, r):
             if r.metered:
@@ -340,7 +353,7 @@ def _stmt(s, t):
                     r.spend()
                 r.counts[k] += 1
             v = expr(st, r)
-            if name not in st:
+            if check and name not in st:
                 _fail(f"assignment to unbound variable {name!r}", pos)
             st[name] = v
             if r.cost and (v.__class__ is not int or v.bit_length() > r.max_size):
@@ -351,14 +364,14 @@ def _stmt(s, t):
         while node.__class__ is Index:
             chain.insert(0, node.index)
             node = node.base
-        base, expr = _expr(node)[0], _expr(s.expr)[0]
-        idxs = [_expr(i)[0] for i in chain]
-        return _simple(_number(t, s.pos, [node, *chain, s.expr], "Asgmt"),
+        base, expr = _expr(node, sc)[0], _expr(s.expr, sc)[0]
+        idxs = [_expr(i, sc)[0] for i in chain]
+        return _simple(_number(t, [node, *chain, s.expr], "Asgmt"),
                        lambda st, r: _write_cell(r, base(st, r), [
                            f(st, r) for f in idxs], expr(st, r), s.pos))
     if cls is If:
-        k = _number(t, s.pos, [s.cond], "Cond")
-        cond, then, els = _expr(s.cond)[0], _stmt(s.then, t), _stmt(s.els, t)
+        k, cond = _number(t, [s.cond], "Cond"), _expr(s.cond, sc)[0]
+        then, els = _branch(s.then, t, sc), _branch(s.els, t, sc)
         # plain mode does not call an empty else; metered, it counts its slot
         skip = s.els.__class__ is Block and not s.els.stmts
 
@@ -374,8 +387,8 @@ def _stmt(s, t):
                 return els(st, r)
         return if_
     if cls is Block:
-        k = _number(t, s.pos, [], "Block", *(() if s.stmts else ("EmptyBlock",)))
-        fns = [_stmt(x, t) for x in s.stmts]
+        k = _number(t, [], "Block", *(() if s.stmts else ("EmptyBlock",)))
+        fns = [_stmt(x, t, sc) for x in s.stmts]
 
         def block(st, r):
             if r.metered:
@@ -388,11 +401,12 @@ def _stmt(s, t):
                     return sig
         return block
     if cls is For:
-        k = _number(t, s.pos, [s.bound], "Loop")
-        bound, body = _expr(s.bound)[0], _stmt(s.body, t)
+        k, bound = _number(t, [s.bound], "Loop"), _expr(s.bound, sc)[0]
+        body = _branch(s.body, t, sc, s.counter)
         return _simple(k, lambda st, r: _loop(st, r, bound(st, r), body, s))
     if cls is Decl:  # a fresh default each time: no array is shared
-        k, name, annot = _number(t, s.pos, [], "Decl"), s.name, s.annot
+        k, name, annot = _number(t, [], "Decl"), s.name, s.annot
+        sc[name] = None
 
         def decl(st, r):
             if r.metered:
@@ -404,16 +418,16 @@ def _stmt(s, t):
                 r.track(v)
         return decl
     if cls is FunDef:
-        k = _number(t, s.pos, [], "Fun")
-        code = _function(s, t)
+        k, code = _number(t, [], "Fun"), _function(s, t, sc)
+        sc[s.name] = None
         return _simple(k, lambda st, r: st.__setitem__(
             s.name, Closure(dict(st), s.name, code)))
     if cls is CallStmt:
-        return _simple(_number(t, s.pos, [s.call]), _expr(s.call)[0])
+        return _simple(_number(t, [s.call]), _expr(s.call, sc)[0])
     if cls is Break or cls is Continue:
-        return _simple(_number(t, s.pos, [], cls.__name__), lambda st, r: None,
+        return _simple(_number(t, [], cls.__name__), lambda st, r: None,
                        "break" if cls is Break else "continue")
-    return _simple(_number(t, s.pos, []), lambda st, r: _fail(
+    return _simple(_number(t, []), lambda st, r: _fail(
         f"cannot execute {s!r} (desugar first)"))
 
 
@@ -459,11 +473,12 @@ def _loop(st, r, n, body, s):
         r.track(j)  # the counter only grows: its last value is the largest
 
 
-def _function(f, t):
-    """Compile FunDef f to code(closure value, arguments, run)."""
+def _function(f, t, sc):
+    """Compile FunDef f to code(closure value, arguments, run); like its store,
+    its scope copies the one where it is defined and adds its parameters."""
     names = [n for _, n in f.params]
     main = _unit(t, f.body, f.ret_expr, PolyRuntimeError,
-                 f"the body of function {f.name!r}")
+                 f"the body of function {f.name!r}", dict.fromkeys([*sc, *names]))
 
     def invoke(fv, vals, r):
         st = dict(fv.def_store)
@@ -475,10 +490,11 @@ def _function(f, t):
     return invoke
 
 
-def _unit(t, body, ret_expr, error, where, *own):
+def _unit(t, body, ret_expr, error, where, sc, *own):
     """Compile a body and return expression to main(store, run) -> value."""
-    stmts, ret = [(_stmt(x, t), x.pos) for x in body], _expr(ret_expr)[0]
-    k = _number(t, ret_expr.pos, [ret_expr], *own)
+    stmts = [(_stmt(x, t, sc), x.pos) for x in body]
+    ret = _expr(ret_expr, sc)[0]
+    k = _number(t, [ret_expr], *own)
 
     def main(st, r):
         for fn, pos in stmts:

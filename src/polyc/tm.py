@@ -16,6 +16,7 @@ from .ast import (
     BOOL, IINT, INT,
 )
 from .errors import PolycError
+from .parser import MAX_NESTING
 
 BLANK = "B"
 SYMBOLS = ("0", "1", BLANK)
@@ -23,6 +24,9 @@ MOVES = ("L", "R")
 
 # ternary digit for each tape symbol
 DIGIT = {"0": 0, "1": 1, BLANK: 2}
+# the largest degree whose program the parser reads back: its d + 1 nested
+# loops take two levels each (a branch and its block), `o=o+o` two more
+MAX_DEGREE = MAX_NESTING // 2 - 2
 
 
 class TmError(PolycError):
@@ -175,13 +179,13 @@ def decode_output(x):
 def clock_program(d):
     """Program of size O(d log d) whose output on input v has bit-size
     exactly d*size(v)^d: nested loops doubling an accumulator."""
-    if d < 1:
-        raise ValueError("clock degree must be at least 1")
     prog_body, ret = _clock_stmts(d, input_var="x")
     return Program([(INT, "x")], prog_body, ret)
 
 
 def _clock_stmts(d, input_var, z="z", o="o", counter_base="i"):
+    if not 1 <= d <= MAX_DEGREE:
+        raise ValueError(f"clock degree must be between 1 and {MAX_DEGREE}")
     body = [
         Decl(IINT, z),
         Assign(Var(z), Var(input_var)),
@@ -204,8 +208,6 @@ def compile_tm(machine, d):
     reached the remaining iterations perform no operations.
     """
     machine.validate()
-    if d < 1:
-        raise ValueError("clock degree must be at least 1")
     body, clock_ret = _clock_stmts(d, input_var="x")
     body.insert(0, Assign(Var("y"), Const("2")))
     body.insert(0, Decl(INT, "y"))

@@ -63,15 +63,37 @@ def default_value(annot):
 
 
 def literal_value(text):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
+    if text.isdigit():  # the lexer's decimal literals are ASCII digits
+        return int(text) if len(text) <= _DIGITS else decimal_to_int(text)
+    if text == "true" or text == "false":
+        return text == "true"
     if text.startswith('"'):
         return text[1:-1]
-    if text.startswith("0b"):
-        return int(text[2:], 2)
-    return int(text)
+    return int(text[2:], 2) if text.startswith("0b") else int(text)
+
+
+# int() and str() refuse more decimal digits than a process-wide limit (640
+# at the least), so the codec converts parts of at most _DIGITS digits.
+_DIGITS = 600
+
+
+def decimal_to_int(digits):
+    """The value of a string of ASCII decimal digits, of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return decimal_to_int(digits[:-k]) * 10 ** k + decimal_to_int(digits[-k:])
+
+
+def int_to_decimal(v):
+    """The decimal text of int v, of any size."""
+    if v < 0:
+        return "-" + int_to_decimal(-v)
+    if v.bit_length() <= 1900:  # at most 572 digits
+        return str(v)
+    k = v.bit_length() // 7  # about half the digits
+    high, low = divmod(v, 10 ** k)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(k)
 
 
 def size_of_value(v):
@@ -107,7 +129,7 @@ def format_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        return int_to_decimal(v)
     if isinstance(v, str):
         return f'"{v}"'
     if isinstance(v, VArray):

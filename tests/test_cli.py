@@ -1,4 +1,7 @@
+import decimal
+import errno
 import functools
+import io
 import json
 import os
 import pathlib
@@ -14,6 +17,7 @@ from polyc import cli
 from polyc.cli import build_parser, main
 from polyc.errors import ParseError
 from polyc.parser import MAX_NESTING
+from polyc.tm import MAX_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +168,25 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", corpus("fastmul.pc"), "6", "7")
         assert (code, out) == (3, "") and "POLYC_FUEL" in err
 
+    def test_large_decimal_argument_and_fuel(self, capsys, monkeypatch):
+        digits = "9" * 20000
+        monkeypatch.setenv("POLYC_FUEL", digits)
+        assert run_cli(capsys, "run", corpus("identity.pc"), digits) == (
+            0, digits + "\n", "")
+
+    @pytest.mark.parametrize("error", [
+        BrokenPipeError(errno.EPIPE, "Broken pipe"),
+        OSError(errno.ENOSPC, "No space left on device"),
+    ], ids=["closed", "full"])
+    def test_unwritable_stdout_exits_3(self, capsys, monkeypatch, error):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise error
+        monkeypatch.setattr(sys, "stdout", Unwritable())
+        code = main(["check", corpus("fastmul.pc")])
+        assert (code, capsys.readouterr().err) == (
+            3, f"error: cannot write output: {error}\n")
+
     def test_python_dash_m(self):
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(
@@ -285,8 +308,33 @@ class TestCodegen:
         assert run_program(prog, [2]).output == 128
 
     def test_clock_bad_degree(self, capsys):
-        code, _, _ = run_cli(capsys, "clock", "0")
-        assert code == 3
+        for degree in (-5, 0, MAX_DEGREE + 1, 1000):
+            for argv in (["clock", degree],
+                         ["compile-tm", corpus("bitflip.tm"), "--degree", degree]):
+                assert run_cli(capsys, *argv) == (
+                    3, "", f"degree must be between 1 and {MAX_DEGREE}\n")
+
+    def test_every_accepted_degree_reads_back(self, capsys, tmp_path):
+        f = tmp_path / "clock.pc"
+        for degree in range(1, MAX_DEGREE + 1):
+            code, out, _ = run_cli(capsys, "clock", degree)
+            f.write_text(out)
+            assert (code, run_cli(capsys, "check", f)) == (
+                0, (0, "well-typed: int\n", ""))
+        code, out, _ = run_cli(capsys, "compile-tm", corpus("bitflip.tm"),
+                               "--degree", MAX_DEGREE)
+        f.write_text(out)
+        assert (code, run_cli(capsys, "check", f)) == (
+            0, (0, "well-typed: int\n", ""))
+
+    def test_large_output_prints_in_decimal(self, capsys, tmp_path):
+        # 2^29281: more digits than Python's default int-to-str limit
+        f = tmp_path / "clock.pc"
+        f.write_text(run_cli(capsys, "clock", 2)[1])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 10000
+            want = str(decimal.Decimal(2) ** (2 * 121 ** 2 - 1))
+        assert run_cli(capsys, "run", f, 2 ** 120) == (0, want + "\n", "")
 
     def test_compile_tm(self, capsys):
         code, out, err = run_cli(capsys, "compile-tm", corpus("bitflip.tm"))
@@ -395,6 +443,9 @@ class TestExitCodeTotality:
         capsys.readouterr()
 
 
+# the levels of `-(`, `!(` or `x-(` one assignment holds: two nesting levels
+# each, and one for the assigned expression
+LEVELS = (MAX_NESTING - 1) // 2
 # shapes that desugar or a long sum make deep, with output and ic at x = 2
 DEEP = {
     "65536x": ("o=65536*x;", 131072, 131074),
@@ -405,6 +456,13 @@ DEEP = {
         "-x" if k % 2 else "+x" for k in range(2999)) + ";", 4, 6002),
     "divmod3000": ("o=x" + "".join(
         "%9" if k % 2 else "/1" for k in range(2999)) + ";", 2, 6002),
+    # nests to the parser's limit: each level is an operator and a parenthesis
+    "neg-nest": ("o=" + "-(" * LEVELS + "x" + ")" * LEVELS + ";", -2, 262),
+    "not-nest": ("bool b; b=" + "!(" * LEVELS + "x>0" + ")" * LEVELS
+                 + "; if(b){o=1;}else{o=2;}", 2, 269),
+    "sub-nest": ("o=" + "x-(" * LEVELS + "x" + ")" * LEVELS + ";", 0, 391),
+    "and20000": ("bool b; b=x>0; b=" + "&&".join(["b"] * 20000)
+                 + "; if(b){o=1;}else{o=2;}", 1, 40011),
 }
 DEEP_COMMANDS = [["check"], ["run"], ["run", "--cost"], ["cost", "--json"],
                  ["analyze"], ["transform", "t1"], ["transform", "t2"],
@@ -423,6 +481,14 @@ class TestDeepShapes:
             paths[shape] = root / f"{shape}.pc"
             paths[shape].write_text(f"int main(int x){{int o; {stmt} return o;}}")
         return paths
+
+    def test_nests_reach_the_parser_limit(self):
+        for shape, level in (("neg-nest", "-("), ("not-nest", "!("),
+                             ("sub-nest", "x-(")):
+            stmt = DEEP[shape][0].replace(level, 2 * level, 1).replace(
+                ")", "))", 1)
+            with pytest.raises(ParseError, match="nests too deeply"):
+                parse_source(f"int main(int x){{int o; {stmt} return o;}}")
 
     @pytest.mark.parametrize("command", DEEP_COMMANDS, ids=" ".join)
     @pytest.mark.parametrize("shape", DEEP)

@@ -14,6 +14,7 @@ from polyc.ast import (
     ArrayT, Arrow, Assign, Block, BOOL, Break, Call, Const, Decl, For, IINT,
     If, INT, ISTRING, OpApp, Paren, Pos, Program, STRING, Var,
 )
+from polyc import interp
 from polyc.errors import (
     ArgumentError, FuelExhausted, InternalError, PolyRuntimeError,
 )
@@ -24,7 +25,8 @@ from polyc.parser import Parser
 from polyc.printer import expr_str
 from polyc.typecheck import op_signature
 from polyc.values import (
-    Builtin, Closure, VArray, default_value, literal_value, size_of_value,
+    Builtin, Closure, VArray, decimal_to_int, default_value, int_to_decimal,
+    literal_value, size_of_value,
 )
 
 
@@ -37,6 +39,22 @@ class TestValues:
         assert literal_value("514") == 514
         assert literal_value("0b11111") == 31
         assert literal_value("true") is True
+
+    def test_decimal_codec_matches_int_and_str(self):
+        rng = random.Random(11)
+        values = [0, 1, 9, 10, 10 ** 571, 10 ** 572 - 1, 2 ** 1900, 2 ** 1901,
+                  *(rng.getrandbits(rng.randrange(1, 14000)) for _ in range(200))]
+        for v in values:  # all under Python's default limit of 4300 digits
+            assert int_to_decimal(v) == str(v)
+            assert int_to_decimal(-v) == str(-v)
+            assert decimal_to_int(str(v)) == v == literal_value(str(v))
+            assert decimal_to_int("0" * 700 + str(v)) == v
+
+    def test_decimal_codec_past_the_limit(self):
+        text = "1" + "0" * 20000
+        assert decimal_to_int(text) == 10 ** 20000
+        assert int_to_decimal(10 ** 20000 - 1) == "9" * 20000
+        assert int_to_decimal(decimal_to_int(text[:-1] + "7")) == text[:-1] + "7"
 
     def test_default_value(self):
         assert default_value(IINT) == 0
@@ -602,6 +620,54 @@ class TestShortCircuit:
                     as exc:
                 run_program(prog, [1], cost_mode=cost)
             assert exc.value.pos == Pos(2, 7)
+
+
+class TestGeneratedExpressions:
+    """Each expression runs as one generated function; a bounded cache keeps
+    one compiled factory per shape, with names and constants as parameters."""
+
+    SRC = ("int main(int {x}){{int {o}; {o}={x}+{k}; if({o}>{k}&&{x}!=1)"
+           "{{{o}={o}-{k};}}else{{}} return {o}*2;}}")
+
+    def test_names_and_constants_add_no_shapes(self, monkeypatch):
+        monkeypatch.setattr(interp, "_SHAPES", {})
+        first = compile_src(self.SRC.format(x="x", o="o", k="3"))
+        assert run_program(first, [5]).output == 10
+        shapes = list(interp._SHAPES)
+        second = compile_src(self.SRC.format(x="n", o="acc", k="40"))
+        assert run_program(second, [1]).output == 82
+        assert list(interp._SHAPES) == shapes
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(interp, "_SHAPES", {})
+        monkeypatch.setattr(interp, "SHAPES_MAX", 4)
+        # x, x+x, x+x+x, ... each a shape of its own; the first ones come
+        # back after they were evicted
+        for n in [*range(1, 13), 1, 2]:
+            prog = compile_src(f"int main(int x){{return {'+'.join('x' * n)};}}")
+            assert run_program(prog, [3]).output == 3 * n
+            assert len(interp._SHAPES) <= 4
+
+    @pytest.mark.parametrize("src,mode,args,message,pos", [
+        ("int main(int x){int o; o=x*2+(x-y); return o;}", "core", [1],
+         "variable 'y' unbound at runtime", Pos(1, 33)),
+        ("// mode: extended\nint main(array<int> a){int o; o=a[1+y]; return o;}",
+         "extended", [VArray([1, 2], INT)],
+         "variable 'y' unbound at runtime", Pos(2, 37)),
+        ("// mode: extended\nint main(int x){int f(int a){return a;} int o; "
+         "o=f(x+y); return o;}", "extended", [1],
+         "variable 'y' unbound at runtime", Pos(2, 54)),
+        ("// mode: extended\nint main(int x){int o; o=g(x+y); return o;}",
+         "extended", [1], "function 'g' unbound at runtime", Pos(2, 26)),
+    ], ids=["arithmetic", "index", "argument", "callee"])
+    def test_unbound_name_fails_where_it_is_read(self, src, mode, args,
+                                                 message, pos):
+        # only an unchecked program can read an unbound name
+        for cost in (False, True):
+            with pytest.raises(InternalError) as exc:
+                run_program(compile_src(src, mode), args, cost_mode=cost,
+                            mode=mode)
+            assert (exc.value.message, exc.value.pos) == (message, pos)
 
 
 # -- the operator table: one case per row ------------------------------------
