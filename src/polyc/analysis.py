@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .ast import Decl, FunDef, Program, IINT, INT, clone, is_int_type, walk_stmts
 from .errors import PolycError
-from .typecheck import check_program, decl_site, param_site
+from .typecheck import SIZE_MISMATCH, check_program, decl_site, param_site
 
 DEMOTING_KINDS = ("iterable-assignment-in-loop", "iterable-decl-in-loop",
                   "param-subtype-violation")
@@ -137,7 +137,8 @@ def poly_check(prog, mode="core"):
 
 
 def _is_size_mismatch(diag):
-    return diag.kind == "operand-type-mismatch" and "size" in diag.message
+    return (diag.kind == "operand-type-mismatch"
+            and diag.message.startswith(SIZE_MISMATCH))
 
 
 def erase_annotations(prog):

@@ -37,8 +37,8 @@ from .ast import (
 from .errors import ArgumentError, FuelExhausted, InternalError, PolyRuntimeError
 from .ops import BINARY, BUILTIN_NAMES, UNARY, apply_op
 from .values import (
-    Builtin, Closure, VArray, default_value, format_value, literal_value,
-    size_of_value, value_consistent,
+    Builtin, Closure, VArray, default_value, format_value, int_to_decimal,
+    literal_value, size_of_value, value_consistent,
 )
 
 # the rule each expression node charges, one step each
@@ -312,7 +312,7 @@ def _index(b, i, pos):
     if 0 <= i < len(items):
         return items[i]
     raise PolyRuntimeError(
-        f"{kind} index {i} out of range (length {len(items)})", pos)
+        f"{kind} index {int_to_decimal(i)} out of range (length {len(items)})", pos)
 
 
 def _call(fv, vals, fname, pos, r):
@@ -327,7 +327,7 @@ def _new_array(n, e, r):
     if e.elem is None:  # the checker fills it in place, maybe after compiling
         _fail("array constructor was not type-checked", e.pos)
     if n < 0:
-        raise PolyRuntimeError(f"array length {n} is negative", e.pos)
+        raise PolyRuntimeError(f"array length {int_to_decimal(n)} is negative", e.pos)
     a = VArray([default_value(e.elem) for _ in range(n)], e.elem)
     if n and r.cost:  # measured once, here: every cell holds the default
         r.track(a.items[0])
@@ -448,7 +448,7 @@ def _write_cell(r, target, idxs, v, pos):
         if not isinstance(target, VArray):
             _fail("index assignment into non-array", pos)
         if not 0 <= idx < len(target.items):
-            raise PolyRuntimeError(f"array index {idx} out of range "
+            raise PolyRuntimeError(f"array index {int_to_decimal(idx)} out of range "
                                    f"(length {len(target.items)})", pos)
         if left:
             target = target.items[idx]

@@ -179,25 +179,26 @@ def decode_output(x):
 def clock_program(d):
     """Program of size O(d log d) whose output on input v has bit-size
     exactly d*size(v)^d: nested loops doubling an accumulator."""
-    prog_body, ret = _clock_stmts(d, input_var="x")
+    prog_body, ret = _clock_stmts(d)
     return Program([(INT, "x")], prog_body, ret)
 
 
-def _clock_stmts(d, input_var, z="z", o="o", counter_base="i"):
+def _clock_stmts(d):
+    """The clock's statements over input x, and o/2, its output."""
     if not 1 <= d <= MAX_DEGREE:
         raise ValueError(f"clock degree must be between 1 and {MAX_DEGREE}")
     body = [
-        Decl(IINT, z),
-        Assign(Var(z), Var(input_var)),
-        Decl(INT, o),
-        Assign(Var(o), Const("1")),
+        Decl(IINT, "z"),
+        Assign(Var("z"), Var("x")),
+        Decl(INT, "o"),
+        Assign(Var("o"), Const("1")),
     ]
-    inner = Block([Assign(Var(o), OpApp("+", [Var(o), Var(o)]))])
+    inner = Block([Assign(Var("o"), OpApp("+", [Var("o"), Var("o")]))])
     loop = For("k", Const(str(d)), inner)
     for level in range(d, 0, -1):
-        loop = For(f"{counter_base}{level}", OpApp("size", [Var(z)]), Block([loop]))
+        loop = For(f"i{level}", OpApp("size", [Var("z")]), Block([loop]))
     body.append(loop)
-    return body, OpApp("/", [Var(o), Const("2")])
+    return body, OpApp("/", [Var("o"), Const("2")])
 
 
 def compile_tm(machine, d):
@@ -208,7 +209,7 @@ def compile_tm(machine, d):
     reached the remaining iterations perform no operations.
     """
     machine.validate()
-    body, clock_ret = _clock_stmts(d, input_var="x")
+    body, clock_ret = _clock_stmts(d)
     body.insert(0, Assign(Var("y"), Const("2")))
     body.insert(0, Decl(INT, "y"))
     body.insert(2, Decl(INT, "q"))

@@ -34,6 +34,7 @@ def counter_site(node):
 
 
 BUILTINS = {name: Builtin(name) for name in BUILTIN_NAMES}
+SIZE_MISMATCH = "size needs an iterable operand"  # Checker.op_type's message prefix
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class Checker:
         if res is None:
             shown = ",".join(str(t) for t in argts)
             if e.op == "size":
-                msg = f"size needs an iterable operand, got {shown}"
+                msg = f"{SIZE_MISMATCH}, got {shown}"
             else:
                 msg = f"operator {e.op!r} not defined on ({shown})"
             self.diag("operand-type-mismatch", msg, e.pos,
@@ -274,9 +275,7 @@ class Checker:
 
     def index(self, env, l, e):
         base = self.expr(env, l, e.base)
-        idx = self.expr(env, l, e.index)
-        if idx is not None and not is_int_type(idx):
-            self.diag("operand-type-mismatch", "index must be an integer", e.pos)
+        if not self.int_index(env, l, e):
             return None
         if base is None:
             return None
@@ -286,6 +285,14 @@ class Checker:
             return STRING
         self.diag("operand-type-mismatch", f"cannot index into {base}", e.pos)
         return None
+
+    def int_index(self, env, l, e):
+        """Type the index of Index node e; False after reporting a non-int."""
+        t = self.expr(env, l, e.index)
+        if t is not None and not is_int_type(t):
+            self.diag("operand-type-mismatch", "index must be an integer", e.pos)
+            return False
+        return True
 
     def _var_names(self, e):
         return tuple(sorted({sub.name for sub in walk_exprs(e) if isinstance(sub, Var)}))
@@ -337,85 +344,47 @@ class Checker:
         return env.update(s.name, s.annot, site=decl_site(s))
 
     def assign(self, env, l, s):
-        rhs_t = None
-        lv = s.lvalue
-        if isinstance(lv, Var):
-            t = env.lookup(lv.name)
-            if t is None:
-                self.diag("unbound-variable",
-                          f"assignment to undeclared variable {lv.name!r}", s.pos,
-                          names=(lv.name,))
+        """Asg for `x[i]...[j] = e` with n >= 0 indexes, typed outermost first:
+        judged on x's own type, then e against x's type less n element types."""
+        base, n = s.lvalue, 0
+        while isinstance(base, Index):
+            self.int_index(env, l, base)
+            base, n = base.base, n + 1
+        if not isinstance(base, Var):
+            self.diag("operand-type-mismatch", "assignment target must be a variable or "
+                      "an index chain" + (" over a variable" if n else ""), s.pos)
+            return env
+        name = base.name
+        t = env.lookup(name)
+        if t is None:
+            self.diag("unbound-variable", f"assignment to undeclared variable {name!r}",
+                      s.pos, names=(name,))
+            if not n:
                 self.rhs_type(env, l, s.expr, None)
-                return env
-            if isinstance(t, (Arrow, Builtin)):
-                self.diag("operand-type-mismatch",
-                          f"cannot assign to function {lv.name!r}", s.pos,
-                          names=(lv.name,))
-                return env
-            if not asg_predicate(l, t):
-                self.diag("iterable-assignment-in-loop",
-                          f"cannot assign to iterable variable {lv.name!r} inside "
-                          "a loop or function body", s.pos, names=(lv.name,),
-                          sites=(env.site(lv.name),))
-            rhs_t = self.rhs_type(env, l, s.expr, t)
-            if rhs_t is not None and not type_equiv(t, rhs_t):
-                self.diag("operand-type-mismatch",
-                          f"cannot assign {rhs_t} to {lv.name!r} of type {t}",
-                          s.pos, names=(lv.name,))
             return env
-        if isinstance(lv, Index):
-            base = lv
-            while isinstance(base, Index):
-                idx_t = self.expr(env, l, base.index)
-                if idx_t is not None and not is_int_type(idx_t):
-                    self.diag("operand-type-mismatch",
-                              "index must be an integer", base.pos)
-                base = base.base
-            if not isinstance(base, Var):
-                self.diag("operand-type-mismatch",
-                          "assignment target must be a variable or an index "
-                          "chain over a variable", s.pos)
-                return env
-            var_t = env.lookup(base.name)
-            if var_t is None:
-                self.diag("unbound-variable",
-                          f"assignment to undeclared variable {base.name!r}",
-                          s.pos, names=(base.name,))
-                return env
-            # Asg is judged on the variable's own (non-iterable) type.
-            if not asg_predicate(l, var_t):
-                self.diag("iterable-assignment-in-loop",
-                          f"cannot assign to iterable variable {base.name!r} "
-                          "inside a loop or function body", s.pos,
-                          names=(base.name,), sites=(env.site(base.name),))
-            elem_t = var_t
-            node = s.lvalue
-            chain = []
-            while isinstance(node, Index):
-                chain.append(node)
-                node = node.base
-            for _ in reversed(chain):
-                if isinstance(elem_t, ArrayT):
-                    elem_t = elem_t.elem
-                elif is_string_type(elem_t):
-                    self.diag("operand-type-mismatch",
-                              "strings are immutable, cannot assign to an index",
-                              s.pos, names=(base.name,))
-                    return env
-                else:
-                    self.diag("operand-type-mismatch",
-                              f"cannot index into {elem_t}", s.pos,
-                              names=(base.name,))
-                    return env
-            rhs_t = self.rhs_type(env, l, s.expr, elem_t)
-            if rhs_t is not None and not type_equiv(elem_t, rhs_t):
-                self.diag("operand-type-mismatch",
-                          f"cannot assign {rhs_t} to element of type {elem_t}",
-                          s.pos, names=(base.name,))
+        if not n and isinstance(t, (Arrow, Builtin)):
+            self.diag("operand-type-mismatch",
+                      f"cannot assign to function {name!r}", s.pos, names=(name,))
             return env
-        self.diag("operand-type-mismatch",
-                  "assignment target must be a variable or an index chain",
-                  s.pos)
+        if not asg_predicate(l, t):
+            self.diag("iterable-assignment-in-loop",
+                      f"cannot assign to iterable variable {name!r} inside a "
+                      "loop or function body", s.pos, names=(name,),
+                      sites=(env.site(name),))
+        while n:  # peel one element type per index
+            if not isinstance(t, ArrayT):
+                self.diag("operand-type-mismatch",
+                          "strings are immutable, cannot assign to an index"
+                          if is_string_type(t) else f"cannot index into {t}",
+                          s.pos, names=(name,))
+                return env
+            t, n = t.elem, n - 1
+        rhs_t = self.rhs_type(env, l, s.expr, t)
+        if rhs_t is not None and not type_equiv(t, rhs_t):
+            target = repr(name) if base is s.lvalue else "element"
+            self.diag("operand-type-mismatch",
+                      f"cannot assign {rhs_t} to {target} of type {t}", s.pos,
+                      names=(name,))
         return env
 
     def rhs_type(self, env, l, rhs, target_t):
@@ -467,19 +436,8 @@ class Checker:
             # builtins are ambient and may be shadowed by a user definition
             self.diag("redeclaration", f"function name {s.name!r} already bound",
                       s.pos, names=(s.name,))
-        seen = set()
-        inner = env
-        for i, (t, n) in enumerate(s.params):
-            if n in seen:
-                self.diag("redeclaration",
-                          f"duplicate parameter {n!r} in function {s.name!r}",
-                          s.pos, names=(n,))
-            seen.add(n)
-            inner = inner.update(n, t, site=param_site(s.name, i, s))
         self.fn_stack.append(s.name)
-        for st in s.body:
-            inner = self.stmt(inner, True, st)
-        rt = self.expr(inner, True, s.ret_expr)
+        rt = self.unit(env, True, s.name, s)
         self.fn_stack.pop()
         if rt is not None and not type_equiv(rt, s.ret):
             self.diag("bad-return-type",
@@ -488,24 +446,28 @@ class Checker:
         arrow = Arrow(tuple(t for t, _ in s.params), s.ret)
         return env.update(s.name, arrow, site=decl_site(s))
 
+    def unit(self, env, l, owner, u):
+        """Bind the parameters of u, the Program (l False) or a FunDef (l
+        True), check its body and return the type of its return expression."""
+        seen = set()
+        for i, (t, n) in enumerate(u.params):
+            if n in seen:
+                self.diag("redeclaration", f"duplicate parameter {n!r}"
+                          + (f" in function {owner!r}" if l else ""), u.pos, names=(n,))
+            seen.add(n)
+            if not l and self.mode == "core" and t is not INT:
+                self.diag("operand-type-mismatch",
+                          "main parameters must be int in core mode", u.pos,
+                          names=(n,))
+            env = env.update(n, t, site=param_site(owner, i, u))
+        for s in u.body:
+            env = self.stmt(env, l, s)
+        return self.expr(env, l, u.ret_expr)
+
     # -- programs -----------------------------------------------------------
 
     def program(self, prog):
-        env = initial_env(self.mode)
-        seen = set()
-        for i, (t, n) in enumerate(prog.params):
-            if n in seen:
-                self.diag("redeclaration", f"duplicate parameter {n!r}", prog.pos,
-                          names=(n,))
-            seen.add(n)
-            if self.mode == "core" and t is not INT:
-                self.diag("operand-type-mismatch",
-                          "main parameters must be int in core mode", prog.pos,
-                          names=(n,))
-            env = env.update(n, t, site=param_site("main", i, prog))
-        for s in prog.body:
-            env = self.stmt(env, False, s)
-        rt = self.expr(env, False, prog.ret_expr)
+        rt = self.unit(initial_env(self.mode), False, "main", prog)
         if rt is not None and not is_int_type(rt):
             self.diag("bad-return-type",
                       f"program must return an integer, got {rt}",

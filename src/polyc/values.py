@@ -64,7 +64,7 @@ def default_value(annot):
 
 def literal_value(text):
     if text.isdigit():  # the lexer's decimal literals are ASCII digits
-        return int(text) if len(text) <= _DIGITS else decimal_to_int(text)
+        return decimal_to_int(text)
     if text == "true" or text == "false":
         return text == "true"
     if text.startswith('"'):

@@ -122,6 +122,21 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", f, "1")
         assert code == 2 and "out of range" in err
 
+    @pytest.mark.parametrize("stmt, text", [
+        ("o=a[N];", "array index N out of range (length 2)"),
+        ("a[N]=1;", "array index N out of range (length 2)"),
+        ("a=array(0-N);", "array length -N is negative"),
+    ])
+    def test_runtime_error_prints_huge_ints(self, capsys, tmp_path, stmt,
+                                            text):
+        nines = "9" * 5000  # past Python's int/str digit limit
+        f = tmp_path / "huge.pc"
+        f.write_text("// mode: extended\nint main(){array<int> a; a=array(2); "
+                     "int o; " + stmt.replace("N", nines) + " return o;}\n")
+        code, _, err = run_cli(capsys, "run", f)
+        assert code == 2 and "internal error" not in err
+        assert "runtime error: " + text.replace("N", nines) in err
+
     def test_fuel_env(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYC_FUEL", "30")
         code, _, err = run_cli(capsys, "run", corpus("fastmul.pc"),
@@ -392,6 +407,16 @@ class TestAnalyze:
     def test_unknown(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", corpus("badmul.pc"))
         assert code == 0 and out.strip() == "unknown"
+
+    def test_ill_typed_beyond_iterability(self, capsys, tmp_path):
+        # a variable whose name contains "size" is no size() operand error
+        for name in ["mysize", "mysiz"]:
+            f = tmp_path / f"{name}.pc"
+            f.write_text(f"int main(int x){{int {name}; {name}=x<1; return 0;}}")
+            code, out, err = run_cli(capsys, "analyze", f)
+            assert (code, out) == (3, "")
+            assert "program is ill-typed for reasons unrelated to " \
+                "iterability" in err
 
     @pytest.mark.parametrize("shape,depth", [("parentheses", 250),
                                              ("ifs", 128)])

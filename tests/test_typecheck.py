@@ -5,7 +5,10 @@ import pytest
 from conftest import compile_src, load
 
 from polyc import check_program
-from polyc.ast import BOOL, IINT, INT, ISTRING, STRING
+from polyc.ast import (
+    ArrayT, Assign, Const, Decl, Index, Paren, Pos, Program, Var,
+    BOOL, IINT, INT, ISTRING, STRING,
+)
 from polyc.typecheck import (
     TypingEnv, asg_predicate, const_type, initial_env, op_signature, sup_type,
     type_equiv,
@@ -333,6 +336,159 @@ class TestExtendedJudgments:
         env = initial_env("extended")
         assert "min" in env and "max" in env and "concat" in env
         assert "min" not in initial_env("core")
+
+
+_F = "int f(int a){return a;} "
+_OWN = "cannot assign to iterable variable {!r} inside a loop or function body"
+_CTOR = ("array constructor is only allowed as the right-hand side of an "
+         "assignment to an array variable")
+
+
+def _paren_target():
+    """`(o) = y;`, which the parser cannot produce."""
+    return Program([], [Decl(INT, "o", Pos(1, 12)),
+                        Assign(Paren(Var("o")), Var("y"), Pos(1, 19))],
+                   Const("0"))
+
+
+def _paren_indexed_target():
+    """`(a)[true] = y;`, which the parser cannot produce."""
+    target = Index(Paren(Var("a")), Const("true"), Pos(1, 20))
+    return Program([], [Decl(ArrayT(INT), "a", Pos(1, 12)),
+                        Assign(target, Var("y"), Pos(1, 25))], Const("0"))
+
+
+def _bool_main_param_twice():
+    """`int main(bool b, int b)` checked in core mode, which the core
+    parser rejects before the checker sees it."""
+    return Program([(BOOL, "b"), (INT, "b")], [], Const("0"), Pos(1, 1))
+
+
+class TestPinnedDiagnostics:
+    """Each diagnostic of an assignment, an index, a call, a function
+    definition and the program's parameters: kind, message, position and
+    names, in the order they are reported."""
+
+    @pytest.mark.parametrize("src, mode, want", [
+        ("int main(){" + _F + "int o; o=f; return 0;}", "extended",
+         [("operand-type-mismatch", "function 'f' used as a value", "1:45",
+           ("f",))]),
+        ("int main(){" + _F + "f=1; return 0;}", "extended",
+         [("operand-type-mismatch", "cannot assign to function 'f'", "1:37",
+           ("f",))]),
+        ("int main(){min=y; return 0;}", "extended",
+         [("operand-type-mismatch", "cannot assign to function 'min'",
+           "1:15", ("min",))]),
+        ("int main(){array<int> a; int o; o=a[true]; return 0;}", "extended",
+         [("operand-type-mismatch", "index must be an integer", "1:36", ())]),
+        ("int main(){array<int> a; a[true]=1; return 0;}", "extended",
+         [("operand-type-mismatch", "index must be an integer", "1:27", ())]),
+        ("int main(){b[0]=1; return 0;}", "extended",
+         [("unbound-variable", "assignment to undeclared variable 'b'",
+           "1:16", ("b",))]),
+        ("int main(){b[true]=array(true); return 0;}", "extended",
+         [("operand-type-mismatch", "index must be an integer", "1:13", ()),
+          ("unbound-variable", "assignment to undeclared variable 'b'",
+           "1:19", ("b",))]),
+        ("int main(){q=y; return 0;}", "extended",
+         [("unbound-variable", "assignment to undeclared variable 'q'",
+           "1:13", ("q",)),
+          ("unbound-variable", "variable 'y' is not declared", "1:14",
+           ("y",))]),
+        ('int main(istring s){iint z; for(i<size(z)) {s[0]="a";} return 0;}',
+         "extended",
+         [("iterable-assignment-in-loop", _OWN.format("s"), "1:49", ("s",)),
+          ("operand-type-mismatch",
+           "strings are immutable, cannot assign to an index", "1:49",
+           ("s",))]),
+        ("int main(){iint z; for(i<size(z)) {z=true;} return 0;}", "core",
+         [("iterable-assignment-in-loop", _OWN.format("z"), "1:37", ("z",)),
+          ("operand-type-mismatch", "cannot assign bool to 'z' of type iint",
+           "1:37", ("z",))]),
+        ("int main(){int o; o[y]=z; return 0;}", "extended",
+         [("unbound-variable", "variable 'y' is not declared", "1:21",
+           ("y",)),
+          ("operand-type-mismatch", "cannot index into int", "1:23",
+           ("o",))]),
+        ("int main(){" + _F + "f[0]=1; return 0;}", "extended",
+         [("operand-type-mismatch", "cannot index into (int)->int", "1:40",
+           ("f",))]),
+        ("int main(){min[0]=1; return 0;}", "extended",
+         [("operand-type-mismatch", "cannot index into <builtin min>",
+           "1:18", ("min",))]),
+        ("int main(){array<int> a; a[y][true]=z; return 0;}", "extended",
+         [("operand-type-mismatch", "index must be an integer", "1:30", ()),
+          ("unbound-variable", "variable 'y' is not declared", "1:28",
+           ("y",)),
+          ("operand-type-mismatch", "cannot index into int", "1:36",
+           ("a",))]),
+        ("int main(){int o; o=o[0]; return 0;}", "extended",
+         [("operand-type-mismatch", "cannot index into int", "1:22", ())]),
+        ("int main(){array<int> a; a[0]=true; return 0;}", "extended",
+         [("operand-type-mismatch",
+           "cannot assign bool to element of type int", "1:30", ("a",))]),
+        ("int main(){array<array<int>> a; a[0][1]=true; return 0;}",
+         "extended",
+         [("operand-type-mismatch",
+           "cannot assign bool to element of type int", "1:40", ("a",))]),
+        ("int main(){array<int> a; int o; o=1+array(2); return 0;}",
+         "extended",
+         [("operand-type-mismatch", _CTOR, "1:37", ())]),
+        ("int main(){array<int> a; a=array(true); return 0;}", "extended",
+         [("operand-type-mismatch", "array length must be an integer",
+           "1:28", ())]),
+        ("int main(){int o; o=array(2); return 0;}", "extended",
+         [("operand-type-mismatch",
+           "array constructor assigned to non-array type int", "1:21", ())]),
+        ("int main(){q=array(true); return 0;}", "extended",
+         [("unbound-variable", "assignment to undeclared variable 'q'",
+           "1:13", ("q",)),
+          ("operand-type-mismatch", "array length must be an integer",
+           "1:14", ())]),
+        ("int main(){int o; o=min(true,1); return 0;}", "extended",
+         [("operand-type-mismatch", "builtin 'min' not defined on (bool,iint)",
+           "1:21", ())]),
+        ("int main(){int o; o=g(1); return 0;}", "extended",
+         [("unbound-variable", "function 'g' is not defined", "1:21",
+           ("g",))]),
+        ("int main(){int o; o=o(1); return 0;}", "extended",
+         [("operand-type-mismatch", "'o' is not a function", "1:21",
+           ("o",))]),
+        ("int main(){" + _F + "int o; o=f(1,2); return 0;}", "extended",
+         [("arity-mismatch", "'f' expects 1 arguments, got 2", "1:45",
+           ("f",))]),
+        ("int main(){" + _F + "int o; o=f(true); return 0;}", "extended",
+         [("operand-type-mismatch", "argument 1 of 'f' must be int, got bool",
+           "1:45", ("f",))]),
+        ("int main(){" + _F + "int f(int b){return b;} return 0;}", "extended",
+         [("redeclaration", "function name 'f' already bound", "1:36",
+           ("f",))]),
+        ("int main(){int g(int a, bool a){return 1;} return 0;}", "extended",
+         [("redeclaration", "duplicate parameter 'a' in function 'g'",
+           "1:12", ("a",))]),
+        ("int main(){bool g(int a){return a;} return 0;}", "extended",
+         [("bad-return-type",
+           "function 'g' declares return type bool but returns int", "1:12",
+           ("g",))]),
+        ("int main(int x, int x){return x;}", "core",
+         [("redeclaration", "duplicate parameter 'x'", "1:1", ("x",))]),
+        (_bool_main_param_twice, "core",
+         [("operand-type-mismatch", "main parameters must be int in core mode",
+           "1:1", ("b",)),
+          ("redeclaration", "duplicate parameter 'b'", "1:1", ("b",))]),
+        (_paren_target, "core",
+         [("operand-type-mismatch",
+           "assignment target must be a variable or an index chain", "1:19",
+           ())]),
+        (_paren_indexed_target, "extended",
+         [("operand-type-mismatch", "index must be an integer", "1:20", ()),
+          ("operand-type-mismatch", "assignment target must be a variable or "
+           "an index chain over a variable", "1:25", ())]),
+    ])
+    def test_diagnostics(self, src, mode, want):
+        prog = compile_src(src, mode) if isinstance(src, str) else src()
+        assert [(d.kind, d.message, str(d.pos), d.names)
+                for d in check_program(prog, mode).errors] == want
 
 
 class TestEnvMonotonicity:
