@@ -8,7 +8,7 @@ from .desugar import desugar
 from .printer import pretty_print
 from .typecheck import (
     check_program, const_type, sup_type, type_equiv, asg_predicate,
-    op_signature, TypingEnv, Diag,
+    op_signature, Diag,
 )
 from .interp import run_program, apply_op, CostReport, Interp
 from .values import (
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "tokenize", "parse_program", "parse_source", "detect_mode", "desugar",
     "pretty_print", "check_program", "const_type", "sup_type", "type_equiv",
-    "asg_predicate", "op_signature", "TypingEnv", "Diag", "run_program",
+    "asg_predicate", "op_signature", "Diag", "run_program",
     "apply_op", "CostReport", "Interp", "VArray", "Closure", "default_value",
     "literal_value", "size_of_value", "format_value", "__version__",
 ]

@@ -87,16 +87,15 @@ def apply_state(prog, state):
 
 def demote_step(state, errors):
     """Demote the variables named by iterable assignment/declaration errors
-    and by iterable parameters given non-iterable arguments; other error
-    kinds leave the state unchanged."""
+    and by iterable parameters given non-iterable arguments, and return the
+    sites demoted; other error kinds leave the state unchanged."""
     sites = []
     diags = []
     for d in errors:
         if d.kind in DEMOTING_KINDS:
             sites.extend(s for s in d.sites if s is not None)
             diags.append(d)
-    state.demote(sites, diags)
-    return state
+    return state.demote(sites, diags)
 
 
 @dataclass
@@ -123,9 +122,7 @@ def poly_check(prog, mode="core"):
         res = check_program(work, "extended")
         if res.ok:
             return PolyVerdict("poly", state, witness=work)
-        before = set(state.iterable_sites())
-        demote_step(state, res.errors)
-        if state.iterable_sites() == before:
+        if not demote_step(state, res.errors):
             # no adjustable type left; decide between unknown and ill-typed
             if all(d.kind in ITERABILITY_KINDS or _is_size_mismatch(d)
                    for d in res.errors):

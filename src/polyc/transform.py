@@ -261,9 +261,7 @@ class SimpleForm:
 
     program: Program
     bound_var: str
-    counter: str
     symbolic_bound: str
-    block_count: int
 
 
 def simple_form_shape_ok(sf):
@@ -378,9 +376,7 @@ class _Normalizer:
         return SimpleForm(
             program=Program(params, body, ret),
             bound_var=self.y,
-            counter=self.i,
             symbolic_bound=f"O(n^({m}^{m}))",
-            block_count=len(self.blocks),
         )
 
     def materialize(self, item):

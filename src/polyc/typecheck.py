@@ -1,4 +1,5 @@
-"""Typing rules: environments, the Asg predicate and the program checker.
+"""Typing rules: the Asg predicate and the program checker, which keeps one
+scope of bindings.
 
 The checker enforces the iterable-variable restrictions that make every
 well-typed program terminate: iterable variables may not be declared or
@@ -60,69 +61,11 @@ class Diag:
         }
 
 
-class TypingEnv:
-    """Finite partial map from names to type annotations.
-
-    Updates return a new environment; lookups of unbound names give None.
-    Each binding remembers its declaration site so the complexity analysis
-    can map diagnostics back to declarations.  The versions update() makes
-    share one dict, which holds the bindings of the version used last; each
-    other version keeps the change leading from it towards that one (Baker's
-    shallow binding).  So an update takes O(1) time, and a version used again
-    undoes the changes made since.
-    """
-
-    def __init__(self, bindings=None):
-        self._b = dict(bindings) if bindings else {}
-        self._diff = None  # (name, its entry or None, newer version) if stale
-
-    def _table(self):
-        if self._diff is None:
-            return self._b
-        path, env = [], self
-        while env._diff is not None:
-            path.append(env)
-            env = env._diff[2]
-        b = env._b
-        for env in reversed(path):  # the version b holds is one step away
-            name, entry, newer = env._diff
-            newer._diff, env._diff = (name, b.get(name), env), None
-            if entry is None:
-                del b[name]
-            else:
-                b[name] = entry
-        return b
-
-    def lookup(self, name):
-        entry = self._table().get(name)
-        return entry[0] if entry else None
-
-    def site(self, name):
-        entry = self._table().get(name)
-        return entry[1] if entry else None
-
-    def update(self, name, annot, site=None):
-        child = TypingEnv()
-        child._b = b = self._table()
-        self._diff = (name, b.get(name), child)
-        b[name] = (annot, site)
-        return child
-
-    def __contains__(self, name):
-        return name in self._table()
-
-    def domain(self):
-        return set(self._table())
-
-    def iterable_domain(self):
-        return {n for n, (t, _) in self._table().items()
-                if not isinstance(t, (Arrow, Builtin)) and is_iterable_type(t)}
-
-
 def initial_env(mode):
+    """The names bound before a program: its mode's builtins, no sites."""
     if mode == "extended":
-        return TypingEnv({n: (m, None) for n, m in BUILTINS.items()})
-    return TypingEnv()
+        return {n: (m, None) for n, m in BUILTINS.items()}
+    return {}
 
 
 def const_type(text):
@@ -163,16 +106,37 @@ class Checker:
         self.extended = mode == "extended"
         self.errors = []
         self.fn_stack = []
+        # the one scope: name -> (type, site); a scope ends by undoing the
+        # bindings logged since its mark, so checking stays linear
+        self.env = initial_env(mode)
+        self.undo = []  # (name, the entry it hides or None), oldest first
+
+    def bind(self, name, annot, site):
+        self.undo.append((name, self.env.get(name)))
+        self.env[name] = (annot, site)
+
+    def unbind(self, mark):
+        """End a scope: drop the bindings made since len(self.undo) was mark."""
+        while len(self.undo) > mark:
+            name, entry = self.undo.pop()
+            if entry is None:
+                del self.env[name]
+            else:
+                self.env[name] = entry
+
+    def lookup(self, name):
+        entry = self.env.get(name)
+        return entry[0] if entry else None
 
     def diag(self, kind, message, pos, names=(), sites=()):
         self.errors.append(Diag(kind, message, pos, tuple(names), tuple(sites)))
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self, env, l, e):
+    def expr(self, e):
         """Returns the type annotation, or None after reporting errors."""
         if isinstance(e, Var):
-            t = env.lookup(e.name)
+            t = self.lookup(e.name)
             if t is None:
                 self.diag("unbound-variable", f"variable {e.name!r} is not declared",
                           e.pos, names=(e.name,))
@@ -185,26 +149,26 @@ class Checker:
         if isinstance(e, Const):
             return const_type(e.text)
         if isinstance(e, Paren):
-            return self.expr(env, l, e.inner)
+            return self.expr(e.inner)
         if isinstance(e, OpApp) and len(e.args) == 2:
             left, pairs = left_chain(e)  # a long chain must not recurse
-            t = self.expr(env, l, left)
+            t = self.expr(left)
             for node, right in pairs:
-                rt = self.expr(env, l, right)
+                rt = self.expr(right)
                 if t is not None and rt is not None:
                     t = self.op_type(node, [t, rt])
                 else:
                     t = None
             return t
         if isinstance(e, OpApp):
-            argts = [self.expr(env, l, a) for a in e.args]
+            argts = [self.expr(a) for a in e.args]
             if any(t is None for t in argts):
                 return None
             return self.op_type(e, argts)
         if isinstance(e, Call):
-            return self.call(env, l, e)
+            return self.call(e)
         if isinstance(e, Index):
-            return self.index(env, l, e)
+            return self.index(e)
         if isinstance(e, ArrayCtor):
             self.diag("operand-type-mismatch",
                       "array constructor is only allowed as the right-hand side "
@@ -225,9 +189,9 @@ class Checker:
                       names=self._var_names(e))
         return res
 
-    def call(self, env, l, e):
-        argts = [self.expr(env, l, a) for a in e.args]
-        ft = env.lookup(e.fname)
+    def call(self, e):
+        argts = [self.expr(a) for a in e.args]
+        ft = self.lookup(e.fname)
         if ft is None:
             if self.fn_stack and e.fname in self.fn_stack:
                 self.diag("recursion-attempt",
@@ -261,7 +225,7 @@ class Checker:
             if type_class(got) == type_class(want):
                 # a function's site is decl_site(fundef), which holds the
                 # identity its parameter sites are keyed by
-                _, _, fundef_id = env.site(e.fname)
+                _, _, fundef_id = self.env[e.fname][1]
                 self.diag("param-subtype-violation",
                           f"argument {i + 1} of {e.fname!r} must be {want}, got "
                           f"non-iterable {got}", e.pos, names=(e.fname,),
@@ -273,9 +237,9 @@ class Checker:
             return None
         return ft.ret
 
-    def index(self, env, l, e):
-        base = self.expr(env, l, e.base)
-        if not self.int_index(env, l, e):
+    def index(self, e):
+        base = self.expr(e.base)
+        if not self.int_index(e):
             return None
         if base is None:
             return None
@@ -286,9 +250,9 @@ class Checker:
         self.diag("operand-type-mismatch", f"cannot index into {base}", e.pos)
         return None
 
-    def int_index(self, env, l, e):
+    def int_index(self, e):
         """Type the index of Index node e; False after reporting a non-int."""
-        t = self.expr(env, l, e.index)
+        t = self.expr(e.index)
         if t is not None and not is_int_type(t):
             self.diag("operand-type-mismatch", "index must be an integer", e.pos)
             return False
@@ -299,95 +263,99 @@ class Checker:
 
     # -- statements ---------------------------------------------------------
 
-    def stmt(self, env, l, s):
+    def stmt(self, l, s):
+        """Check statement s under loop indicator l; its declarations stay
+        bound until the enclosing scope ends."""
         if isinstance(s, Decl):
-            return self.decl(env, l, s)
-        if isinstance(s, Assign):
-            return self.assign(env, l, s)
-        if isinstance(s, Block):
-            inner = env
+            self.decl(l, s)
+        elif isinstance(s, Assign):
+            self.assign(l, s)
+        elif isinstance(s, Block):
+            mark = len(self.undo)
             for st in s.stmts:
-                inner = self.stmt(inner, l, st)
-            return env  # block scoping: declarations do not escape
-        if isinstance(s, If):
-            ct = self.expr(env, l, s.cond)
+                self.stmt(l, st)
+            self.unbind(mark)  # block scoping: declarations do not escape
+        elif isinstance(s, If):
+            ct = self.expr(s.cond)
             if ct is not None and ct is not BOOL:
                 self.diag("operand-type-mismatch",
                           f"condition must be bool, got {ct}", s.pos,
                           names=self._var_names(s.cond))
-            self.stmt(env, l, s.then)
-            self.stmt(env, l, s.els)
-            return env
-        if isinstance(s, For):
-            return self.loop(env, l, s)
-        if isinstance(s, FunDef):
-            return self.fundef(env, l, s)
-        if isinstance(s, (Break, Continue)):
+            mark = len(self.undo)
+            self.stmt(l, s.then)
+            self.unbind(mark)
+            self.stmt(l, s.els)
+            self.unbind(mark)
+        elif isinstance(s, For):
+            self.loop(s)
+        elif isinstance(s, FunDef):
+            self.fundef(s)
+        elif isinstance(s, (Break, Continue)):
             if not l:
                 word = "break" if isinstance(s, Break) else "continue"
                 self.diag("misplaced-break", f"{word} outside of any loop", s.pos)
-            return env
-        if isinstance(s, CallStmt):
-            self.expr(env, l, s.call)
-            return env
-        raise TypeError(f"cannot check statement {s!r} (desugar first)")
+        elif isinstance(s, CallStmt):
+            self.expr(s.call)
+        else:
+            raise TypeError(f"cannot check statement {s!r} (desugar first)")
 
-    def decl(self, env, l, s):
+    def decl(self, l, s):
         if not asg_predicate(l, s.annot):
             self.diag("iterable-decl-in-loop",
                       f"cannot declare iterable variable {s.name!r} inside a "
                       "loop or function body", s.pos, names=(s.name,),
                       sites=(decl_site(s),))
-        if s.name in env:
+        if s.name in self.env:
             self.diag("redeclaration", f"variable {s.name!r} already declared",
                       s.pos, names=(s.name,))
-        return env.update(s.name, s.annot, site=decl_site(s))
+        self.bind(s.name, s.annot, decl_site(s))
 
-    def assign(self, env, l, s):
+    def assign(self, l, s):
         """Asg for `x[i]...[j] = e` with n >= 0 indexes, typed outermost first:
-        judged on x's own type, then e against x's type less n element types."""
+        judged on x's own type and on the type written, x's type less n
+        element types; then e, typed whatever the target, against the latter."""
         base, n = s.lvalue, 0
         while isinstance(base, Index):
-            self.int_index(env, l, base)
+            self.int_index(base)
             base, n = base.base, n + 1
-        if not isinstance(base, Var):
+        name = base.name if isinstance(base, Var) else None
+        t, site = self.env.get(name, (None, None))
+        if name is None:
             self.diag("operand-type-mismatch", "assignment target must be a variable or "
                       "an index chain" + (" over a variable" if n else ""), s.pos)
-            return env
-        name = base.name
-        t = env.lookup(name)
-        if t is None:
+        elif t is None:
             self.diag("unbound-variable", f"assignment to undeclared variable {name!r}",
                       s.pos, names=(name,))
-            if not n:
-                self.rhs_type(env, l, s.expr, None)
-            return env
-        if not n and isinstance(t, (Arrow, Builtin)):
+        elif not n and isinstance(t, (Arrow, Builtin)):
             self.diag("operand-type-mismatch",
                       f"cannot assign to function {name!r}", s.pos, names=(name,))
-            return env
-        if not asg_predicate(l, t):
-            self.diag("iterable-assignment-in-loop",
-                      f"cannot assign to iterable variable {name!r} inside a "
-                      "loop or function body", s.pos, names=(name,),
-                      sites=(env.site(name),))
-        while n:  # peel one element type per index
-            if not isinstance(t, ArrayT):
+            t = None
+        else:
+            if not asg_predicate(l, t):
+                self.diag("iterable-assignment-in-loop",
+                          f"cannot assign to iterable variable {name!r} inside a "
+                          "loop or function body", s.pos, names=(name,), sites=(site,))
+            k = n
+            while k and isinstance(t, ArrayT):  # peel one element type per index
+                t, k = t.elem, k - 1
+            if k:
                 self.diag("operand-type-mismatch",
                           "strings are immutable, cannot assign to an index"
                           if is_string_type(t) else f"cannot index into {t}",
                           s.pos, names=(name,))
-                return env
-            t, n = t.elem, n - 1
-        rhs_t = self.rhs_type(env, l, s.expr, t)
-        if rhs_t is not None and not type_equiv(t, rhs_t):
-            target = repr(name) if base is s.lvalue else "element"
+                t = None
+            elif n and not asg_predicate(l, t):
+                self.diag("iterable-assignment-in-loop",
+                          f"cannot assign to an iterable element of {name!r} inside "
+                          "a loop or function body", s.pos, names=(name,), sites=(site,))
+        rhs_t = self.rhs_type(s.expr, t)
+        if t is not None and rhs_t is not None and not type_equiv(t, rhs_t):
+            target = repr(name) if not n else "element"
             self.diag("operand-type-mismatch",
                       f"cannot assign {rhs_t} to {target} of type {t}", s.pos,
                       names=(name,))
-        return env
 
-    def rhs_type(self, env, l, rhs, target_t):
+    def rhs_type(self, rhs, target_t):
         """Type an assignment right-hand side, giving array constructors
         their element annotation from the target."""
         if isinstance(rhs, ArrayCtor):
@@ -395,7 +363,7 @@ class Checker:
                 self.diag("operand-type-mismatch",
                           "array constructors require extended mode", rhs.pos)
                 return None
-            lt = self.expr(env, l, rhs.length)
+            lt = self.expr(rhs.length)
             if lt is not None and not is_int_type(lt):
                 self.diag("operand-type-mismatch",
                           "array length must be an integer", rhs.pos)
@@ -407,12 +375,12 @@ class Checker:
                           f"array constructor assigned to non-array type {target_t}",
                           rhs.pos)
             return None
-        return self.expr(env, l, rhs)
+        return self.expr(rhs)
 
-    def loop(self, env, l, s):
+    def loop(self, s):
         bound = s.bound
         if isinstance(bound, OpApp) and bound.op == "size":
-            operand_t = self.expr(env, l, bound.args[0])
+            operand_t = self.expr(bound.args[0])
             if operand_t is not None and not is_iterable_type(operand_t):
                 self.diag("non-iterable-loop-bound",
                           f"loop bound size(...) needs an iterable operand, got "
@@ -423,30 +391,32 @@ class Checker:
         else:
             self.diag("non-iterable-loop-bound",
                       "loop bound must be size(e) or an integer literal", s.pos)
-        if s.counter in env:
+        if s.counter in self.env:
             self.diag("redeclaration",
                       f"loop counter {s.counter!r} shadows an existing variable",
                       s.pos, names=(s.counter,))
-        body_env = env.update(s.counter, IINT, site=counter_site(s))
-        self.stmt(body_env, True, s.body)
-        return env
+        mark = len(self.undo)
+        self.bind(s.counter, IINT, counter_site(s))
+        self.stmt(True, s.body)
+        self.unbind(mark)
 
-    def fundef(self, env, l, s):
-        if s.name in env and not isinstance(env.lookup(s.name), Builtin):
+    def fundef(self, s):
+        if s.name in self.env and not isinstance(self.lookup(s.name), Builtin):
             # builtins are ambient and may be shadowed by a user definition
             self.diag("redeclaration", f"function name {s.name!r} already bound",
                       s.pos, names=(s.name,))
+        mark = len(self.undo)
         self.fn_stack.append(s.name)
-        rt = self.unit(env, True, s.name, s)
+        rt = self.unit(True, s.name, s)
         self.fn_stack.pop()
+        self.unbind(mark)
         if rt is not None and not type_equiv(rt, s.ret):
             self.diag("bad-return-type",
                       f"function {s.name!r} declares return type {s.ret} but "
                       f"returns {rt}", s.pos, names=(s.name,))
-        arrow = Arrow(tuple(t for t, _ in s.params), s.ret)
-        return env.update(s.name, arrow, site=decl_site(s))
+        self.bind(s.name, Arrow(tuple(t for t, _ in s.params), s.ret), decl_site(s))
 
-    def unit(self, env, l, owner, u):
+    def unit(self, l, owner, u):
         """Bind the parameters of u, the Program (l False) or a FunDef (l
         True), check its body and return the type of its return expression."""
         seen = set()
@@ -459,15 +429,15 @@ class Checker:
                 self.diag("operand-type-mismatch",
                           "main parameters must be int in core mode", u.pos,
                           names=(n,))
-            env = env.update(n, t, site=param_site(owner, i, u))
+            self.bind(n, t, param_site(owner, i, u))
         for s in u.body:
-            env = self.stmt(env, l, s)
-        return self.expr(env, l, u.ret_expr)
+            self.stmt(l, s)
+        return self.expr(u.ret_expr)
 
     # -- programs -----------------------------------------------------------
 
     def program(self, prog):
-        rt = self.unit(initial_env(self.mode), False, "main", prog)
+        rt = self.unit(False, "main", prog)
         if rt is not None and not is_int_type(rt):
             self.diag("bad-return-type",
                       f"program must return an integer, got {rt}",

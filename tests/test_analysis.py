@@ -113,6 +113,15 @@ class TestDemoteStep:
         demote_step(state, [d])
         assert state.assignment[site] is True
 
+    def test_returns_the_sites_it_demoted(self):
+        a, b, c = ("decl", "a", 1), ("decl", "b", 2), ("decl", "c", 3)
+        state = AnnotationState({a: True, b: False})
+        diags = [Diag("iterable-decl-in-loop", "m", sites=(a, b, c, a)),
+                 Diag("param-subtype-violation", "m", sites=(None,))]
+        assert demote_step(state, diags) == [a]
+        assert demote_step(state, diags) == []
+        assert state.history == [((a,), tuple(diags))]
+
     def test_empty_error_list(self):
         state = AnnotationState({("decl", "a", 3): True})
         demote_step(state, [])

@@ -418,6 +418,21 @@ class TestAnalyze:
             assert "program is ill-typed for reasons unrelated to " \
                 "iterability" in err
 
+    def test_iterable_element_doubled_in_a_loop(self, capsys, tmp_path):
+        # a[0] doubles once per inner step and bounds the next inner loop
+        f = tmp_path / "elem.pc"
+        f.write_text("// mode: extended\n"
+                     "int main(iint n){ array<iint> a; a=array(1); a[0]=n; "
+                     "for(i<size(n)){ for(j<size(a[0])) { a[0]=a[0]+a[0]; } } "
+                     "return size(a[0]); }\n")
+        code, out, err = run_cli(capsys, "check", f)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == (
+            f"{f}:2:94: iterable-assignment-in-loop: cannot assign to an "
+            "iterable element of 'a' inside a loop or function body")
+        code, out, _ = run_cli(capsys, "analyze", f)
+        assert code == 0 and out.strip() == "unknown"
+
     @pytest.mark.parametrize("shape,depth", [("parentheses", 250),
                                              ("ifs", 128)])
     def test_deep_nesting(self, capsys, tmp_path, shape, depth):

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from conftest import compile_src, load
@@ -7,10 +5,10 @@ from conftest import compile_src, load
 from polyc import check_program
 from polyc.ast import (
     ArrayT, Assign, Const, Decl, Index, Paren, Pos, Program, Var,
-    BOOL, IINT, INT, ISTRING, STRING,
+    BOOL, IINT, INT, ISTRING, STRING, is_iterable_type,
 )
 from polyc.typecheck import (
-    TypingEnv, asg_predicate, const_type, initial_env, op_signature, sup_type,
+    asg_predicate, const_type, initial_env, op_signature, sup_type,
     type_equiv,
 )
 
@@ -64,54 +62,12 @@ class TestAuxiliary:
         assert op_signature("min", [IINT, IINT], extended=True) is IINT
         assert op_signature("max", [INT, IINT], extended=True) is INT
 
+    def test_package_exports_resolve(self):
+        import polyc
 
-class TestEnv:
-    def test_update_shadows(self):
-        env = TypingEnv().update("x", INT)
-        env2 = env.update("x", BOOL)
-        assert env.lookup("x") is INT
-        assert env2.lookup("x") is BOOL
-
-    def test_unbound_is_none(self):
-        assert TypingEnv().lookup("nope") is None
-
-    def test_update_leaves_parent_unchanged(self):
-        parent = TypingEnv().update("x", INT, site="s1")
-        child = parent.update("x", BOOL, site="s2").update("y", IINT)
-        assert (parent.lookup("x"), parent.site("x")) == (INT, "s1")
-        assert "y" not in parent and parent.lookup("y") is None
-        assert (child.lookup("x"), child.site("x")) == (BOOL, "s2")
-        assert parent.domain() == {"x"} and child.domain() == {"x", "y"}
-
-    def test_siblings_do_not_see_each_other(self):
-        # the two branches of an if both update the environment before it
-        parent = TypingEnv().update("n", IINT)
-        then = parent.update("a", INT).update("b", BOOL)
-        els = parent.update("c", ISTRING)
-        assert then.domain() == {"n", "a", "b"}
-        assert els.domain() == {"n", "c"}
-        assert "c" not in then and "a" not in els and "b" not in els
-        assert parent.domain() == {"n"}
-        assert then.lookup("b") is BOOL and els.lookup("b") is None
-
-    def test_domains_after_switching_versions(self):
-        envs = [TypingEnv()]
-        models = [{}]
-        rng = random.Random(5)
-        for _ in range(400):
-            i = rng.randrange(len(envs))
-            name = rng.choice("abcdefgh")
-            annot = rng.choice([INT, IINT, BOOL, ISTRING])
-            envs.append(envs[i].update(name, annot, site=len(envs)))
-            models.append({**models[i], name: (annot, len(envs) - 1)})
-            for j in (rng.randrange(len(envs)), i, len(envs) - 1):
-                env, model = envs[j], models[j]
-                assert env.domain() == set(model)
-                assert env.iterable_domain() == {
-                    n for n, (t, _) in model.items() if t in (IINT, ISTRING)}
-                for n in "abcdefgh":
-                    entry = model.get(n, (None, None))
-                    assert (env.lookup(n), env.site(n)) == entry
+        assert "TypingEnv" not in polyc.__all__
+        for name in polyc.__all__:
+            assert getattr(polyc, name) is not None, name
 
 
 def errors_of(src, mode="core"):
@@ -338,6 +294,95 @@ class TestExtendedJudgments:
         assert "min" not in initial_env("core")
 
 
+_ELEM = ("cannot assign to an iterable element of {!r} inside a loop or "
+         "function body")
+
+
+def pinned(errs):
+    return [(d.kind, d.message, str(d.pos), d.names) for d in errs]
+
+
+class TestElementWrites:
+    """Asg judges a write on the type it writes as well as on the target
+    variable's own type: an iterable array element is an iterable variable."""
+
+    def test_doubling_an_iterable_element_in_a_loop_rejected(self):
+        errs = errors_of(
+            "int main(iint n){ array<iint> a; a=array(1); a[0]=n; "
+            "for(i<size(n)){ for(j<size(a[0])) { a[0]=a[0]+a[0]; } } "
+            "return size(a[0]); }", "extended")
+        assert pinned(errs) == [("iterable-assignment-in-loop",
+                                 _ELEM.format("a"), "1:94", ("a",))]
+        assert [s[:2] for s in errs[0].sites] == [("decl", "a")]
+
+    def test_istring_element_in_loop_rejected(self):
+        errs = errors_of(
+            'int main(iint n){ array<istring> a; a=array(1); '
+            'for(i<size(n)) { a[0]="x"; } return 0; }', "extended")
+        assert pinned(errs) == [("iterable-assignment-in-loop",
+                                 _ELEM.format("a"), "1:70", ("a",))]
+
+    def test_iterable_parameter_element_in_function_body_rejected(self):
+        errs = errors_of("int main(){ int f(array<iint> p){ p[0]=1; return 0; } "
+                         "return 0; }", "extended")
+        assert pinned(errs) == [("iterable-assignment-in-loop",
+                                 _ELEM.format("p"), "1:39", ("p",))]
+        assert [s[:3] for s in errs[0].sites] == [("param", "f", 0)]
+
+    def test_only_the_iterable_element_type_is_rejected(self):
+        head = ("int main(iint n){ array<array<iint>> a; a=array(1); "
+                "for(i<size(n)) { ")
+        assert errors_of(head + "a[0]=array(1); } return 0; }",
+                         "extended") == []
+        assert pinned(errors_of(head + "a[0][0]=n; } return 0; }",
+                                "extended")) == [
+            ("iterable-assignment-in-loop", _ELEM.format("a"), "1:77",
+             ("a",))]
+
+    def test_iterable_element_written_outside_loops_ok(self):
+        src = ("int main(iint n){ array<iint> a; a=array(1); a[0]=n; "
+               "int o; o=0; for(j<size(a[0])) { o=o+1; } return o; }")
+        assert errors_of(src, "extended") == []
+
+
+class TestScopes:
+    """What a block, an if branch, a loop body and a function body bind is
+    dropped at their end, and what they hid comes back."""
+
+    def test_branch_declaration_invisible_in_other_branch(self):
+        assert pinned(errors_of(
+            "int main(){if(true) int a; else a=1; return 0;}")) == [
+            ("unbound-variable", "assignment to undeclared variable 'a'",
+             "1:34", ("a",))]
+        assert pinned(errors_of(
+            "int main(){if(true) {int a;} else {a=1;} return 0;}")) == [
+            ("unbound-variable", "assignment to undeclared variable 'a'",
+             "1:37", ("a",))]
+        assert kinds_of("int main(){if(true) {} else int a; a=1; return 0;}") \
+            == ["unbound-variable"]
+        assert kinds_of("int main(){iint z; for(i<size(z)) int a; a=1; "
+                        "return 0;}") == ["unbound-variable"]
+
+    def test_block_shadowing_restores_outer_binding(self):
+        redecl = ("redeclaration", "variable 'x' already declared", "1:26",
+                  ("x",))
+        assert pinned(errors_of(
+            "int main(){int x; { bool x; } x=1; return x;}")) == [redecl]
+        assert pinned(errors_of(
+            "int main(){int x; { bool x; } x=true; return x;}")) == [
+            redecl, ("operand-type-mismatch",
+                     "cannot assign bool to 'x' of type int", "1:32", ("x",))]
+
+    def test_function_locals_invisible_after_definition(self):
+        assert pinned(errors_of(
+            "int main(){int f(int p){int q; q=p; return q;} p=1; q=1; "
+            "return f(1);}", "extended")) == [
+            ("unbound-variable", "assignment to undeclared variable 'p'",
+             "1:49", ("p",)),
+            ("unbound-variable", "assignment to undeclared variable 'q'",
+             "1:54", ("q",))]
+
+
 _F = "int f(int a){return a;} "
 _OWN = "cannot assign to iterable variable {!r} inside a loop or function body"
 _CTOR = ("array constructor is only allowed as the right-hand side of an "
@@ -378,7 +423,9 @@ class TestPinnedDiagnostics:
            ("f",))]),
         ("int main(){min=y; return 0;}", "extended",
          [("operand-type-mismatch", "cannot assign to function 'min'",
-           "1:15", ("min",))]),
+           "1:15", ("min",)),
+          ("unbound-variable", "variable 'y' is not declared", "1:16",
+           ("y",))]),
         ("int main(){array<int> a; int o; o=a[true]; return 0;}", "extended",
          [("operand-type-mismatch", "index must be an integer", "1:36", ())]),
         ("int main(){array<int> a; a[true]=1; return 0;}", "extended",
@@ -389,7 +436,9 @@ class TestPinnedDiagnostics:
         ("int main(){b[true]=array(true); return 0;}", "extended",
          [("operand-type-mismatch", "index must be an integer", "1:13", ()),
           ("unbound-variable", "assignment to undeclared variable 'b'",
-           "1:19", ("b",))]),
+           "1:19", ("b",)),
+          ("operand-type-mismatch", "array length must be an integer",
+           "1:20", ())]),
         ("int main(){q=y; return 0;}", "extended",
          [("unbound-variable", "assignment to undeclared variable 'q'",
            "1:13", ("q",)),
@@ -409,7 +458,9 @@ class TestPinnedDiagnostics:
          [("unbound-variable", "variable 'y' is not declared", "1:21",
            ("y",)),
           ("operand-type-mismatch", "cannot index into int", "1:23",
-           ("o",))]),
+           ("o",)),
+          ("unbound-variable", "variable 'z' is not declared", "1:24",
+           ("z",))]),
         ("int main(){" + _F + "f[0]=1; return 0;}", "extended",
          [("operand-type-mismatch", "cannot index into (int)->int", "1:40",
            ("f",))]),
@@ -421,7 +472,9 @@ class TestPinnedDiagnostics:
           ("unbound-variable", "variable 'y' is not declared", "1:28",
            ("y",)),
           ("operand-type-mismatch", "cannot index into int", "1:36",
-           ("a",))]),
+           ("a",)),
+          ("unbound-variable", "variable 'z' is not declared", "1:37",
+           ("z",))]),
         ("int main(){int o; o=o[0]; return 0;}", "extended",
          [("operand-type-mismatch", "cannot index into int", "1:22", ())]),
         ("int main(){array<int> a; a[0]=true; return 0;}", "extended",
@@ -479,11 +532,16 @@ class TestPinnedDiagnostics:
         (_paren_target, "core",
          [("operand-type-mismatch",
            "assignment target must be a variable or an index chain", "1:19",
-           ())]),
+           ()),
+          # the helper builds y without a position
+          ("unbound-variable", "variable 'y' is not declared", "0:0",
+           ("y",))]),
         (_paren_indexed_target, "extended",
          [("operand-type-mismatch", "index must be an integer", "1:20", ()),
           ("operand-type-mismatch", "assignment target must be a variable or "
-           "an index chain over a variable", "1:25", ())]),
+           "an index chain over a variable", "1:25", ()),
+          ("unbound-variable", "variable 'y' is not declared", "0:0",
+           ("y",))]),
     ])
     def test_diagnostics(self, src, mode, want):
         prog = compile_src(src, mode) if isinstance(src, str) else src()
@@ -499,16 +557,16 @@ class TestEnvMonotonicity:
         for seed in range(40):
             prog = fuzzgen.gen_program(seed)
             checker = Checker("core")
-            env = TypingEnv()
             for i, (t, n) in enumerate(prog.params):
-                env = env.update(n, t, site=None)
-            dom = env.domain()
+                checker.bind(n, t, None)
+            env = checker.env
+            dom = set(env)
             for s in prog.body:
-                env = checker.stmt(env, False, s)
-                assert dom <= env.domain()
+                checker.stmt(False, s)
+                assert dom <= set(env)
                 for name in dom:
-                    assert env.lookup(name) is not None
-                dom = env.domain()
+                    assert checker.lookup(name) is not None
+                dom = set(env)
             assert not checker.errors
 
 
@@ -532,9 +590,14 @@ class TestIterableDomainPreservation:
     def test_checked_with_indicator_preserves_iterable_domain(self):
         from polyc.typecheck import Checker
 
-        env = TypingEnv().update("z", IINT).update("a", INT)
+        def iterable_domain(env):
+            return {n for n, (t, _) in env.items() if is_iterable_type(t)}
+
         checker = Checker("core")
-        env2 = checker.stmt(env, True, compile_src(
+        checker.bind("z", IINT, None)
+        checker.bind("a", INT, None)
+        before = iterable_domain(checker.env)
+        checker.stmt(True, compile_src(
             "int main(){int b; b=1; return b;}").body[0])
         assert not checker.errors
-        assert env2.iterable_domain() == env.iterable_domain() == {"z"}
+        assert iterable_domain(checker.env) == before == {"z"}
