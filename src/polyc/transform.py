@@ -1,11 +1,12 @@
 """Source-to-source transforms: the max-value tracker, the step-count
-tracker, function inlining, the single-loop normalizer and a bounded
-equivalence checker.
+tracker, the single-loop normalizer and a bounded equivalence checker.
 
 The normalizer compiles a program into a budget-driven machine: one loop
 over size(y) whose body dispatches on an explicit program counter, with all
 locals hoisted (iterable locals demoted to plain int) and every size()
-occurrence replaced by an incremental bit-length computation.  Consecutive
+occurrence replaced by an incremental bit-length computation.  A call to a
+user function is expanded where it occurs: its parameters and locals become
+fresh hoisted variables and its result lands in one more.  Consecutive
 forward steps run in a single budget iteration, so the budget needed is
 about one tick per loop back-edge of the original program.
 """
@@ -13,13 +14,12 @@ about one tick per loop back-edge of the original program.
 from dataclasses import dataclass
 
 from .ast import (
-    ArrayCtor, Assign, Block, Break, Call, CallStmt, Const, Continue, Decl,
-    Expr, For, FunDef, If, OpApp, Paren, Program, Stmt, Var, BOOL, IINT, INT,
-    is_int_type, fresh_name, program_names, rebuild, walk, walk_stmts,
+    Assign, Block, Break, Call, CallStmt, Const, Continue, Decl, For, FunDef,
+    If, OpApp, Paren, Program, Stmt, Var, BOOL, IINT, INT, is_int_type,
+    fresh_name, program_names, rebuild, walk, walk_stmts,
 )
 from .errors import ArgumentError, PolycError
 from .interp import run_program
-from .ops import BUILTIN_NAMES
 from .values import format_value
 
 
@@ -116,140 +116,6 @@ def _t2_stmt(s, o):
 
 
 # ---------------------------------------------------------------------------
-# function inlining
-
-
-def inline_functions(prog):
-    """Rewrite every call in an inline style; functions must only reference
-    their parameters, their own locals and previously defined functions."""
-    ctx = _Inliner()
-    body = ctx.stmts(prog.body, collect_funs=True)
-    ret = ctx.expr_into(prog.ret_expr, body)  # its prelude joins the body
-    return Program(list(prog.params), body, ret)
-
-
-class _Inliner:
-    def __init__(self):
-        self.funcs = {}
-        self.counter = 0
-
-    def stmts(self, stmts, collect_funs=False):
-        out = []
-        for s in stmts:
-            if isinstance(s, FunDef):
-                if not collect_funs:
-                    raise TransformError(
-                        "nested function definitions are not inlinable", s.pos)
-                self._check_param_pure(s)
-                self.funcs[s.name] = s
-                continue
-            out.extend(self.stmt(s))
-        return out
-
-    def _check_param_pure(self, f):
-        allowed = {n for _, n in f.params} | set(self.funcs) | set(BUILTIN_NAMES)
-        for s in walk_stmts(f.body):
-            if isinstance(s, Decl):
-                allowed.add(s.name)
-            elif isinstance(s, For):
-                allowed.add(s.counter)
-            elif isinstance(s, FunDef):
-                raise TransformError(
-                    f"function {f.name!r} defines a nested function", s.pos)
-        for sub in walk([f.ret_expr] + f.body):
-            if isinstance(sub, Var) and sub.name not in allowed:
-                raise TransformError(
-                    f"function {f.name!r} reads captured variable "
-                    f"{sub.name!r}; cannot inline", sub.pos)
-            if isinstance(sub, Call) and sub.fname not in allowed:
-                raise TransformError(
-                    f"function {f.name!r} calls unknown {sub.fname!r}",
-                    sub.pos)
-
-    def stmt(self, s):
-        pre = []
-        if isinstance(s, Assign):
-            e = self.expr_into(s.expr, pre)
-            lv = self.expr_into(s.lvalue, pre)
-            return pre + [Assign(lv, e)]
-        if isinstance(s, (Decl, Break, Continue)):
-            return [s]
-        if isinstance(s, Block):
-            return [Block(self.stmts(s.stmts))]
-        if isinstance(s, If):
-            cond = self.expr_into(s.cond, pre)
-            return pre + [If(cond, Block(self.stmt(s.then)),
-                             Block(self.stmt(s.els)))]
-        if isinstance(s, For):
-            bound = self.expr_into(s.bound, pre)
-            return pre + [For(s.counter, bound, Block(self.stmt(s.body)))]
-        if isinstance(s, CallStmt):
-            self.expr_into(s.call, pre)
-            return pre  # the call's effects live in the prelude
-        raise TransformError(f"cannot inline inside {type(s).__name__}",
-                             getattr(s, "pos", None))
-
-    def expr_into(self, e, pre):
-        if isinstance(e, ArrayCtor):
-            raise TransformError(f"cannot inline inside expression "
-                                 f"{type(e).__name__}", e.pos)
-        if not isinstance(e, Call):
-            return rebuild(e, lambda sub: self.expr_into(sub, pre))
-        args = [self.expr_into(a, pre) for a in e.args]
-        if e.fname not in self.funcs:
-            if e.fname in BUILTIN_NAMES:
-                return Call(e.fname, args)
-            raise TransformError(f"call to unknown function {e.fname!r}",
-                                 e.pos)
-        return self.expand(self.funcs[e.fname], args, pre)
-
-    def expand(self, f, args, pre):
-        self.counter += 1
-        tag = f"_{f.name}{self.counter}"
-        rename = {}
-        for (t, n), a in zip(f.params, args):
-            rename[n] = n + tag
-            pre.append(Decl(t, n + tag))
-            pre.append(Assign(Var(n + tag), a))
-        body = _rename_stmts(f.body, rename, tag)
-        body = self.stmts(body)  # expand nested calls
-        ret_t = f.ret
-        ret_name = f"_ret{tag}"
-        pre.append(Decl(ret_t, ret_name))
-        pre.extend(body)
-        ret_pre = []
-        ret_expr = self.expr_into(_rename_expr(f.ret_expr, rename), ret_pre)
-        pre.extend(ret_pre)
-        pre.append(Assign(Var(ret_name), ret_expr))
-        return Var(ret_name)
-
-
-def _rename_stmts(stmts, rename, tag):
-    """Rename in order: a declaration renames what follows it in its scope."""
-    return [_rename_stmt(s, rename, tag) for s in stmts]
-
-
-def _rename_stmt(s, rename, tag):
-    if isinstance(s, Decl):
-        rename[s.name] = s.name + tag
-        return Decl(s.annot, rename[s.name], pos=s.pos)
-    if isinstance(s, Block):
-        return Block(_rename_stmts(s.stmts, dict(rename), tag), pos=s.pos)
-    if isinstance(s, For):
-        inner = dict(rename)
-        inner[s.counter] = s.counter + tag
-        return For(s.counter + tag, _rename_expr(s.bound, rename),
-                   _rename_stmt(s.body, inner, tag), pos=s.pos)
-    return rebuild(s, lambda c: _rename_expr(c, rename) if isinstance(c, Expr)
-                   else _rename_stmt(c, dict(rename), tag))
-
-
-def _rename_expr(e, rename):
-    if isinstance(e, Var):
-        return Var(rename.get(e.name, e.name), pos=e.pos)
-    return rebuild(e, lambda sub: _rename_expr(sub, rename))
-
-# ---------------------------------------------------------------------------
 # single-loop normal form
 
 _HALVE_UNROLL = 32
@@ -292,14 +158,12 @@ def normalize_simple(prog, mode="core"):
     are computed by repeated halving spread over budget iterations.
     """
     del mode
-    if any(isinstance(s, FunDef) for s in walk_stmts(prog.body)):
-        prog = inline_functions(prog)
     return _Normalizer(prog).build()
 
 
 def _stmt_is_flat(s):
     """True when the subtree can run inside a single machine step."""
-    return not any(isinstance(x, (For, Break, Continue, FunDef, CallStmt))
+    return not any(isinstance(x, (For, Break, Continue, FunDef, CallStmt, Call))
                    or isinstance(x, OpApp) and x.op == "size" for x in walk([s]))
 
 
@@ -314,16 +178,23 @@ class _Normalizer:
     def __init__(self, prog):
         self.prog = prog
         self.taken = set(program_names(prog))
+        self.suffix = {}  # base -> k: base, base2, ..., base<k> are taken
         self.decls = []  # hoisted (Type, machine-name) pairs
         self.blocks = []  # lists of statements / jump thunks
         self.cur = None
         self.loop_stack = []  # (incr_label, after_label)
+        self.callee = None  # name of the function being expanded
         self.y = self.fresh("y")
         self.i = self.fresh("i")
         self.pc = self.fresh("pc")
 
     def fresh(self, base):
-        name = fresh_name(base, self.taken)
+        """fresh_name(base, self.taken) without rescanning the names it
+        gave out before: every expansion of a function asks for its bases."""
+        k = self.suffix.get(base, 1)
+        while (name := base if k == 1 else f"{base}{k}") in self.taken:
+            k += 1
+        self.suffix[base] = k
         self.taken.add(name)
         return name
 
@@ -351,6 +222,7 @@ class _Normalizer:
 
     def build(self):
         prog = self.prog
+        # source name -> machine name, or (FunDef, the functions it sees)
         scope = {n: n for _, n in prog.params}
         self.place(_Label())
         self.compile_seq(prog.body, scope)
@@ -404,28 +276,32 @@ class _Normalizer:
             return
         if isinstance(s, If):
             cond = self.rewrite_expr(s.cond, scope)
-            then_l = _Label()
-            else_l = _Label()
-            join_l = _Label()
+            then_l, else_l, join_l = _Label(), _Label(), _Label()
             self.branch(cond, then_l, else_l)
-            self.place(then_l)
-            self.compile_stmt(s.then, dict(scope))
-            if self.cur is not None:
-                self.jump(join_l)
-            self.place(else_l)
-            self.compile_stmt(s.els, dict(scope))
-            if self.cur is not None:
-                self.jump(join_l)
+            for label, branch in ((then_l, s.then), (else_l, s.els)):
+                self.place(label)
+                self.compile_stmt(branch, dict(scope))
+                if self.cur is not None:
+                    self.jump(join_l)
             self.place(join_l)
             return
         if isinstance(s, For):
             self.compile_loop(s, scope)
             return
-        if isinstance(s, Break):
-            self.jump(self.loop_stack[-1][1])
+        if isinstance(s, (Break, Continue)):
+            if not self.loop_stack:  # the checker lets a function body break
+                word = type(s).__name__.lower()
+                raise TransformError(f"{word} escapes the body of function "
+                                     f"{self.callee!r}", s.pos)
+            incr, after = self.loop_stack[-1]
+            self.jump(after if isinstance(s, Break) else incr)
             return
-        if isinstance(s, Continue):
-            self.jump(self.loop_stack[-1][0])
+        if isinstance(s, FunDef):  # it sees the functions bound here
+            scope[s.name] = (s, {n: v for n, v in scope.items()
+                                 if isinstance(v, tuple)})
+            return
+        if isinstance(s, CallStmt):
+            self.rewrite_expr(s.call, scope)
             return
         raise TransformError(
             f"normalizer cannot handle {type(s).__name__}",
@@ -460,7 +336,7 @@ class _Normalizer:
         self.place(after)
 
     def flat_if(self, s, scope):
-        """Rename a loop-free, size-free statement tree without splitting."""
+        """Rename a loop-, size- and call-free statement tree unsplit."""
         if isinstance(s, If):
             return If(self.rewrite_expr(s.cond, scope),
                       self.flat_if(s.then, dict(scope)),
@@ -472,22 +348,25 @@ class _Normalizer:
             if not isinstance(s.lvalue, Var):
                 raise TransformError(
                     "normalizer supports scalar assignments only", s.pos)
-            rhs = self.rewrite_expr(s.expr, scope)
-            return Assign(Var(scope[s.lvalue.name]), rhs)
+            lvalue = self.rewrite_expr(s.lvalue, scope)
+            return Assign(lvalue, self.rewrite_expr(s.expr, scope))
         if isinstance(s, Decl):
-            t = INT if s.annot is IINT else s.annot
-            if not (is_int_type(t) or t is BOOL):
-                raise TransformError(
-                    f"normalizer supports integer and boolean locals, not {t}",
-                    s.pos)
-            name = self.fresh(s.name)
-            scope[s.name] = name
-            self.decls.append((t, name))
+            name = scope[s.name] = self.hoist(s.annot, s.name, s.pos)
             return Assign(Var(name),
-                          Const("false") if t is BOOL else Const("0"))
+                          Const("false") if s.annot is BOOL else Const("0"))
         raise TransformError(
             f"normalizer cannot handle {type(s).__name__}",
             getattr(s, "pos", None))
+
+    def hoist(self, t, base, pos):
+        """A fresh machine variable for a local of type t; iint becomes int."""
+        t = INT if t is IINT else t
+        if not (is_int_type(t) or t is BOOL):
+            raise TransformError(
+                f"normalizer supports integer and boolean locals, not {t}", pos)
+        name = self.fresh(base)
+        self.decls.append((t, name))
+        return name
 
     # -- expressions --------------------------------------------------------
 
@@ -496,12 +375,16 @@ class _Normalizer:
             try:
                 return Var(scope[e.name])
             except KeyError:
-                raise TransformError(f"unbound variable {e.name!r}",
-                                     e.pos) from None
+                msg = (f"unbound variable {e.name!r}" if self.callee is None
+                       else f"function {self.callee!r} reads captured "
+                       f"variable {e.name!r}; cannot inline")
+                raise TransformError(msg, e.pos) from None
         if isinstance(e, OpApp) and e.op == "size":
             return self.size_value(e.args[0], scope)
         if isinstance(e, (Const, Paren, OpApp)):
             return rebuild(e, lambda sub: self.rewrite_expr(sub, scope))
+        if isinstance(e, Call) and isinstance(scope.get(e.fname), tuple):
+            return self.expand(scope[e.fname], e.args, scope)
         raise TransformError(
             f"normalizer cannot handle expression {type(e).__name__}",
             getattr(e, "pos", None))
@@ -512,8 +395,7 @@ class _Normalizer:
         val = self.rewrite_expr(operand, scope)
         t_val = self.fresh("t")
         t_sz = self.fresh("sz")
-        self.decls.append((INT, t_val))
-        self.decls.append((INT, t_sz))
+        self.decls += [(INT, t_val), (INT, t_sz)]
         self.emit(Assign(Var(t_val), val))
         self.emit(If(OpApp("<", [Var(t_val), Const("0")]),
                      Block([Assign(Var(t_val), OpApp("-", [Var(t_val)]))]),
@@ -532,6 +414,24 @@ class _Normalizer:
         self.branch(OpApp("==", [Var(t_val), Const("0")]), nxt, halve)
         self.place(nxt)
         return Var(t_sz)
+
+    def expand(self, fun, args, scope):
+        """Emit blocks running the body of a user function on `args` and
+        return the fresh variable that holds its result."""
+        f, fun_scope = fun
+        vals = [self.rewrite_expr(a, scope) for a in args]
+        body_scope = dict(fun_scope)
+        for (t, n), val in zip(f.params, vals):
+            body_scope[n] = self.hoist(t, n, f.pos)
+            self.emit(Assign(Var(body_scope[n]), val))
+        outer = self.callee, self.loop_stack
+        self.callee, self.loop_stack = f.name, []  # the caller's loops end here
+        self.compile_seq(f.body, body_scope)
+        ret = self.rewrite_expr(f.ret_expr, body_scope)
+        self.callee, self.loop_stack = outer
+        result = self.hoist(f.ret, f.name, f.pos)
+        self.emit(Assign(Var(result), ret))
+        return Var(result)
 
 
 # ---------------------------------------------------------------------------

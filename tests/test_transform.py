@@ -7,7 +7,7 @@ from polyc.desugar import desugar
 from polyc.interp import Interp
 from polyc.parser import parse_source
 from polyc.transform import (
-    TransformError, bounded_equiv, inline_functions, normalize_simple,
+    TransformError, bounded_equiv, normalize_simple,
     simple_form_shape_ok, stabilization_search, t1_max_tracker,
     t2_cost_tracker,
 )
@@ -273,37 +273,132 @@ class TestNormalize:
             normalize_simple(prog)
 
 
+def assert_stabilized_output_matches(prog, inputs):
+    """Normalize `prog` and compare its output at the stabilized budget with
+    the original's on each input tuple."""
+    sf = normalize_simple(prog)
+    assert simple_form_shape_ok(sf)
+    for args in inputs:
+        t = stabilization_search(sf, prog, list(args), mode="extended")
+        got = run_program(sf.program, list(args) + [t], mode="extended").output
+        assert got == run_program(prog, list(args), mode="extended").output, \
+            (args, t)
+
+
+CALL_CASES = {
+    "call_in_if_condition": ("""int main(int x,iint n){
+        bool big(int a,iint m){int s; for(i<size(m)) s=s+a; return s>10;}
+        int r;
+        if(big(x,n)){r=x;}else{r=-x;}
+        return r;}""", [(3, 1), (3, 16), (-2, 8), (0, 0), (11, 1), (5, 255)]),
+    "call_in_loop_bound": ("""int main(int x){
+        iint twice(iint a){return a+a;}
+        iint z;
+        z=x;
+        int s;
+        for(i<size(twice(z))) s=s+i;
+        return s;}""", [(0,), (1,), (5,), (-9,), (100,), (4095,)]),
+    "void_call_stmt": ("""int main(int x,iint n){
+        void spin(iint m){int k; for(i<size(m)) k=k+1;}
+        spin(n);
+        x=x+1;
+        spin(n);
+        return x;}""", [(0, 0), (1, 1), (5, 7), (-9, 64), (100, 3), (7, 1023)]),
+    "same_function_twice": ("""int main(int x,iint n){
+        int mul(int a,iint m){int s; for(i<size(m)) s=s+a; return s;}
+        return mul(x,n)-mul(x+1,n)*2;}""",
+        [(0, 0), (1, 1), (5, 7), (-9, 15), (100, 3), (7, 31)]),
+    "break_continue_in_callee": ("""int main(int x,iint n){
+        int count(iint m,int stop){int seen;
+            for(i<size(m)){
+                if(i==2){continue;}else{}
+                if(i==stop){break;}else{}
+                seen=seen+1;
+            }
+            return seen;}
+        return count(n,x)+count(n,x+1);}""",
+        [(0, 0), (1, 1), (4, 255), (3, 64), (9, 31), (-1, 7)]),
+    "function_in_nested_block": ("""int main(int x){
+        int r;
+        if(x>0){int inc(int a){return a+1;} r=inc(inc(x));}else{r=0;}
+        return r;}""", [(0,), (1,), (5,), (-9,), (100,), (-1,)]),
+    "uncalled_capturing_function": ("""int main(int x){
+        int g;
+        g=x;
+        int f(int a){return a+g;}
+        return x+1;}""", [(0,), (1,), (5,), (-9,), (100,), (-1,)]),
+}
+
+
 class TestInline:
+    """The normalizer expands each call to a user function where it occurs."""
+
     def test_nested_calls(self):
         src = ("// mode: extended\n"
                "int main(int x,int y){int add(int a,int b){return a+b;} "
                "return add(add(x,y),add(y,1));}")
         prog = compile_src(src, "extended")
-        flat = inline_functions(prog)
+        sf = normalize_simple(prog)
         from polyc.ast import Call, walk_exprs, walk_stmts, stmt_exprs
 
-        exprs = [flat.ret_expr]
-        for s in walk_stmts(flat.body):
+        exprs = [sf.program.ret_expr]
+        for s in walk_stmts(sf.program.body):
             exprs.extend(stmt_exprs(s))
         assert not any(isinstance(e, Call)
                        for x in exprs for e in walk_exprs(x))
-        assert run_program(flat, [3, 4], mode="extended").output == 12
+        t = stabilization_search(sf, prog, [3, 4], mode="extended")
+        assert run_program(sf.program, [3, 4, t], mode="extended").output == 12
 
     def test_calls_in_loops(self):
         src = ("// mode: extended\n"
                "int main(int x,iint n){int inc(int a){return a+1;} "
                "for(i<size(n)) x=inc(x); return x;}")
         prog = compile_src(src, "extended")
-        flat = inline_functions(prog)
-        assert run_program(flat, [10, 2 ** 4], mode="extended").output == 15
+        sf = normalize_simple(prog)
+        t = stabilization_search(sf, prog, [10, 2 ** 4], mode="extended")
+        assert run_program(sf.program, [10, 2 ** 4, t],
+                           mode="extended").output == 15
 
     def test_captured_variable_rejected(self):
         src = ("// mode: extended\n"
                "int main(int x){int g; int f(int a){return a+g;} "
                "return f(x);}")
         prog = compile_src(src, "extended")
-        with pytest.raises(TransformError):
-            inline_functions(prog)
+        with pytest.raises(TransformError, match="function 'f' reads captured "
+                                                 "variable 'g'; cannot inline"
+                           ) as info:
+            normalize_simple(prog)
+        assert (info.value.pos.line, info.value.pos.col) == (2, 46)
+
+    def test_builtin_call_rejected(self):
+        src = ("// mode: extended\n"
+               "int main(int x){int f(int a){return a+1;} "
+               "return f(max(x,1));}")
+        prog = compile_src(src, "extended")
+        assert check_program(prog, "extended").ok
+        with pytest.raises(TransformError, match="normalizer cannot handle "
+                                                 "expression Call"):
+            normalize_simple(prog)
+
+    @pytest.mark.parametrize("loop", ["", "for(i<size(n)) "])
+    def test_break_outside_callee_loop_rejected(self, loop):
+        # the checker accepts a break at a function body's top level; at run
+        # time it escapes the function, so the caller's loop must not take it
+        src = ("// mode: extended\n"
+               "int main(int x,iint n){int f(int a){break; return a;} "
+               f"{loop}x=f(x)+1; return x;}}")
+        prog = compile_src(src, "extended")
+        assert check_program(prog, "extended").ok
+        with pytest.raises(TransformError, match="break escapes the body of "
+                                                 "function 'f'"):
+            normalize_simple(prog)
+
+    @pytest.mark.parametrize("name", list(CALL_CASES))
+    def test_expanded_call_matches_original(self, name):
+        src, inputs = CALL_CASES[name]
+        prog = compile_src("// mode: extended\n" + src, "extended")
+        assert check_program(prog, "extended").ok
+        assert_stabilized_output_matches(prog, inputs)
 
 
 NAIVE_TWIN = """int main(int x,int y){
