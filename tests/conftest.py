@@ -7,6 +7,22 @@ from polyc import check_program, desugar, parse_source
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
+# every sugar form, in blocks, branches, a loop and a function
+SUGARED = """// mode: extended
+int main(int x, int y) {
+    int a = 2*x;
+    array<int> r;
+    r = array(3);
+    r[0] += y;
+    void f(array<int> p) { p[1]++; }
+    f(r);
+    for (i < 3) { if (x > i) int b = x*3; a -= (y+1); }
+    if (y < 2) { a++; }
+    if (x == y) { a = y; } else { a = a+x*2; }
+    return a + 0b10*y - r[0];
+}
+"""
+
 
 def corpus_source(name):
     return (CORPUS / name).read_text(encoding="utf-8")

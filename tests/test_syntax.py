@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, compile_src, corpus_source, load
+from conftest import SUGARED, CORPUS, compile_src, corpus_source, load
 
 from polyc import (
     check_program, desugar, parse_source, pretty_print, run_program, tokenize,
@@ -331,21 +331,6 @@ class TestDesugar:
                                                                   Const("1")]))])
 
 
-# every sugar form, in blocks, branches, a loop and a function
-SUGARED = """// mode: extended
-int main(int x, int y) {
-    int a = 2*x;
-    array<int> r;
-    r = array(3);
-    r[0] += y;
-    void f(array<int> p) { p[1]++; }
-    f(r);
-    for (i < 3) { if (x > i) int b = x*3; a -= (y+1); }
-    if (y < 2) { a++; }
-    if (x == y) { a = y; } else { a = a+x*2; }
-    return a + 0b10*y - r[0];
-}
-"""
 DESUGAR_SOURCES = [SUGARED] + [corpus_source(p.name)
                                for p in sorted(CORPUS.glob("*.pc"))]
 
