@@ -106,14 +106,13 @@ class PolyVerdict:
     diags: tuple = ()
 
 
-def poly_check(prog, mode="core"):
+def poly_check(prog):
     """Algorithm: assign iterable everywhere, check, demote, repeat.
 
     Candidates are checked in extended mode regardless of the input mode:
     the initial all-iterable assignment gives main iterable parameters,
     which only the extended parameter rule admits.
     """
-    del mode
     work = clone(prog)
     sites = _int_sites(work)
     state = AnnotationState({s: True for s in sites})

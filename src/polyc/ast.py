@@ -194,7 +194,7 @@ class Block(Stmt):
 class If(Stmt):
     cond: Expr
     then: Stmt
-    els: Stmt  # None only before desugaring (extended mode)
+    els: Stmt  # an empty Block for an if without else
     pos: Pos = field(default=NO_POS, compare=False)
 
 
@@ -232,15 +232,7 @@ class CallStmt(Stmt):
     pos: Pos = field(default=NO_POS, compare=False)
 
 
-# Sugar statements produced by the extended parser; removed by desugar().
-
-
-@dataclass(eq=True)
-class DeclInit(Stmt):
-    annot: Type
-    name: str
-    init: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
+# Sugar statement produced by the extended parser; desugar() lowers it.
 
 
 @dataclass(eq=True)
@@ -248,12 +240,6 @@ class AugAssign(Stmt):
     op: str  # "+" or "-"
     lvalue: Expr
     expr: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class Incr(Stmt):
-    lvalue: Expr
     pos: Pos = field(default=NO_POS, compare=False)
 
 
@@ -387,7 +373,7 @@ def program_names(prog):
     """All identifiers referred to in a program (variables and functions)."""
     names = set(n for _, n in prog.params)
     for node in walk(prog.body + [prog.ret_expr]):
-        if isinstance(node, (Decl, DeclInit, Var)):
+        if isinstance(node, (Decl, Var)):
             names.add(node.name)
         elif isinstance(node, For):
             names.add(node.counter)

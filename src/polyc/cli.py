@@ -97,7 +97,8 @@ def build_parser():
     sp.add_argument("--mode", choices=["core", "extended"])
     sp.add_argument("--json", action="store_true")
 
-    sp = add("cost", cmd_cost, help="run with cost accounting")
+    sp = add("cost", cmd_run, help="run with cost accounting")
+    sp.set_defaults(cost=True)
     sp.add_argument("file")
     sp.add_argument("args", nargs="*")
     sp.add_argument("--mode", choices=["core", "extended"])
@@ -261,11 +262,6 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def cmd_cost(args):
-    args.cost = True
-    return cmd_run(args)
-
-
 def cmd_check(args):
     _checked(args.file, args.mode, args.json)
     print(json.dumps({"diagnostics": []}) if args.json else "well-typed: int")
@@ -314,8 +310,8 @@ def cmd_transform(args):
 
 
 def cmd_analyze(args):
-    prog, mode = _load(args.file, args.mode)
-    verdict = poly_check(prog, mode)
+    prog, _ = _load(args.file, args.mode)
+    verdict = poly_check(prog)
     print(verdict.verdict)
     if verdict.verdict == "poly":
         print(pretty_print(verdict.witness), end="")

@@ -1,5 +1,6 @@
-"""Lowering of surface sugar to the core constructs (plus the extended
-primitives: functions, arrays, strings, break and continue).
+"""Lowering of the sugar whose expansion depends on a lowered operand:
+`m*a`, and `x += e` / `x -= e`, whose right side is parenthesized only if it
+is still compound once lowered.  The parser lowers every other sugar form.
 
 Lowering is copy-on-write: a subtree with no sugar comes back as the same
 object, only the path above what is lowered is rebuilt, and the input is
@@ -10,8 +11,8 @@ from dataclasses import replace
 from operator import is_
 
 from .ast import (
-    ArrayCtor, Assign, AugAssign, Block, Break, Const, Continue, Decl,
-    DeclInit, If, Incr, OpApp, Paren, Var, _node_fields, rebuild,
+    ArrayCtor, Assign, AugAssign, Break, Const, Continue, Decl, If, OpApp,
+    Paren, Var, _node_fields, rebuild,
 )
 from .errors import DesugarError
 from .values import int_to_decimal, literal_value
@@ -22,7 +23,7 @@ _LEAVES = {Var, Const, Decl, Break, Continue, tuple}
 
 
 def desugar(prog):
-    """Expand m*a, +=, ++, declaration initializers and if-without-else."""
+    """Expand m*a, += and -=."""
     return _lower(prog)
 
 
@@ -35,43 +36,28 @@ def _lower(node):
         if node.op == "*":
             return _scalar_mul(node)
         return rebuild(node, _lower)  # a chain, in one loop
-    if cls is AugAssign or cls is Incr:  # x += e, x -= e and x++
+    if cls is AugAssign:  # x += e and x -= e
         lv = _lower(node.lvalue)
-        rhs = _paren(_lower(node.expr)) if cls is AugAssign else Const("1", pos=pos)
-        op = node.op if cls is AugAssign else "+"
-        return Assign(lv, OpApp(op, [lv, rhs], pos=pos), pos=pos)
+        rhs = _paren(_lower(node.expr))
+        return Assign(lv, OpApp(node.op, [lv, rhs], pos=pos), pos=pos)
     if cls is If:  # the else branch first, so its errors are reported first
-        els = Block([], pos=pos) if node.els is None else _lower(node.els)
+        els = _lower(node.els)
         cond, then = _lower(node.cond), _lower(node.then)
         if cond is node.cond and then is node.then and els is node.els:
             return node
         return If(cond, then, els, pos=pos)
-    if cls is DeclInit:  # a branch of its own; in a list, _list lowers it
-        return Block(_list([node]), pos=pos)
     if cls is ArrayCtor:  # always a new node: the checker writes its elem
         return ArrayCtor(_lower(node.length), pos=pos)
     changes = {}
     for name in _node_fields(cls):
         old = getattr(node, name)
-        new = _list(old) if old.__class__ is list else _lower(old)
-        if new is not old:
+        if old.__class__ is list:  # statements, arguments or parameters
+            new = [_lower(s) for s in old]
+            if not all(map(is_, new, old)):
+                changes[name] = new
+        elif (new := _lower(old)) is not old:
             changes[name] = new
     return replace(node, **changes) if changes else node
-
-
-def _list(items):
-    """Lowered statements, expressions or parameters; `items` itself when
-    none changes."""
-    out = []
-    for s in items:
-        if s.__class__ is DeclInit:
-            out += [Decl(s.annot, s.name, pos=s.pos),
-                    Assign(Var(s.name, pos=s.pos), _lower(s.init), pos=s.pos)]
-        else:
-            out.append(_lower(s))
-    if len(out) == len(items) and all(map(is_, out, items)):
-        return items
-    return out
 
 
 def _is_numeral(e):

@@ -1,14 +1,17 @@
 """Recursive descent parser producing the shared AST.
 
 Core mode accepts the minimal language only; extended mode adds functions,
-arrays, strings, break/continue and assignment sugar.  Sugar forms are kept
-in the AST and lowered by desugar().
+arrays, strings, break/continue and assignment sugar.  The parser lowers the
+sugar that needs no lowered operand as it reads it: `void` functions,
+multiple declarators, `T x = e` (a Decl and an Assign), `x++` (`x += 1`) and
+an `if` without `else` (an empty else Block).  desugar() lowers the rest,
+`m*a` and `x += e` / `x -= e`.
 """
 
 from .ast import (
     ArrayCtor, ArrayT, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
-    Continue, Decl, DeclInit, For, FunDef, If, Incr, Index, OpApp, Paren,
-    Pos, Program, Var, BOOL, IINT, INT, ISTRING, STRING,
+    Continue, Decl, For, FunDef, If, Index, OpApp, Paren, Pos, Program, Var,
+    BOOL, IINT, INT, ISTRING, STRING,
 )
 from .errors import ParseError
 from .lexer import tokenize
@@ -211,9 +214,11 @@ class Parser:
         self.deeper()
         stmts = self.stmt()
         self.depth -= 1
-        if len(stmts) != 1:
-            self.fail("multiple declarators not allowed here", stmts[0].pos)
-        return stmts[0]
+        if len(stmts) == 1:
+            return stmts[0]
+        if len(stmts) == 2 and stmts[1].__class__ is Assign:  # T x = e
+            return Block(stmts, pos=stmts[0].pos)
+        self.fail("multiple declarators not allowed here", stmts[0].pos)
 
     def block(self):
         start = self.pos(self.expect("{"))
@@ -231,7 +236,7 @@ class Parser:
             els = self.branch_stmt()
         else:
             self.need_extended("if without else")
-            els = None
+            els = Block([], pos=start)
         return [If(cond, then, els, pos=start)]
 
     def for_stmt(self):
@@ -279,11 +284,10 @@ class Parser:
         while True:
             name = self.expect_ident()
             pos = self.pos(name)
+            out.append(Decl(annot, name[1], pos=pos))
             if self.accept("="):
                 self.need_extended("declaration initializers")
-                out.append(DeclInit(annot, name[1], self.expr(), pos=pos))
-            else:
-                out.append(Decl(annot, name[1], pos=pos))
+                out.append(Assign(Var(name[1], pos=pos), self.expr(), pos=pos))
             if not self.accept(","):
                 break
             self.need_extended("multiple declarators")
@@ -309,7 +313,8 @@ class Parser:
             self.i += 1
             self.need_extended("++ statements")
             self.expect(";")
-            return Incr(lv, pos=self.pos(t))
+            pos = self.pos(t)
+            return AugAssign("+", lv, Const("1", pos=pos), pos=pos)
         self.fail(f"expected assignment operator, found {op!r}")
 
     def lvalue(self):

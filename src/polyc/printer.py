@@ -4,23 +4,15 @@ The printer never invents grouping for ASTs produced by the parser or by the
 code generators in this package: those keep explicit Paren nodes wherever the
 infix surface form needs parentheses.  For other ASTs it still emits correct
 (semantics-preserving) parentheses, at the cost of the exact round trip.
+Every If has an else branch (the parser gives an else-less `if` an empty
+one), so a bare then-branch never takes an else that is not its own.
 """
 
 from .ast import (
     ArrayCtor, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
-    Continue, Decl, DeclInit, For, FunDef, If, Incr, Index, OpApp, Paren, Var,
-    left_chain,
+    Continue, Decl, For, FunDef, If, Index, OpApp, Paren, Var, left_chain,
 )
 from .ops import LEVELS, PRECEDENCE
-
-
-def _ends_open(s):
-    """True if an unbraced rendering of s ends with an else-less if."""
-    if isinstance(s, If):
-        return s.els is None or _ends_open(s.els)
-    if isinstance(s, For):
-        return _ends_open(s.body)
-    return False
 
 
 def expr_level(e):
@@ -75,14 +67,10 @@ class _Emitter:
     def stmt(self, s):
         if isinstance(s, Decl):
             self.line(f"{s.annot} {s.name};")
-        elif isinstance(s, DeclInit):
-            self.line(f"{s.annot} {s.name}={expr_str(s.init)};")
         elif isinstance(s, Assign):
             self.line(f"{expr_str(s.lvalue)}={expr_str(s.expr)};")
         elif isinstance(s, AugAssign):
             self.line(f"{expr_str(s.lvalue)}{s.op}={expr_str(s.expr)};")
-        elif isinstance(s, Incr):
-            self.line(f"{expr_str(s.lvalue)}++;")
         elif isinstance(s, Break):
             self.line("break;")
         elif isinstance(s, Continue):
@@ -108,15 +96,6 @@ class _Emitter:
 
     def if_chain(self, s, prefix):
         head = f"{prefix}if({expr_str(s.cond)})"
-        if s.els is None:
-            self.attach_body(head, s.then)
-            return
-        if not isinstance(s.then, Block) and _ends_open(s.then):
-            # a bare then-branch would steal the else on reparse
-            self.line(head + " {")
-            self.indented([s.then])
-            self.else_part("} else", s.els)
-            return
         if isinstance(s.then, Block):
             if s.then.stmts:
                 self.line(head + " {")
@@ -151,8 +130,8 @@ class _Emitter:
                 self.line("}")
             else:
                 self.line(head + " { }")
-        elif isinstance(body, (Decl, DeclInit, Assign, AugAssign, Incr, Break,
-                               Continue, CallStmt)):
+        elif isinstance(body, (Decl, Assign, AugAssign, Break, Continue,
+                               CallStmt)):
             save = len(self.lines)
             self.stmt(body)
             self.lines[save] = "    " * self.depth + head + " " + self.lines[save].lstrip()

@@ -18,6 +18,7 @@ from .ast import (
     If, OpApp, Paren, Program, Stmt, Var, BOOL, IINT, INT, is_int_type,
     fresh_name, program_names, rebuild, walk, walk_stmts,
 )
+from .desugar import MAX_SCALAR
 from .errors import ArgumentError, PolycError
 from .interp import run_program
 from .values import format_value
@@ -184,6 +185,7 @@ class _Normalizer:
         self.cur = None
         self.loop_stack = []  # (incr_label, after_label)
         self.callee = None  # name of the function being expanded
+        self.expanded = 0  # statements that call expansion has emitted
         self.y = self.fresh("y")
         self.i = self.fresh("i")
         self.pc = self.fresh("pc")
@@ -384,7 +386,7 @@ class _Normalizer:
         if isinstance(e, (Const, Paren, OpApp)):
             return rebuild(e, lambda sub: self.rewrite_expr(sub, scope))
         if isinstance(e, Call) and isinstance(scope.get(e.fname), tuple):
-            return self.expand(scope[e.fname], e.args, scope)
+            return self.expand(scope[e.fname], e, scope)
         raise TransformError(
             f"normalizer cannot handle expression {type(e).__name__}",
             getattr(e, "pos", None))
@@ -415,11 +417,17 @@ class _Normalizer:
         self.place(nxt)
         return Var(t_sz)
 
-    def expand(self, fun, args, scope):
-        """Emit blocks running the body of a user function on `args` and
-        return the fresh variable that holds its result."""
+    def expand(self, fun, call, scope):
+        """Emit blocks running a user function's body on the arguments of
+        `call`; return the fresh variable that holds its result.  The copies
+        are counted: a chain of functions each calling the previous twice
+        doubles the output per level."""
         f, fun_scope = fun
-        vals = [self.rewrite_expr(a, scope) for a in args]
+        self.expanded += len(f.params) + 1 + sum(1 for _ in walk_stmts(f.body))
+        if self.expanded > MAX_SCALAR:
+            raise TransformError(f"expanding calls copies more than "
+                                 f"{MAX_SCALAR} statements", call.pos)
+        vals = [self.rewrite_expr(a, scope) for a in call.args]
         body_scope = dict(fun_scope)
         for (t, n), val in zip(f.params, vals):
             body_scope[n] = self.hoist(t, n, f.pos)

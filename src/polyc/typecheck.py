@@ -106,6 +106,9 @@ class Checker:
         self.extended = mode == "extended"
         self.errors = []
         self.fn_stack = []
+        # inside a loop of the innermost unit; apart from the loop indicator,
+        # which a function body sets too
+        self.in_loop = False
         # the one scope: name -> (type, site); a scope ends by undoing the
         # bindings logged since its mark, so checking stays linear
         self.env = initial_env(mode)
@@ -291,7 +294,7 @@ class Checker:
         elif isinstance(s, FunDef):
             self.fundef(s)
         elif isinstance(s, (Break, Continue)):
-            if not l:
+            if not self.in_loop:
                 word = "break" if isinstance(s, Break) else "continue"
                 self.diag("misplaced-break", f"{word} outside of any loop", s.pos)
         elif isinstance(s, CallStmt):
@@ -397,7 +400,9 @@ class Checker:
                       s.pos, names=(s.counter,))
         mark = len(self.undo)
         self.bind(s.counter, IINT, counter_site(s))
+        inside, self.in_loop = self.in_loop, True
         self.stmt(True, s.body)
+        self.in_loop = inside
         self.unbind(mark)
 
     def fundef(self, s):
@@ -407,7 +412,9 @@ class Checker:
                       s.pos, names=(s.name,))
         mark = len(self.undo)
         self.fn_stack.append(s.name)
+        inside, self.in_loop = self.in_loop, False
         rt = self.unit(True, s.name, s)
+        self.in_loop = inside
         self.fn_stack.pop()
         self.unbind(mark)
         if rt is not None and not type_equiv(rt, s.ret):

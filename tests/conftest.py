@@ -48,6 +48,16 @@ def compile_src(src, mode="core"):
     return desugar(parse_source(src, mode))
 
 
+def doubling_calls(k):
+    """A program of k+1 functions, each but the first calling the previous
+    one twice, so that expanding its one call copies 2**k bodies."""
+    funs = ["int f0(int a){return a+1;}"] + [
+        f"int f{j}(int a){{return f{j - 1}(f{j - 1}(a));}}"
+        for j in range(1, k + 1)]
+    return ("// mode: extended\nint main(int x){" + "".join(funs)
+            + f" return f{k}(x);}}\n")
+
+
 @pytest.fixture
 def fastmul():
     return load_checked("fastmul.pc")[0]

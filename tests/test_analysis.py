@@ -23,8 +23,8 @@ def site_names(sites, witness):
 
 class TestPolyCheck:
     def test_fastmul_shape_is_poly(self):
-        prog, mode = load("fastmul.pc")
-        v = poly_check(erase_annotations(prog), mode)
+        prog, _ = load("fastmul.pc")
+        v = poly_check(erase_annotations(prog))
         assert v.verdict == "poly"
         assert site_names(v.state.iterable_sites(), v.witness) == {"z"}
         demoted = {s for s, it in v.state.assignment.items() if not it}
@@ -32,20 +32,20 @@ class TestPolyCheck:
         assert check_program(v.witness, "extended").ok
 
     def test_badmul_shape_is_unknown(self):
-        prog, mode = load("badmul.pc")
-        v = poly_check(erase_annotations(prog), mode)
+        prog, _ = load("badmul.pc")
+        v = poly_check(erase_annotations(prog))
         assert v.verdict == "unknown"
         assert any(d.kind == "non-iterable-loop-bound" for d in v.diags)
 
     def test_loop_free_is_poly_in_one_round(self):
         prog = compile_src("int main(int x){int a; a=x+1; return a;}")
-        v = poly_check(erase_annotations(prog), "core")
+        v = poly_check(erase_annotations(prog))
         assert v.verdict == "poly"
         assert v.state.history == []  # no demotions needed
 
     def test_demotion_is_monotone_and_terminates(self):
-        prog, mode = load("fastmul.pc")
-        v = poly_check(erase_annotations(prog), mode)
+        prog, _ = load("fastmul.pc")
+        v = poly_check(erase_annotations(prog))
         seen = set()
         for demoted, _ in v.state.history:
             assert not (set(demoted) & seen)  # never demoted twice
@@ -55,21 +55,21 @@ class TestPolyCheck:
     def test_ill_typed_is_distinct_from_unknown(self):
         prog = compile_src("int main(int x){x=y+1; return x;}")
         with pytest.raises(IllTypedError):
-            poly_check(prog, "core")
+            poly_check(prog)
 
     def test_original_annotations_ignored(self):
         # analysis behaves the same whether or not annotations were erased
-        prog, mode = load("fastmul.pc")
-        v1 = poly_check(prog, mode)
-        v2 = poly_check(erase_annotations(prog), mode)
+        prog, _ = load("fastmul.pc")
+        v1 = poly_check(prog)
+        v2 = poly_check(erase_annotations(prog))
         assert v1.verdict == v2.verdict == "poly"
 
     def test_extended_function_params_join_lattice(self):
         src = ("// mode: extended\n"
                "int main(int x){int f(int a){iint q; q=a; "
                "int r; r=0; for(i<size(q)) r=r+1; return r;} return f(x);}")
-        prog, mode = compile_src(src, "extended"), "extended"
-        v = poly_check(prog, mode)
+        prog = compile_src(src, "extended")
+        v = poly_check(prog)
         # q=a occurs inside the function body (checked as a loop), so q is
         # demoted and the bound size(q) then fails: unknown
         assert v.verdict == "unknown"
@@ -78,8 +78,8 @@ class TestPolyCheck:
     def test_helper_with_non_iterable_arguments_is_poly(self, name):
         # helpers such as max(int a, int b) start with iterable parameters;
         # calls with non-iterable arguments demote them
-        prog, mode = load(name)
-        v = poly_check(erase_annotations(prog), mode)
+        prog, _ = load(name)
+        v = poly_check(erase_annotations(prog))
         assert v.verdict == "poly"
         assert check_program(v.witness, "extended").ok
 
@@ -87,12 +87,12 @@ class TestPolyCheck:
         src = ("int main(int x){int f(istring s){return size(s);} "
                "string t; t=\"ab\"; return f(t);}")
         with pytest.raises(IllTypedError):
-            poly_check(compile_src(src, "extended"), "extended")
+            poly_check(compile_src(src, "extended"))
 
     def test_witness_reannotation_idempotent(self):
-        prog, mode = load("fastmul.pc")
-        v = poly_check(prog, mode)
-        v2 = poly_check(v.witness, mode)
+        prog, _ = load("fastmul.pc")
+        v = poly_check(prog)
+        v2 = poly_check(v.witness)
         assert v2.verdict == "poly"
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, corpus_source
+from conftest import CORPUS, corpus_source, doubling_calls
 
 from polyc import parse_source
 from polyc import cli
@@ -243,6 +243,14 @@ class TestCheck:
         parts = line.split(":")
         assert int(parts[1]) > 0 and int(parts[2]) > 0
 
+    def test_break_in_function_body_exit_1(self, capsys, tmp_path):
+        f = tmp_path / "jump.pc"
+        f.write_text("// mode: extended\n"
+                     "int main(int x){int f(int a){break; return a;} return f(x);}\n")
+        code, out, err = run_cli(capsys, "check", f)
+        assert code == 1 and out == ""
+        assert "misplaced-break: break outside of any loop" in err
+
     def test_json_diagnostics(self, capsys):
         code, out, _ = run_cli(capsys, "check", corpus("badmul.pc"), "--json")
         assert code == 1
@@ -395,6 +403,14 @@ class TestTransformCmd:
         assert ("error: normalizer supports integer and boolean locals, "
                 "not array<int>") in err
         assert "Pos(" not in err
+
+
+    def test_normalize_bounds_call_expansion(self, capsys, tmp_path):
+        f = tmp_path / "doubling.pc"
+        f.write_text(doubling_calls(15))
+        code, out, err = run_cli(capsys, "transform", "normalize", f)
+        assert code == 3 and out == ""
+        assert "error: expanding calls copies more than 65536 statements" in err
 
 
 class TestAnalyze:

@@ -10,8 +10,8 @@ from polyc import (
 )
 from polyc.lexer import KEYWORDS
 from polyc.ast import (
-    ArrayCtor, Assign, AugAssign, Block, Const, Decl, DeclInit, For, FunDef,
-    If, Incr, OpApp, Paren, Program, Var, IINT, walk, walk_stmts,
+    ArrayCtor, Assign, AugAssign, Block, Const, Decl, For, FunDef, OpApp,
+    Paren, Pos, Program, Var, IINT, walk, walk_stmts,
 )
 from polyc.errors import DesugarError, LexError, ParseError
 from polyc.parser import detect_mode
@@ -226,6 +226,8 @@ class TestParse:
             "int main(){int f(int a){return a;} return 0;}",
             "int main(){break; return 0;}",
             "int main(int x){x+=1; return x;}",
+            "int main(int x){x++; return x;}",
+            "int main(){int a=1; return a;}",
             "int main(int x){if(x>0) x=1; return x;}",
             "int main(iint x){return x;}",
             'int main(){string s; return 0;}',
@@ -270,10 +272,14 @@ class TestParse:
         seen = 0
         for src in sources:
             prog = parse_source(src)
-            # the implicit return of a void function is positioned at `void`
+            # the implicit return of a void function is positioned at
+            # `void`, and the 1 that `x++` adds at `++`
             implicit = [s.ret_expr for s in walk_stmts(prog.body)
                         if isinstance(s, FunDef) and src.startswith(
                             "void", offset(src, s.pos.line, s.pos.col))]
+            implicit += [s.expr for s in walk_stmts(prog.body)
+                         if isinstance(s, AugAssign) and src.startswith(
+                             "++", offset(src, s.pos.line, s.pos.col))]
             for node in walk(prog.body + [prog.ret_expr]):
                 text = {Var: "name", Const: "text", OpApp: "op"}.get(type(node))
                 if text is None or any(node is n for n in implicit):
@@ -286,6 +292,51 @@ class TestParse:
     def test_mode_detection(self):
         assert detect_mode(corpus_source("knapsack.pc")) == "extended"
         assert detect_mode(corpus_source("fastmul.pc")) == "core"
+
+
+class TestParserLowersSugar:
+    """`T x = e`, `x++` and an `if` without `else` parse to the core
+    statements written out by hand, positioned at the sugar's own tokens."""
+
+    @staticmethod
+    def parse(body):
+        return parse_source("int main(int x){" + body + " return x;}", "extended")
+
+    def test_decl_initializer(self):
+        prog = self.parse("int a = x+1;")
+        assert prog == self.parse("int a; a = x+1;")
+        decl, assign = prog.body
+        # the Decl, the Assign and its target sit at the declarator
+        assert decl.pos == assign.pos == assign.lvalue.pos == Pos(1, 21)
+        assert assign.expr.pos == Pos(1, 26)
+
+    def test_decl_initializer_as_branch_is_a_block(self):
+        prog = self.parse("if (x > 0) int a = x; else for (i < 2) int b = i;")
+        assert prog == self.parse(
+            "if (x > 0) { int a; a = x; } else for (i < 2) { int b; b = i; }")
+        then, body = prog.body[0].then, prog.body[0].els.body
+        assert then.pos == then.stmts[0].pos == then.stmts[1].pos == Pos(1, 32)
+        assert body.pos == body.stmts[1].lvalue.pos == Pos(1, 60)
+
+    def test_multiple_declarators_in_a_branch_fail(self):
+        for branch in ["int a = 1, b;", "int a, b = 1;", "int a, b;"]:
+            with pytest.raises(ParseError, match="not allowed here") as exc:
+                self.parse("if (x > 0) " + branch)
+            assert exc.value.pos == Pos(1, 32)
+
+    def test_increment(self):
+        prog = self.parse("x++;")
+        assert prog == self.parse("x += 1;")
+        inc = prog.body[0]
+        assert isinstance(inc, AugAssign)
+        assert inc.pos == inc.expr.pos == Pos(1, 18) and inc.lvalue.pos == Pos(1, 17)
+
+    def test_if_without_else_gains_empty_block(self):
+        prog = self.parse("if (x > 0) if (x > 1) x = 1;")
+        assert prog == self.parse("if (x > 0) if (x > 1) x = 1; else {} else {}")
+        outer = prog.body[0]
+        assert outer.els == outer.then.els == Block([])
+        assert outer.els.pos == Pos(1, 17) and outer.then.els.pos == Pos(1, 28)
 
 
 class TestDesugar:
@@ -336,8 +387,7 @@ DESUGAR_SOURCES = [SUGARED] + [corpus_source(p.name)
 
 
 def has_sugar(node):
-    return any(isinstance(n, (DeclInit, AugAssign, Incr, ArrayCtor))
-               or isinstance(n, If) and n.els is None
+    return any(isinstance(n, (AugAssign, ArrayCtor))
                or isinstance(n, OpApp) and n.op == "*" for n in walk([node]))
 
 

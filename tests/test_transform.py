@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from conftest import compile_src, load_checked
+from conftest import compile_src, doubling_calls, load_checked
 
 from polyc import check_program, pretty_print, run_program
 from polyc.desugar import desugar
@@ -382,16 +384,29 @@ class TestInline:
 
     @pytest.mark.parametrize("loop", ["", "for(i<size(n)) "])
     def test_break_outside_callee_loop_rejected(self, loop):
-        # the checker accepts a break at a function body's top level; at run
-        # time it escapes the function, so the caller's loop must not take it
+        # the checker rejects a break at a function body's top level; in an
+        # unchecked program it escapes the function, so the caller's loop
+        # must not take it
         src = ("// mode: extended\n"
                "int main(int x,iint n){int f(int a){break; return a;} "
                f"{loop}x=f(x)+1; return x;}}")
         prog = compile_src(src, "extended")
-        assert check_program(prog, "extended").ok
+        assert [d.kind for d in check_program(prog, "extended").errors] == \
+            ["misplaced-break"]
         with pytest.raises(TransformError, match="break escapes the body of "
                                                  "function 'f'"):
             normalize_simple(prog)
+
+    def test_call_expansion_is_bounded(self):
+        prog = compile_src(doubling_calls(15), "extended")
+        assert check_program(prog, "extended").ok
+        start = time.perf_counter()
+        with pytest.raises(TransformError, match="expanding calls copies "
+                                                 "more than 65536 statements"):
+            normalize_simple(prog)
+        assert time.perf_counter() - start < 2
+        small = compile_src(doubling_calls(3), "extended")
+        assert_stabilized_output_matches(small, [(0,), (5,), (-9,)])
 
     @pytest.mark.parametrize("name", list(CALL_CASES))
     def test_expanded_call_matches_original(self, name):

@@ -7,7 +7,7 @@ from polyc import pretty_print
 from polyc.analysis import IllTypedError, poly_check
 from polyc.ast import (
     ArrayCtor, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
-    Continue, Decl, DeclInit, Expr, For, FunDef, If, Incr, Index, OpApp,
+    Continue, Decl, Expr, For, FunDef, If, Index, OpApp,
     Paren, Pos, Program, Stmt, Var, INT, NO_POS, children, clone, left_chain,
     rebuild, stmt_exprs, walk, walk_exprs, walk_stmts,
 )
@@ -20,7 +20,7 @@ def _vars(n):
 def _table():
     """One instance of every node class with its children in field order."""
     a, b, c = _vars(3)
-    s1, s2 = Decl(INT, "x"), Decl(INT, "y")
+    s1, s2, empty = Decl(INT, "x"), Decl(INT, "y"), Block([])
     call = Call("f", [a, b])
     return [
         (Var("x"), []),
@@ -34,15 +34,13 @@ def _table():
         (Assign(a, b), [a, b]),
         (Block([s1, s2]), [s1, s2]),
         (If(a, s1, s2), [a, s1, s2]),
-        (If(a, s1, None), [a, s1]),  # extended mode before desugaring
+        (If(a, s1, empty), [a, s1, empty]),  # an if without else, as parsed
         (For("i", a, s1), [a, s1]),
         (FunDef(INT, "f", [(INT, "p")], [s1, s2], c), [s1, s2, c]),
         (Break(), []),
         (Continue(), []),
         (CallStmt(call), [call]),
-        (DeclInit(INT, "x", a), [a]),
         (AugAssign("+", a, b), [a, b]),
-        (Incr(a), [a]),
         (Program([(INT, "x")], [s1, s2], c), [s1, s2, c]),
     ]
 
@@ -121,11 +119,11 @@ def test_clone_is_equal_and_unshared(name, prog):
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.pc")),
                          ids=lambda p: p.name)
 def test_poly_check_leaves_its_input_alone(path):
-    prog, mode = load(path.name)
+    prog, _ = load(path.name)
     before = pretty_print(prog)
     annots = [s.annot for s in walk_stmts(prog.body) if isinstance(s, Decl)]
     try:
-        poly_check(prog, mode)
+        poly_check(prog)
     except IllTypedError:
         pass
     assert pretty_print(prog) == before

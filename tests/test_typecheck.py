@@ -256,6 +256,16 @@ class TestExtendedJudgments:
         src = "// mode: extended\nint main(){break; return 0;}"
         assert kinds_of(src, "extended") == ["misplaced-break"]
 
+    @pytest.mark.parametrize("body", [
+        "int f(int a){break; return a;}",
+        "void f(){continue;}",
+        "iint z; for(i<size(z)) {int f(int a){break; return a;}}",
+    ])
+    def test_jump_at_function_top_level_is_misplaced(self, body):
+        # a function body sets the loop indicator but is not inside a loop
+        src = f"// mode: extended\nint main(int x){{{body} return x;}}"
+        assert kinds_of(src, "extended") == ["misplaced-break"]
+
     def test_break_inside_loop_ok(self):
         src = ("// mode: extended\n"
                "int main(){iint z; for(i<size(z)) {break;} return 0;}")
