@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import SUGARED, CORPUS, compile_src, corpus_source, load
 
 from polyc import (
-    check_program, desugar, parse_source, pretty_print, run_program, tokenize,
+    check_program, desugar, load_program, parse_source, pretty_print,
+    run_program, tokenize,
 )
 from polyc.lexer import KEYWORDS
 from polyc.ast import (
     ArrayCtor, Assign, AugAssign, Block, Const, Decl, For, FunDef, OpApp,
     Paren, Pos, Program, Var, IINT, walk, walk_stmts,
 )
-from polyc.errors import DesugarError, LexError, ParseError
+from polyc.errors import DesugarError, LexError, ParseError, PolycError
 from polyc.parser import detect_mode
 
 
@@ -337,6 +338,135 @@ class TestParserLowersSugar:
         outer = prog.body[0]
         assert outer.els == outer.then.els == Block([])
         assert outer.els.pos == Pos(1, 17) and outer.then.els.pos == Pos(1, 28)
+
+
+_LOWER_HEAD = "int main(int x,int y){int o; "
+
+
+def load_body(body):
+    """`load_program` of one line of statements in extended mode."""
+    return load_program(_LOWER_HEAD + body + " return x;}", "extended")[0]
+
+
+def body_pos(body, needle, k=0):
+    """The position of the k-th occurrence of `needle` in `body`."""
+    i = -1
+    for _ in range(k + 1):
+        i = body.index(needle, i + 1)
+    return Pos(1, len(_LOWER_HEAD) + i + 1)
+
+
+class TestLoweredForms:
+    """What `load_program` makes of `m*a`, `x += e`, `x -= e` and `x++`: the
+    statement as printed and its positions, and which error wins when a
+    source has several."""
+
+    @pytest.mark.parametrize("body, printed", [
+        ("o=3*y;", "o=y+y+y;"),
+        ("o=y*2;", "o=y+y;"),
+        ("o=1*(x+y);", "o=(x+y);"),
+        ("o=2*(x+y);", "o=(x+y)+(x+y);"),
+        ("o=2*x+y;", "o=x+x+y;"),
+        ("o=y-2*x;", "o=y-(x+x);"),
+        ("o=2*x/2;", "o=(x+x)/2;"),
+        ("o=0*x;", "o=0;"),
+        ("o=3*0b10;", "o=0b10+0b10+0b10;"),
+        ("x+=1*y;", "x=x+y;"),
+        ("x+=2*x;", "x=x+(x+x);"),
+        ("x+=0*y;", "x=x+0;"),
+        ("x-=y+1;", "x=x-(y+1);"),
+        ("x-=-y;", "x=x-(-y);"),
+        ("x++;", "x=x+1;"),
+    ])
+    def test_printed(self, body, printed):
+        prog = load_body(body)
+        assert pretty_print(prog).splitlines()[2].strip() == printed
+
+    def test_scalar_mul_positions_and_sharing(self):
+        body = "o=3*y;"
+        add = load_body(body).body[1].expr
+        star, y = body_pos(body, "*"), body_pos(body, "y")
+        assert add.pos == add.args[0].pos == star
+        assert add.args[1] is add.args[0].args[0] is add.args[0].args[1]
+        assert add.args[1] == Var("y") and add.args[1].pos == y
+        body = "o=0*x;"
+        zero = load_body(body).body[1].expr
+        assert zero == Const("0") and zero.pos == body_pos(body, "*")
+        body = "o=2*(x+y);"
+        add = load_body(body).body[1].expr
+        paren = add.args[0]
+        assert add.pos == body_pos(body, "*") and paren is add.args[1]
+        assert isinstance(paren, Paren) and paren.pos == body_pos(body, "(")
+
+    @pytest.mark.parametrize("body, op", [
+        ("x+=y+1;", "+="), ("x-=2*x;", "-="), ("x+=1*y;", "+="),
+        ("x+=0*y;", "+="), ("x++;", "++")])
+    def test_augmented_positions_and_sharing(self, body, op):
+        assign = load_body(body).body[1]
+        assert isinstance(assign, Assign)
+        at = body_pos(body, op)
+        assert assign.pos == assign.expr.pos == at
+        assert assign.lvalue == Var("x") and assign.lvalue.pos == Pos(1, len(_LOWER_HEAD) + 1)
+        assert assign.expr.op == op[0]
+        assert assign.expr.args[0] is assign.lvalue
+        rhs = assign.expr.args[1]
+        if op == "++":
+            assert rhs == Const("1") and rhs.pos == at
+        elif body == "x+=y+1;":  # compound: parenthesized at its operator
+            assert isinstance(rhs, Paren) and rhs.pos == body_pos(body, "+", 1)
+        elif body == "x-=2*x;":
+            assert isinstance(rhs, Paren) and rhs.pos == body_pos(body, "*")
+        elif body == "x+=1*y;":
+            assert rhs == Var("y") and rhs.pos == body_pos(body, "y")
+        else:
+            assert rhs == Const("0") and rhs.pos == body_pos(body, "*")
+
+    def test_indexed_target_is_shared(self):
+        body = "array<int> r; r=array(2); r[2*x]++;"
+        assign = load_body(body).body[3]
+        assert assign.expr.args[0] is assign.lvalue
+        assert pretty_print(load_body(body)).splitlines()[4].strip() == \
+            "r[x+x]=r[x+x]+1;"
+
+    GENERAL = "general multiplication prohibited: one factor must be a literal"
+
+    @pytest.mark.parametrize("body, cls, message, needle, k", [
+        # a lexical or syntax error anywhere beats a multiplication error
+        ("o=x*y; o=o+;", ParseError, "expected expression, found ';'", ";", 1),
+        ("o=x*y; o=$;", LexError, "illegal character '$'", "$", 0),
+        ("o=70000*x; o=o+;", ParseError, "expected expression, found ';'",
+         ";", 1),
+        ("o=70000*x;", DesugarError, "scalar multiplier 70000 too large",
+         "*", 0),
+        ("o=70000*(x*y);", DesugarError, "scalar multiplier 70000 too large",
+         "*", 0),
+        # the outer `*` is reported before any error in its operands
+        ("o=x*y*x;", DesugarError, GENERAL, "*", 1),
+        ("o=(x*y)*3;", DesugarError, GENERAL, "*", 0),
+        ("o=3*(x*y);", DesugarError, GENERAL, "*", 1),
+        ("o=(x*y)*(y*x);", DesugarError, GENERAL, "*", 1),
+        # otherwise the first in source order, but an else branch first
+        ("o=x*y+y*x;", DesugarError, GENERAL, "*", 0),
+        ("o=x*y; o=y*x;", DesugarError, GENERAL, "*", 0),
+        ("if(x*y>0) o=y*x; else o=x*x;", DesugarError, GENERAL, "*", 2),
+        ("if(x*y>0) o=y*x; else o=1;", DesugarError, GENERAL, "*", 0),
+        ("if(x>0) o=y*x; else if(y>0) o=x*y; else o=1;", DesugarError,
+         GENERAL, "*", 1),
+        ("o=x*y; if(x>0) o=1; else o=y*x;", DesugarError, GENERAL, "*", 0),
+        ("x+=x*y; o=y*y;", DesugarError, GENERAL, "*", 0),
+        ("array<int> r; r[x*y]+=y*x;", DesugarError, GENERAL, "*", 0),
+        # a lowered operand is not a numeral as written
+        ("o=0*x*y;", DesugarError, GENERAL, "*", 1),
+        ("o=0*3*x;", DesugarError, GENERAL, "*", 1),
+        ("o=(0*x)*y;", DesugarError, GENERAL, "*", 1),
+        ("o=1*3*x;", DesugarError, GENERAL, "*", 1),
+    ])
+    def test_error_order(self, body, cls, message, needle, k):
+        with pytest.raises(PolycError) as exc:
+            load_body(body)
+        assert type(exc.value) is cls
+        assert exc.value.message == message
+        assert exc.value.pos == body_pos(body, needle, k)
 
 
 class TestDesugar:

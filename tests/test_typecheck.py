@@ -611,3 +611,36 @@ class TestIterableDomainPreservation:
             "int main(){int b; b=1; return b;}").body[0])
         assert not checker.errors
         assert iterable_domain(checker.env) == before == {"z"}
+
+
+class TestOneLoadedTree:
+    """The checker writes each `array(n)` element type into the loaded tree
+    itself; checking that tree again, and running it, sees the same."""
+
+    SOURCE = """// mode: extended
+int main(int x) {
+    array<array<int>> a;
+    a = array(2);
+    a[1] = array(3);
+    a[1][2] = x;
+    a[1][0] += a[1][2] + 1;
+    return a[1][0];
+}
+"""
+
+    def test_check_twice_then_run(self):
+        from polyc import load_program, run_program
+        from polyc.ast import ArrayCtor, walk
+
+        prog, mode = load_program(self.SOURCE)
+        ctors = [n for n in walk(prog.body) if isinstance(n, ArrayCtor)]
+        assert [c.elem for c in ctors] == [None, None]
+        first = check_program(prog, mode)
+        elems = [c.elem for c in ctors]
+        assert first.ok and elems == [ArrayT(INT), INT]
+        second = check_program(prog, mode)
+        assert second == first and [c.elem for c in ctors] == elems
+        runs = [run_program(prog, [5], mode=mode, cost_mode=True)
+                for _ in range(2)]
+        assert [r.output for r in runs] == [6, 6]
+        assert runs[0].ic == runs[1].ic
