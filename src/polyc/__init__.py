@@ -4,7 +4,7 @@ iterable-inference polynomial-time analyzer."""
 
 from .lexer import tokenize
 from .parser import parse_program, parse_source, detect_mode
-from .desugar import desugar
+from .desugar import desugar  # noqa: F401 - bench/ imports it
 from .printer import pretty_print
 from .typecheck import (
     check_program, const_type, sup_type, type_equiv, asg_predicate,
@@ -18,7 +18,7 @@ from .values import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "tokenize", "parse_program", "parse_source", "detect_mode", "desugar",
+    "tokenize", "parse_program", "parse_source", "detect_mode",
     "pretty_print", "check_program", "const_type", "sup_type", "type_equiv",
     "asg_predicate", "op_signature", "Diag", "run_program",
     "apply_op", "CostReport", "Interp", "VArray", "Closure", "default_value",
@@ -27,8 +27,7 @@ __all__ = [
 
 
 def load_program(source, mode=None):
-    """Parse and desugar source text; returns (program, mode)."""
+    """Parse source text, lowering its sugar; returns (program, mode)."""
     if mode is None:
         mode = detect_mode(source)
-    prog = parse_source(source, mode)
-    return desugar(prog), mode
+    return parse_source(source, mode), mode

@@ -232,17 +232,6 @@ class CallStmt(Stmt):
     pos: Pos = field(default=NO_POS, compare=False)
 
 
-# Sugar statement produced by the extended parser; desugar() lowers it.
-
-
-@dataclass(eq=True)
-class AugAssign(Stmt):
-    op: str  # "+" or "-"
-    lvalue: Expr
-    expr: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
 @dataclass(eq=True)
 class Program:
     params: list  # (Type, name) pairs

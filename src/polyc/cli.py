@@ -80,55 +80,40 @@ def build_parser():
                     "well-typed programs terminate in polynomial time.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.set_defaults(handler=handler)
-        return sp
+    # the arguments several subcommands share, by name
+    common = {"--mode": dict(choices=["core", "extended"]),
+              "--json": dict(action="store_true")}
 
-    sp = add("run", cmd_run, help="type-check and run a program")
-    sp.add_argument("file")
-    sp.add_argument("args", nargs="*", help="program arguments")
-    sp.add_argument("--mode", choices=["core", "extended"])
-    sp.add_argument("--cost", action="store_true", help="print the cost report")
-    sp.add_argument("--json", action="store_true")
+    def add(name, handler, help, *arguments, **defaults):
+        """A subcommand; each argument is a name, with the keywords in
+        `common` or none, or a (name, add_argument keywords) pair."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler, **defaults)
+        for arg in arguments:
+            if not isinstance(arg, tuple):
+                arg = (arg, common.get(arg, {}))
+            sp.add_argument(arg[0], **arg[1])
 
-    sp = add("check", cmd_check, help="type-check a program")
-    sp.add_argument("file")
-    sp.add_argument("--mode", choices=["core", "extended"])
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("cost", cmd_run, help="run with cost accounting")
-    sp.set_defaults(cost=True)
-    sp.add_argument("file")
-    sp.add_argument("args", nargs="*")
-    sp.add_argument("--mode", choices=["core", "extended"])
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("clock", cmd_clock, help="emit the degree-d clock program")
-    sp.add_argument("degree", type=int)
-
-    sp = add("compile-tm", cmd_compile_tm,
-             help="compile a Turing machine spec to a core program")
-    sp.add_argument("tmfile")
-    sp.add_argument("--degree", type=int, default=None,
-                    help="polynomial degree of the step budget (default 2)")
-
-    sp = add("transform", cmd_transform, help="source-to-source transforms")
-    sp.add_argument("kind", choices=["t1", "t2", "normalize"])
-    sp.add_argument("file")
-    sp.add_argument("--mode", choices=["core", "extended"])
-
-    sp = add("analyze", cmd_analyze,
-             help="infer iterable annotations; verdict poly or unknown")
-    sp.add_argument("file")
-    sp.add_argument("--mode", choices=["core", "extended"])
-
-    sp = add("equiv", cmd_equiv,
-             help="exhaustively compare two programs on a bounded input box")
-    sp.add_argument("file1")
-    sp.add_argument("file2")
-    sp.add_argument("bound", type=int)
-    sp.add_argument("--mode", choices=["core", "extended"])
+    add("run", cmd_run, "type-check and run a program", "file",
+        ("args", dict(nargs="*", help="program arguments")), "--mode",
+        ("--cost", dict(action="store_true", help="print the cost report")),
+        "--json")
+    add("check", cmd_check, "type-check a program", "file", "--mode", "--json")
+    add("cost", cmd_run, "run with cost accounting", "file",
+        ("args", dict(nargs="*")), "--mode", "--json", cost=True)
+    add("clock", cmd_clock, "emit the degree-d clock program",
+        ("degree", dict(type=int)))
+    add("compile-tm", cmd_compile_tm,
+        "compile a Turing machine spec to a core program", "tmfile",
+        ("--degree", dict(type=int, default=None, help="polynomial degree of "
+                          "the step budget (default 2)")))
+    add("transform", cmd_transform, "source-to-source transforms",
+        ("kind", dict(choices=["t1", "t2", "normalize"])), "file", "--mode")
+    add("analyze", cmd_analyze, "infer iterable annotations; verdict poly "
+        "or unknown", "file", "--mode")
+    add("equiv", cmd_equiv,
+        "exhaustively compare two programs on a bounded input box",
+        "file1", "file2", ("bound", dict(type=int)), "--mode")
     return p
 
 

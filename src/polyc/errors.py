@@ -32,6 +32,7 @@ class ParseError(PolycError):
 
 
 class DesugarError(PolycError):
+    """An `m*a` that the parser cannot lower."""
     label = "desugar error"
 
 

@@ -61,7 +61,7 @@ class CostReport:
 
 
 def run_program(prog, args, cost_mode=False, mode="core", fuel=None, watch=None):
-    """Execute a (type-checked, desugared) program on the given values."""
+    """Execute a (type-checked) program on the given values."""
     interp = Interp(cost_mode=cost_mode, mode=mode, fuel=fuel, watch=watch)
     return interp.run(prog, args)
 
@@ -428,7 +428,7 @@ def _stmt(s, t, sc):
         return _simple(_number(t, [], cls.__name__), lambda st, r: None,
                        "break" if cls is Break else "continue")
     return _simple(_number(t, []), lambda st, r: _fail(
-        f"cannot execute {s!r} (desugar first)"))
+        f"cannot execute {s!r}"))
 
 
 def _simple(k, action, sig=None):

@@ -9,8 +9,8 @@ One row per operator, keyed by lexeme and arity.  A row holds
   - the Python function that evaluates it.
 
 The parser, the printer, the type checker and the interpreter all read this
-table.  `*` has a precedence level only: desugar lowers it to repeated
-addition before the program is checked or run.  The extended-only operators
+table.  `*` has a precedence level only: the parser lowers it to repeated
+addition, so a loaded program has none.  The extended-only operators
 are the builtin functions, called by name, since only extended mode has
 call syntax.
 """
@@ -129,8 +129,8 @@ OPS = {(op.lexeme, op.arity): op for op in TABLE}
 PRECEDENCE = {op.lexeme: op.level for op in TABLE if op.level is not None}
 LEVELS = max(PRECEDENCE.values()) + 1
 # lexeme -> the level whose left-nested operators form one chain in
-# ast.left_chain; `*` chains only with itself, since desugar lowers each `*`
-# node on its own
+# ast.left_chain; `*` chains only with itself, since each `*` node is one
+# `m*a`, which the parser lowers on its own
 CHAIN_LEVEL = {op: lv for op, lv in PRECEDENCE.items() if op != "*"}
 BUILTIN_NAMES = tuple(op.lexeme for op in TABLE if op.extended)
 

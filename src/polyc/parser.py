@@ -1,21 +1,23 @@
 """Recursive descent parser producing the shared AST.
 
 Core mode accepts the minimal language only; extended mode adds functions,
-arrays, strings, break/continue and assignment sugar.  The parser lowers the
-sugar that needs no lowered operand as it reads it: `void` functions,
-multiple declarators, `T x = e` (a Decl and an Assign), `x++` (`x += 1`) and
-an `if` without `else` (an empty else Block).  desugar() lowers the rest,
-`m*a` and `x += e` / `x -= e`.
+arrays, strings, break/continue and assignment sugar.  The parser lowers
+all sugar as it reads it: `void` functions, multiple declarators, `T x = e`
+(a Decl and an Assign), an `if` without `else` (an empty else Block),
+`x += e` / `x -= e` / `x++` (`x = x + e`, `e` parenthesized if compound) and
+`m*a` for a numeral `m` (m copies of `a` added up).  So its output is core
+statements and operators only.
 """
 
 from .ast import (
-    ArrayCtor, ArrayT, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
-    Continue, Decl, For, FunDef, If, Index, OpApp, Paren, Pos, Program, Var,
+    ArrayCtor, ArrayT, Assign, Block, Break, Call, CallStmt, Const, Continue,
+    Decl, For, FunDef, If, Index, OpApp, Paren, Pos, Program, Var,
     BOOL, IINT, INT, ISTRING, STRING,
 )
-from .errors import ParseError
+from .errors import DesugarError, ParseError
 from .lexer import tokenize
 from .ops import OPS, PRECEDENCE
+from .values import int_to_decimal, literal_value
 
 CORE_TYPES = {"iint": IINT, "int": INT, "bool": BOOL}
 EXT_TYPES = {"string": STRING, "istring": ISTRING}
@@ -25,6 +27,7 @@ LITERALS = ("decimal-literal", "binary-literal", "string-literal")
 # each.  A fixed count, not the Python stack, makes the limit the same for
 # every caller; passes recursing up to 3 frames a level stay under 1,000.
 MAX_NESTING = 260
+MAX_SCALAR = 1 << 16  # the largest m in m*a
 
 
 def detect_mode(source):
@@ -61,6 +64,9 @@ class Parser:
         self.i = 0
         self.mode = mode
         self.depth = 0
+        # the m*a error to report once the whole program has parsed, so that
+        # every lexical and syntax error comes first
+        self.pending = None
 
     # -- token helpers ------------------------------------------------------
     # A token is a (kind, lexeme, line, col) tuple; a Pos is made only for
@@ -132,6 +138,8 @@ class Parser:
         kind, lexeme, _, _ = self.toks[self.i]
         if kind != "eof":
             self.fail(f"trailing input after program: {lexeme!r}")
+        if self.pending is not None:
+            raise self.pending
         return Program(params, body, ret, pos=start)
 
     def params(self, allow_any_type):
@@ -230,10 +238,15 @@ class Parser:
 
     def if_stmt(self):
         start = self.pos(self.expect("if"))
+        before = self.pending
         cond = self.parenthesized()
         then = self.branch_stmt()
         if self.accept("else"):
+            # an m*a error in the else branch wins over one in the
+            # condition or the then branch
+            held, self.pending = self.pending, before
             els = self.branch_stmt()
+            self.pending = self.pending or held
         else:
             self.need_extended("if without else")
             els = Block([], pos=start)
@@ -308,14 +321,15 @@ class Parser:
             self.i += 1
             rhs = self.expr()
             self.expect(";")
-            return AugAssign(op[0], lv, rhs, pos=self.pos(t))
-        if op == "++":
+        elif op == "++":
             self.i += 1
             self.need_extended("++ statements")
             self.expect(";")
-            pos = self.pos(t)
-            return AugAssign("+", lv, Const("1", pos=pos), pos=pos)
-        self.fail(f"expected assignment operator, found {op!r}")
+            rhs = Const("1", pos=self.pos(t))
+        else:
+            self.fail(f"expected assignment operator, found {op!r}")
+        pos = self.pos(t)  # x op= e is x = x op e, the target shared
+        return Assign(lv, OpApp(op[0], [lv, _paren(rhs)], pos=pos), pos=pos)
 
     def lvalue(self):
         t = self.expect_ident()
@@ -327,17 +341,54 @@ class Parser:
         """Binary operators at `min_level` or tighter, left associative, by
         precedence climbing: a right operand binds tighter than its operator."""
         self.deeper()
+        before = self.pending
         node = self.expr_unary()
+        written = True  # `node` is an operand as written, not a reduction
         t = self.toks[self.i]
         level = PRECEDENCE.get(t[1], -1)
         while level >= min_level:
             self.i += 1  # an operator is not the eof token
             rhs = self.expr(level + 1)
-            node = OpApp(t[1], [node, rhs], pos=self.pos(t))
+            if t[1] == "*":  # nothing binds tighter: rhs is as written
+                node = self.scalar_mul(node, rhs, written, t, before)
+            else:
+                node = OpApp(t[1], [node, rhs], pos=self.pos(t))
+            written = False
             t = self.toks[self.i]
             level = PRECEDENCE.get(t[1], -1)
         self.depth -= 1
         return node
+
+    def scalar_mul(self, left, right, left_written, t, before):
+        """`left * right` lowered to m copies of the other factor added up,
+        m being a numeral factor as written, the left one first."""
+        pos = self.pos(t)
+        if left_written and _is_numeral(left):
+            m, a = left, right
+        elif _is_numeral(right):
+            m, a = right, left
+        else:
+            return self.hold("general multiplication prohibited: one factor "
+                             "must be a literal", pos, before, left, right)
+        count = literal_value(m.text)
+        if count > MAX_SCALAR:
+            return self.hold(f"scalar multiplier {int_to_decimal(count)} too "
+                             "large", pos, before, left, right)
+        if count == 0:
+            return Const("0", pos=pos)
+        acc = a = _paren(a)
+        for _ in range(count - 1):
+            acc = OpApp("+", [acc, a], pos=pos)
+        return acc
+
+    def hold(self, msg, pos, before, left, right):
+        """Keep the error of a failing `*` for the end of the parse, and let
+        the `*` stand for itself in the tree.  The outer `*` is reported
+        first, so the error replaces one held since `before` (one in its own
+        operands) and gives way to an earlier one."""
+        if before is None:
+            self.pending = DesugarError(msg, pos)
+        return OpApp("*", [left, right], pos=pos)
 
     def parenthesized(self):
         self.expect("(")
@@ -401,6 +452,17 @@ class Parser:
             self.expect(")")
             return Paren(inner, pos=self.pos(t))
         self.fail(f"expected expression, found {lexeme!r}")
+
+
+def _is_numeral(e):
+    return e.__class__ is Const and e.text[0].isdigit()
+
+
+def _paren(e):
+    """Wrap a compound operand so that infix expansion keeps its grouping."""
+    if e.__class__ is OpApp and e.op != "size":
+        return Paren(e, pos=e.pos)
+    return e
 
 
 # The statement a token starts, keyed on its lexeme (no identifier or literal

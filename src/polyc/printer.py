@@ -9,8 +9,8 @@ one), so a bare then-branch never takes an else that is not its own.
 """
 
 from .ast import (
-    ArrayCtor, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
-    Continue, Decl, For, FunDef, If, Index, OpApp, Paren, Var, left_chain,
+    ArrayCtor, Assign, Block, Break, Call, CallStmt, Const, Continue, Decl,
+    For, FunDef, If, Index, OpApp, Paren, Var, left_chain,
 )
 from .ops import LEVELS, PRECEDENCE
 
@@ -69,8 +69,6 @@ class _Emitter:
             self.line(f"{s.annot} {s.name};")
         elif isinstance(s, Assign):
             self.line(f"{expr_str(s.lvalue)}={expr_str(s.expr)};")
-        elif isinstance(s, AugAssign):
-            self.line(f"{expr_str(s.lvalue)}{s.op}={expr_str(s.expr)};")
         elif isinstance(s, Break):
             self.line("break;")
         elif isinstance(s, Continue):
@@ -130,8 +128,7 @@ class _Emitter:
                 self.line("}")
             else:
                 self.line(head + " { }")
-        elif isinstance(body, (Decl, Assign, AugAssign, Break, Continue,
-                               CallStmt)):
+        elif isinstance(body, (Decl, Assign, Break, Continue, CallStmt)):
             save = len(self.lines)
             self.stmt(body)
             self.lines[save] = "    " * self.depth + head + " " + self.lines[save].lstrip()

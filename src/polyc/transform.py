@@ -18,7 +18,7 @@ from .ast import (
     If, OpApp, Paren, Program, Stmt, Var, BOOL, IINT, INT, is_int_type,
     fresh_name, program_names, rebuild, walk, walk_stmts,
 )
-from .desugar import MAX_SCALAR
+from .parser import MAX_SCALAR
 from .errors import ArgumentError, PolycError
 from .interp import run_program
 from .values import format_value

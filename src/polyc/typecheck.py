@@ -300,7 +300,7 @@ class Checker:
         elif isinstance(s, CallStmt):
             self.expr(s.call)
         else:
-            raise TypeError(f"cannot check statement {s!r} (desugar first)")
+            raise TypeError(f"cannot check statement {s!r}")
 
     def decl(self, l, s):
         if not asg_predicate(l, s.annot):

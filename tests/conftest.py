@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from polyc import check_program, desugar, parse_source
+from polyc import check_program, load_program, parse_source, pretty_print
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -29,12 +29,8 @@ def corpus_source(name):
 
 
 def load(name):
-    """Parse, desugar and mode-detect a corpus program."""
-    from polyc.parser import detect_mode
-
-    src = corpus_source(name)
-    mode = detect_mode(src)
-    return desugar(parse_source(src, mode)), mode
+    """Parse and mode-detect a corpus program."""
+    return load_program(corpus_source(name))
 
 
 def load_checked(name):
@@ -45,7 +41,13 @@ def load_checked(name):
 
 
 def compile_src(src, mode="core"):
-    return desugar(parse_source(src, mode))
+    return parse_source(src, mode)
+
+
+def load_printed(tree):
+    """What `load_program` makes of a generated tree's printed text: the
+    code generators still write `m*a`, which the parser lowers."""
+    return load_program(pretty_print(tree))[0]
 
 
 def doubling_calls(k):

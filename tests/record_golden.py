@@ -1,6 +1,6 @@
 """Front-end golden digests: what `load_program` makes of a fixed set of
-inputs, so that a change to the lexer, parser or desugar that alters any
-tree, position, printed text or error shows up in `test_golden.py`.
+inputs, so that a change to the lexer or parser that alters any tree,
+position, printed text or error shows up in `test_golden.py`.
 
 Each input is stored as the hash of its source and a digest of its
 outcome: the mode, the tree with every node's `pos`, and the

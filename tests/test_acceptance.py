@@ -8,11 +8,10 @@ import time
 import fuzzgen
 import pytest
 
-from conftest import CORPUS, compile_src, load_checked
+from conftest import CORPUS, compile_src, load_checked, load_printed
 
 from polyc import check_program, parse_source, run_program
 from polyc.ast import Block, For, If, INT
-from polyc.desugar import desugar
 from polyc.interp import Interp
 from polyc.tm import (
     clock_program, compile_tm, decode_output, encode_input, parse_tm, tm_run,
@@ -88,7 +87,7 @@ def test_c05_tm_differential_simulation():
     with Budget("criterion 5: compiled machines match the oracle, len<=8", 60.0):
         for name in ["bitflip.tm", "successor.tm"]:
             machine = parse_tm((CORPUS / name).read_text(), name=name)
-            prog = desugar(compile_tm(machine, 2))
+            prog = load_printed(compile_tm(machine, 2))
             assert check_program(prog, "core").ok
             loop = prog.body[-1]
             assert isinstance(loop, For)
@@ -105,7 +104,7 @@ def test_c05_tm_differential_simulation():
 def test_c06_clock_law():
     with Budget("criterion 6: clock output has bit size d*size(v)^d", 30.0):
         for d in (1, 2, 3):
-            prog = desugar(clock_program(d))
+            prog = load_printed(clock_program(d))
             assert check_program(prog, "core").ok
             for v in range(1, 65):
                 out = run_program(prog, [v]).output

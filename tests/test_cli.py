@@ -164,7 +164,7 @@ class TestRun:
 
     @pytest.mark.parametrize("m", [999, 65536])
     def test_scalar_multiple_chain(self, capsys, tmp_path, m):
-        # desugar turns m*x into a chain of m terms, which the checker
+        # the parser turns m*x into a chain of m terms, which the checker
         # handles in one loop: `return m*x;` costs m Vars and m-1 Ops
         f = tmp_path / "mul.pc"
         f.write_text(f"int main(int x){{int o; o={m}*x; return o;}}")
@@ -324,9 +324,8 @@ class TestCodegen:
         code, out, _ = run_cli(capsys, "clock", "2")
         assert code == 0
         from polyc import check_program, parse_source, run_program
-        from polyc.desugar import desugar
 
-        prog = desugar(parse_source(out, "core"))
+        prog = parse_source(out, "core")
         assert check_program(prog, "core").ok
         assert run_program(prog, [2]).output == 128
 
@@ -364,10 +363,9 @@ class TestCodegen:
         assert code == 0
         assert "defaulting to 2" in err
         from polyc import check_program, parse_source, run_program
-        from polyc.desugar import desugar
         from polyc.tm import decode_output, encode_input
 
-        prog = desugar(parse_source(out, "core"))
+        prog = parse_source(out, "core")
         assert check_program(prog, "core").ok
         got = run_program(prog, [encode_input("1010")]).output
         assert decode_output(got) == "0101"
@@ -390,9 +388,8 @@ class TestTransformCmd:
         assert code == 0
         assert "budget variable" in err
         from polyc import check_program, parse_source, run_program
-        from polyc.desugar import desugar
 
-        prog = desugar(parse_source(out, "extended"))
+        prog = parse_source(out, "extended")
         assert check_program(prog, "extended").ok
         assert run_program(prog, [6, 7, 1 << 10], mode="extended").output == 42
 
@@ -503,7 +500,7 @@ class TestExitCodeTotality:
 # the levels of `-(`, `!(` or `x-(` one assignment holds: two nesting levels
 # each, and one for the assigned expression
 LEVELS = (MAX_NESTING - 1) // 2
-# shapes that desugar or a long sum make deep, with output and ic at x = 2
+# shapes that lowering m*a or a long sum make deep, with output and ic at x = 2
 DEEP = {
     "65536x": ("o=65536*x;", 131072, 131074),
     "999(x+1)": ("o=999*(x+1);", 2997, 4997),

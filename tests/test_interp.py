@@ -788,7 +788,7 @@ class TestOperatorTable:
         args = [Var(n) for n in names]
         # builtins are called by name; the others are operator applications
         expr = Call(row.lexeme, args) if row.extended else OpApp(row.lexeme, args)
-        if row.fn is None:  # `*` is lowered by desugar and never runs
+        if row.fn is None:  # the parser lowers `*`, which never runs
             with pytest.raises(InternalError):
                 apply_op(row.lexeme, [2, 3])
             with pytest.raises(InternalError):

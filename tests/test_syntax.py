@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import SUGARED, CORPUS, compile_src, corpus_source, load
 
 from polyc import (
-    check_program, desugar, load_program, parse_source, pretty_print,
-    run_program, tokenize,
+    check_program, load_program, parse_source, pretty_print, run_program,
+    tokenize,
 )
 from polyc.lexer import KEYWORDS
 from polyc.ast import (
-    ArrayCtor, Assign, AugAssign, Block, Const, Decl, For, FunDef, OpApp,
-    Paren, Pos, Program, Var, IINT, walk, walk_stmts,
+    Assign, Block, Const, Decl, For, FunDef, OpApp, Paren, Pos, Program, Var,
+    IINT, walk, walk_stmts,
 )
 from polyc.errors import DesugarError, LexError, ParseError, PolycError
 from polyc.parser import detect_mode
@@ -274,19 +274,20 @@ class TestParse:
         for src in sources:
             prog = parse_source(src)
             # the implicit return of a void function is positioned at
-            # `void`, and the 1 that `x++` adds at `++`
+            # `void`, the `+` and 1 that `x++` adds at `++`, and the `+`
+            # nodes or the 0 that `m*a` lowers to at `*`
             implicit = [s.ret_expr for s in walk_stmts(prog.body)
                         if isinstance(s, FunDef) and src.startswith(
                             "void", offset(src, s.pos.line, s.pos.col))]
-            implicit += [s.expr for s in walk_stmts(prog.body)
-                         if isinstance(s, AugAssign) and src.startswith(
-                             "++", offset(src, s.pos.line, s.pos.col))]
             for node in walk(prog.body + [prog.ret_expr]):
                 text = {Var: "name", Const: "text", OpApp: "op"}.get(type(node))
                 if text is None or any(node is n for n in implicit):
                     continue
                 at = offset(src, node.pos.line, node.pos.col)
-                assert src.startswith(getattr(node, text), at), (node, src)
+                lowered = src.startswith(("++", "*"), at) and (
+                    getattr(node, text) in ("+", "1", "0"))
+                assert lowered or src.startswith(getattr(node, text), at), (
+                    node, src)
                 seen += 1
         assert seen > 5_000
 
@@ -327,10 +328,11 @@ class TestParserLowersSugar:
 
     def test_increment(self):
         prog = self.parse("x++;")
-        assert prog == self.parse("x += 1;")
+        assert prog == self.parse("x += 1;") == self.parse("x = x + 1;")
         inc = prog.body[0]
-        assert isinstance(inc, AugAssign)
-        assert inc.pos == inc.expr.pos == Pos(1, 18) and inc.lvalue.pos == Pos(1, 17)
+        assert isinstance(inc, Assign) and inc.expr.args[0] is inc.lvalue
+        assert inc.pos == inc.expr.pos == inc.expr.args[1].pos == Pos(1, 18)
+        assert inc.lvalue.pos == Pos(1, 17)
 
     def test_if_without_else_gains_empty_block(self):
         prog = self.parse("if (x > 0) if (x > 1) x = 1;")
@@ -398,28 +400,25 @@ class TestLoweredForms:
         assert add.pos == body_pos(body, "*") and paren is add.args[1]
         assert isinstance(paren, Paren) and paren.pos == body_pos(body, "(")
 
-    @pytest.mark.parametrize("body, op", [
-        ("x+=y+1;", "+="), ("x-=2*x;", "-="), ("x+=1*y;", "+="),
-        ("x+=0*y;", "+="), ("x++;", "++")])
-    def test_augmented_positions_and_sharing(self, body, op):
+    @pytest.mark.parametrize("body, op, rhs, needle, k", [
+        # a compound right side is parenthesized, at its own operator
+        ("x+=y+1;", "+=", Paren(OpApp("+", [Var("y"), Const("1")])), "+", 1),
+        ("x-=2*x;", "-=", Paren(OpApp("+", [Var("x"), Var("x")])), "*", 0),
+        ("x+=1*y;", "+=", Var("y"), "y", 0),
+        ("x+=0*y;", "+=", Const("0"), "*", 0),
+        ("x++;", "++", Const("1"), "++", 0),
+    ])
+    def test_augmented_positions_and_sharing(self, body, op, rhs, needle, k):
         assign = load_body(body).body[1]
         assert isinstance(assign, Assign)
         at = body_pos(body, op)
         assert assign.pos == assign.expr.pos == at
-        assert assign.lvalue == Var("x") and assign.lvalue.pos == Pos(1, len(_LOWER_HEAD) + 1)
+        assert assign.lvalue == Var("x")
+        assert assign.lvalue.pos == Pos(1, len(_LOWER_HEAD) + 1)
         assert assign.expr.op == op[0]
         assert assign.expr.args[0] is assign.lvalue
-        rhs = assign.expr.args[1]
-        if op == "++":
-            assert rhs == Const("1") and rhs.pos == at
-        elif body == "x+=y+1;":  # compound: parenthesized at its operator
-            assert isinstance(rhs, Paren) and rhs.pos == body_pos(body, "+", 1)
-        elif body == "x-=2*x;":
-            assert isinstance(rhs, Paren) and rhs.pos == body_pos(body, "*")
-        elif body == "x+=1*y;":
-            assert rhs == Var("y") and rhs.pos == body_pos(body, "y")
-        else:
-            assert rhs == Const("0") and rhs.pos == body_pos(body, "*")
+        assert assign.expr.args[1] == rhs
+        assert assign.expr.args[1].pos == body_pos(body, needle, k)
 
     def test_indexed_target_is_shared(self):
         body = "array<int> r; r=array(2); r[2*x]++;"
@@ -427,6 +426,12 @@ class TestLoweredForms:
         assert assign.expr.args[0] is assign.lvalue
         assert pretty_print(load_body(body)).splitlines()[4].strip() == \
             "r[x+x]=r[x+x]+1;"
+
+    def test_sugared_program_runs_as_written(self):
+        prog = load_program(SUGARED)[0]
+        assert check_program(prog, "extended").ok
+        # a = 6, r[0] = 4, r[1] = 1, a = 6 - 3*5 = -9, then a = -9 + 3*2
+        assert run_program(prog, [3, 4], mode="extended").output == -3 + 8 - 4
 
     GENERAL = "general multiplication prohibited: one factor must be a literal"
 
@@ -500,68 +505,11 @@ class TestDesugar:
         assert prog.body[0] == Decl(None, "a") or isinstance(prog.body[0], Decl)
         assert prog.body[1] == Assign(Var("a"), Const("4"))
 
-    def test_idempotent(self):
-        for name in ["fastmul.pc", "knapsack.pc", "path.pc", "sort.pc"]:
-            prog, _ = load(name)
-            assert desugar(prog) == prog
-
     def test_augassign_wraps_compound_rhs(self):
         prog = compile_src("int main(int x,int y){x-=y+1; return x;}", "extended")
         assert prog.body[0].expr == OpApp("-", [Var("x"),
                                                 Paren(OpApp("+", [Var("y"),
                                                                   Const("1")]))])
-
-
-DESUGAR_SOURCES = [SUGARED] + [corpus_source(p.name)
-                               for p in sorted(CORPUS.glob("*.pc"))]
-
-
-def has_sugar(node):
-    return any(isinstance(n, (AugAssign, ArrayCtor))
-               or isinstance(n, OpApp) and n.op == "*" for n in walk([node]))
-
-
-def nodes_of(prog):
-    return list(walk(prog.body + [prog.ret_expr]))
-
-
-class TestDesugarCopyOnWrite:
-    @pytest.mark.parametrize("src", DESUGAR_SOURCES)
-    def test_sugar_free_subtrees_are_kept(self, src):
-        parsed = parse_source(src)
-        lowered = desugar(parsed)
-        kept = {id(n) for n in nodes_of(lowered)}
-        # lowering m*a keeps a, and drops only the numeral m
-        numerals = {id(a) for n in nodes_of(parsed)
-                    if isinstance(n, OpApp) and n.op == "*"
-                    for a in n.args if isinstance(a, Const)}
-        free = [n for n in nodes_of(parsed)
-                if not has_sugar(n) and id(n) not in numerals]
-        assert free and all(id(n) in kept for n in free)
-        if not any(map(has_sugar, parsed.body + [parsed.ret_expr])):
-            assert lowered is parsed
-
-    @pytest.mark.parametrize("src", DESUGAR_SOURCES)
-    def test_input_is_unchanged(self, src):
-        parsed, fresh = parse_source(src), parse_source(src)
-        desugar(parsed)
-        assert parsed == fresh and parsed.pos == fresh.pos
-        assert [n.pos for n in nodes_of(parsed)] == \
-               [n.pos for n in nodes_of(fresh)]
-
-    @pytest.mark.parametrize("src", DESUGAR_SOURCES)
-    def test_idempotent_and_array_constructors_are_new(self, src):
-        parsed = parse_source(src)
-        lowered = desugar(parsed)
-        assert desugar(lowered) == lowered
-        ctors = [n for n in nodes_of(parsed) if isinstance(n, ArrayCtor)]
-        assert not {id(n) for n in ctors} & {id(n) for n in nodes_of(lowered)}
-
-    def test_sugared_program_runs_as_written(self):
-        lowered = desugar(parse_source(SUGARED))
-        assert check_program(lowered, "extended").ok
-        # a = 6, r[0] = 4, r[1] = 1, a = 6 - 3*5 = -9, then a = -9 + 3*2
-        assert run_program(lowered, [3, 4], mode="extended").output == -3 + 8 - 4
 
 
 class TestPrettyPrint:

@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, load_printed
 
 from polyc import check_program, run_program
 from polyc.ast import Block, For, If
-from polyc.desugar import desugar
 from polyc.tm import (
     TmError, TuringMachine, clock_program, compile_tm, decode_output,
     encode_input, parse_tm, tm_run,
@@ -138,7 +137,7 @@ class TestSpecFormat:
 class TestClock:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_clock_law(self, d):
-        prog = desugar(clock_program(d))
+        prog = load_printed(clock_program(d))
         assert check_program(prog, "core").ok
         for v in [1, 2, 7, 13, 64]:
             out = run_program(prog, [v]).output
@@ -147,9 +146,9 @@ class TestClock:
             assert size_of_value(out) == d * n ** d
 
     def test_worked_values(self):
-        assert run_program(desugar(clock_program(1)), [7]).output == 4
-        assert run_program(desugar(clock_program(2)), [2]).output == 128
-        assert run_program(desugar(clock_program(1)), [1]).output == 1
+        assert run_program(load_printed(clock_program(1)), [7]).output == 4
+        assert run_program(load_printed(clock_program(2)), [2]).output == 128
+        assert run_program(load_printed(clock_program(1)), [1]).output == 1
 
     def test_size_grows_mildly_with_degree(self):
         from polyc.printer import pretty_print
@@ -178,7 +177,7 @@ class TestCompiler:
                                              ("successor.tm", 6)])
     def test_differential(self, name, maxlen):
         machine = load_machine(name)
-        prog = desugar(compile_tm(machine, 2))
+        prog = load_printed(compile_tm(machine, 2))
         assert check_program(prog, "core").ok
         for n in range(0, maxlen + 1):
             for bits in itertools.product("01", repeat=n):
@@ -204,4 +203,4 @@ class TestCompiler:
         prog = compile_tm(machine, 2)
         text = pretty_print(prog)
         again = parse_source(text, "core")
-        assert check_program(desugar(again), "core").ok
+        assert check_program(again, "core").ok

@@ -2,10 +2,9 @@ import time
 
 import pytest
 
-from conftest import compile_src, doubling_calls, load_checked
+from conftest import compile_src, doubling_calls, load_checked, load_printed
 
 from polyc import check_program, pretty_print, run_program
-from polyc.desugar import desugar
 from polyc.interp import Interp
 from polyc.parser import parse_source
 from polyc.transform import (
@@ -226,7 +225,7 @@ class TestNormalize:
     def test_nested_loops(self):
         from polyc.tm import clock_program
 
-        prog = desugar(clock_program(2))
+        prog = load_printed(clock_program(2))
         sf = normalize_simple(prog)
         assert simple_form_shape_ok(sf)
         # every original loop iteration costs one budget tick, so the three

@@ -1,12 +1,12 @@
 import pytest
 
 import fuzzgen
-from conftest import CORPUS, load
+from conftest import CORPUS, compile_src, load
 
 from polyc import pretty_print
 from polyc.analysis import IllTypedError, poly_check
 from polyc.ast import (
-    ArrayCtor, Assign, AugAssign, Block, Break, Call, CallStmt, Const,
+    ArrayCtor, Assign, Block, Break, Call, CallStmt, Const,
     Continue, Decl, Expr, For, FunDef, If, Index, OpApp,
     Paren, Pos, Program, Stmt, Var, INT, NO_POS, children, clone, left_chain,
     rebuild, stmt_exprs, walk, walk_exprs, walk_stmts,
@@ -40,7 +40,6 @@ def _table():
         (Break(), []),
         (Continue(), []),
         (CallStmt(call), [call]),
-        (AugAssign("+", a, b), [a, b]),
         (Program([(INT, "x")], [s1, s2], c), [s1, s2, c]),
     ]
 
@@ -61,6 +60,17 @@ def test_children_in_field_order(node, expected):
     if isinstance(node, Stmt):
         assert [id(e) for e in stmt_exprs(node)] == \
             [id(c) for c in expected if isinstance(c, Expr)]
+
+
+def test_children_of_a_lowered_augmented_assign():
+    # `x += y` parses to `x = x + y`, whose target is one node in two places
+    prog = compile_src("int main(int x,int y){x += y; return x;}", "extended")
+    assign = prog.body[0]
+    x, plus = assign.lvalue, assign.expr
+    assert [id(c) for c in children(assign)] == [id(x), id(plus)]
+    assert [id(c) for c in children(plus)] == [id(x), id(plus.args[1])]
+    assert [id(n) for n in walk([assign])] == \
+        [id(assign), id(x), id(plus), id(x), id(plus.args[1])]
 
 
 def test_rebuild_keeps_every_other_field():
