@@ -299,7 +299,7 @@ def cmd_analyze(args):
     verdict = poly_check(prog)
     print(verdict.verdict)
     if verdict.verdict == "poly":
-        print(pretty_print(verdict.witness), end="")
+        print(pretty_print(verdict.witness, mode_marker="extended"), end="")
     return EXIT_OK
 
 

@@ -222,23 +222,25 @@ class Checker:
                       f"{e.fname!r} expects {len(ft.params)} arguments, got {len(argts)}",
                       e.pos, names=(e.fname,))
             return None
+        # every argument is judged: one only not iterable enough keeps the type
         for i, (got, want) in enumerate(zip(argts, ft.params)):
             if subtype_of(got, want):
                 continue
-            if type_class(got) == type_class(want):
-                # a function's site is decl_site(fundef), which holds the
-                # identity its parameter sites are keyed by
-                _, _, fundef_id = self.env[e.fname][1]
-                self.diag("param-subtype-violation",
-                          f"argument {i + 1} of {e.fname!r} must be {want}, got "
-                          f"non-iterable {got}", e.pos, names=(e.fname,),
-                          sites=(("param", e.fname, i, fundef_id),))
-            else:
+            if type_class(got) != type_class(want):
                 self.diag("operand-type-mismatch",
                           f"argument {i + 1} of {e.fname!r} must be {want}, got {got}",
                           e.pos, names=(e.fname,))
-            return None
+                return None
+            self.diag("param-subtype-violation",
+                      f"argument {i + 1} of {e.fname!r} must be {want}, got "
+                      f"non-iterable {got}", e.pos, names=(e.fname,),
+                      sites=(self.param_of(e.fname, i),))
         return ft.ret
+
+    def param_of(self, fname, i):
+        """The site of parameter i of the user function bound to fname: its
+        site is decl_site(fundef), whose identity keys its parameter sites."""
+        return ("param", fname, i, self.env[fname][1][2])
 
     def index(self, e):
         base = self.expr(e.base)

@@ -60,6 +60,16 @@ def doubling_calls(k):
             + f" return f{k}(x);}}\n")
 
 
+def call_chain(k):
+    """A program of k functions, each passing its parameter to the previous
+    one, the last fed a variable that a loop assigns: a demotion travels the
+    whole chain, one function per round of the old demote-and-recheck."""
+    funs = ["int f0(int a){return a;}"] + [
+        f"int f{j}(int a){{return f{j - 1}(a);}}" for j in range(1, k)]
+    return ("// mode: extended\nint main(int x){" + "".join(funs)
+            + f" int o; o=0; for(i<size(x)){{ o=f{k - 1}(o); }} return o;}}\n")
+
+
 @pytest.fixture
 def fastmul():
     return load_checked("fastmul.pc")[0]

@@ -172,3 +172,45 @@ def watch_sets(prog):
 
     go(prog.body, [])
     return watch
+
+
+
+def gen_calls(seed):
+    """Source of a call-heavy extended program, well-typed or not: int
+    functions fed arithmetic, min/max (a user max at times), size(), array
+    elements, calls, counters, outer variables and loop-assigned ones."""
+    r, funs, names = random.Random(seed), [], ["x", "y", "o"]
+    out = ["// mode: extended\nint main(int x, int y){ array<int> a; a=array(4);"
+           " array<iint> b; b=array(4); int o; o=0;"]
+
+    def expr(scope, depth):
+        k = r.random()
+        if depth <= 0 or k < 0.3 or (k >= 0.75 and not funs):
+            return r.choice(scope + ["1"])
+        e, e2 = expr(scope, depth - 1), expr(scope, depth - 1)
+        if k < 0.75:
+            return r.choice([f"({e}+{e2})", f"({e}-{e2})", f"min({e},{e2})",
+                             f"max({e},{e2})", f"{r.choice('ab')}[{e}]",
+                             f"size({r.choice(scope[:2] + scope[-1:])})"])
+        f, n = r.choice(funs)
+        return f"{f}({','.join(expr(scope, depth - 1) for _ in range(n))})"
+
+    if r.random() < 0.3:
+        out.append("int max(int p, int q){return p;}")
+    for j in range(r.randint(1, 6)):
+        ps = [f"p{j}_{i}" for i in range(r.randint(1, 3))]
+        s, c, t = names + ps, f"c{j}", f"t{j}"
+        body = [f"int {t}; {t}={expr(s, 2)};",
+                f"for({c}<size({expr(s, 1)})){{ {t}={expr(s + [c], 2)}; }}",
+                f"{ps[0]}={expr(s, 1)};"]
+        body = [b for b, p in zip(body, (1, 0.3, 0.2)) if r.random() < p]
+        out.append(f"int f{j}({','.join('int ' + p for p in ps)}){{ "
+                   f"{' '.join(body)} return {expr(s + [t], 2)}; }}")
+        funs.append((f"f{j}", len(ps)))
+        if r.random() < 0.5:
+            out.append(f"int v{j}; v{j}={expr(names, 3)};")
+            names.append(f"v{j}")
+    main = [f"for(i<size(x)){{ o={expr(names + ['i'], 3)}; }}",
+            f"for(i<size({expr(names, 2)})){{ o=o+1; }}"]
+    out += [m for m, p in zip(main, (0.7, 0.3)) if r.random() < p]
+    return "\n".join(out) + f"\nreturn {expr(names, 3)};\n}}\n"

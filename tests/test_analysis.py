@@ -1,12 +1,15 @@
 import pytest
 
-from conftest import compile_src, load
+import fuzzgen
+from conftest import CORPUS, call_chain, compile_src, load, load_printed
 
-from polyc import check_program
+from polyc import analysis, check_program, load_program, pretty_print
 from polyc.analysis import (
-    AnnotationState, IllTypedError, demote_step, erase_annotations, poly_check,
+    ITERABILITY_KINDS, IllTypedError, apply_state, erase_annotations, poly_check,
 )
-from polyc.typecheck import Diag
+from polyc.ast import Decl, FunDef, IINT, clone, is_int_type, walk_stmts
+from polyc.tm import clock_program, compile_tm, parse_tm
+from polyc.typecheck import SIZE_MISMATCH, Checker
 
 
 def site_names(sites, witness):
@@ -46,11 +49,9 @@ class TestPolyCheck:
     def test_demotion_is_monotone_and_terminates(self):
         prog, _ = load("fastmul.pc")
         v = poly_check(erase_annotations(prog))
-        seen = set()
-        for demoted, _ in v.state.history:
-            assert not (set(demoted) & seen)  # never demoted twice
-            seen.update(demoted)
-        assert len(v.state.history) <= len(v.state.assignment) + 1
+        demoted = [site for site, _ in v.state.history]
+        assert len(set(demoted)) == len(demoted)  # never demoted twice
+        assert set(demoted) == {s for s, it in v.state.assignment.items() if not it}
 
     def test_ill_typed_is_distinct_from_unknown(self):
         prog = compile_src("int main(int x){x=y+1; return x;}")
@@ -96,34 +97,137 @@ class TestPolyCheck:
         assert v2.verdict == "poly"
 
 
-class TestDemoteStep:
-    def test_demotes_named_sites(self):
-        site = ("decl", "o", 1)
-        state = AnnotationState({site: True})
-        d = Diag("iterable-assignment-in-loop", "m", names=("o",),
-                 sites=(site,))
-        demote_step(state, [d])
-        assert state.assignment[site] is False
-        assert len(state.history) == 1
+class TestLinearWork:
+    @pytest.mark.parametrize("k", [50, 400])
+    def test_call_chain_takes_two_checks(self, monkeypatch, k):
+        calls = []
+        program = Checker.program
+        monkeypatch.setattr(Checker, "program",
+                            lambda self, prog: calls.append(prog) or program(self, prog))
+        v = poly_check(load_program(call_chain(k))[0])
+        assert len(calls) == 2
+        assert v.verdict == "poly"
+        assert {n for n, t in int_sites(v.witness) if t is IINT} == {"x"}
 
-    def test_other_kinds_do_not_demote(self):
-        site = ("decl", "y", 2)
-        state = AnnotationState({site: True})
-        d = Diag("non-iterable-loop-bound", "m", names=("y",), sites=(site,))
-        demote_step(state, [d])
-        assert state.assignment[site] is True
 
-    def test_returns_the_sites_it_demoted(self):
-        a, b, c = ("decl", "a", 1), ("decl", "b", 2), ("decl", "c", 3)
-        state = AnnotationState({a: True, b: False})
-        diags = [Diag("iterable-decl-in-loop", "m", sites=(a, b, c, a)),
-                 Diag("param-subtype-violation", "m", sites=(None,))]
-        assert demote_step(state, diags) == [a]
-        assert demote_step(state, diags) == []
-        assert state.history == [((a,), tuple(diags))]
+def int_sites(prog):
+    """(name, annotation) of each integer site in a fixed order: main's
+    parameters, then declarations and function parameters ("f.a") in
+    statement order."""
+    out = [(n, t) for t, n in prog.params if is_int_type(t)]
+    for s in walk_stmts(prog.body):
+        if isinstance(s, Decl) and is_int_type(s.annot):
+            out.append((s.name, s.annot))
+        elif isinstance(s, FunDef):
+            out.extend((f"{s.name}.{n}", t) for t, n in s.params if is_int_type(t))
+    return out
 
-    def test_empty_error_list(self):
-        state = AnnotationState({("decl", "a", 3): True})
-        demote_step(state, [])
-        assert state.assignment == {("decl", "a", 3): True}
-        assert state.history == []
+
+def reference_poly_check(prog):
+    """The round loop that poly_check replaced, over check_program: every
+    integer site iterable, then check and demote the sites the diagnostics
+    name until a round names no new one; the verdict and annotated tree."""
+    work = apply_state(clone(prog), lambda site: True)
+    demoted = set()
+    while True:
+        res = check_program(apply_state(work, lambda s: s not in demoted), "extended")
+        new = {s for d in res.errors for s in d.sites} - demoted
+        if res.ok or not new:
+            break
+        demoted |= new
+    if res.ok:
+        return "poly", work
+    if all(d.kind in ITERABILITY_KINDS or d.kind == "operand-type-mismatch"
+           and d.message.startswith(SIZE_MISMATCH) for d in res.errors):
+        return "unknown", work
+    return "ill-typed", work
+
+
+def analyzed(prog):
+    """poly_check's verdict, or "ill-typed", and the tree it annotated."""
+    trees = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "clone", lambda p: trees.append(clone(p)) or trees[-1])
+        try:
+            return poly_check(prog).verdict, trees[0]
+        except IllTypedError:
+            return "ill-typed", trees[0]
+
+
+def same_as_reference(prog):
+    """Each program erased and as written: the verdicts agree, a "poly"
+    witness is the reference's text, and an "unknown" keeps iterable only
+    sites the reference keeps iterable.  Returns the verdicts."""
+    verdicts = []
+    for p in (erase_annotations(prog), prog):
+        want, ref = reference_poly_check(p)
+        got, tree = analyzed(p)
+        assert got == want, pretty_print(p)
+        if got == "poly":
+            assert pretty_print(tree) == pretty_print(ref)
+        assert all(w is IINT for (_, g), (_, w) in zip(int_sites(tree), int_sites(ref))
+                   if g is IINT), pretty_print(p)
+        verdicts.append(got)
+    return verdicts
+
+
+_M = "// mode: extended\nint main(int x){ int o; o=0; for(i<size(x)){ o=o+1; } "
+_F = "int f(int p){ return p; } "
+# one case per flow rule: the source, its verdict and the sites left iterable
+FLOW_RULES = [
+    ("chain", call_chain(3), "poly", {"x"}),
+    ("nested call", _M + "array<int> a; a=array(2); int g(int p, int q){ return p; } "
+     "int r; r=g(g(x, a[x]) + a[o], x); return r; }", "poly", {"x", "r"}),
+    ("array<int> element", _M + "array<int> a; a=array(2); " + _F
+     + "int r; r=f(a[x]); return r; }", "poly", {"x", "r"}),
+    ("int-returning call", _M + _F + "int g(int q){ return q; } "
+     "int r; r=f(g(x)); return r; }", "poly", {"x", "g.q", "r"}),
+    ("builtin min/max", _M + _F + "int g(int q){ return q; } "
+     "int r; r=f(min(x, o)) + g(max(x, x)); return r; }", "poly", {"x", "g.q", "r"}),
+    # an iint result: the arguments of a user max decide nothing
+    ("user max", _M + "iint max(int a, int b){ return a; } " + _F
+     + "int r; r=f(max(x, o)); return r; }", "poly", {"x", "max.a", "f.p", "r"}),
+    # size(o) fails once o is demoted, but f's parameter need not follow it
+    ("size() argument", _M + _F + "int r; r=f(size(o) + x); return r; }",
+     "unknown", {"x", "f.p", "r"}),
+    ("counter argument", _M + _F + "for(j<size(x)){ o=f(j); } return o; }",
+     "poly", {"x", "f.p"}),
+    ("outer variable in a body", _M + _F + "int g(int q){ return f(o) + q; } "
+     "int r; r=g(x); return r; }", "poly", {"x", "g.q", "r"}),
+    ("index argument", _M + "array<iint> b; b=array(2); " + _F
+     + "int r; r=f(b[o]); return r; }", "poly", {"x", "f.p", "r"}),
+]
+
+
+class TestDifferential:
+    """The worklist against the round loop it replaced."""
+
+    @pytest.mark.parametrize("name, src, verdict, iterable", FLOW_RULES,
+                             ids=[c[0] for c in FLOW_RULES])
+    def test_flow_rule(self, name, src, verdict, iterable):
+        prog = load_program(src)[0]
+        assert same_as_reference(prog) == [verdict, verdict]
+        got, tree = analyzed(prog)
+        assert {n for n, t in int_sites(tree) if t is IINT} == iterable
+
+    def test_corpus(self):
+        for f in sorted(CORPUS.glob("*.pc")):
+            same_as_reference(load(f.name)[0])
+
+    def test_compiled_tms_and_clocks(self):
+        for name in ("bitflip.tm", "successor.tm"):
+            machine = parse_tm((CORPUS / name).read_text(), name=name)
+            for d in (1, 2, 3):
+                same_as_reference(load_printed(compile_tm(machine, d)))
+        for d in range(1, 9):
+            same_as_reference(load_printed(clock_program(d)))
+
+    def test_fuzzgen_core_programs(self):
+        for seed in range(1000):
+            same_as_reference(fuzzgen.gen_program(seed))
+
+    def test_call_heavy_programs(self):
+        verdicts = set()
+        for seed in range(500):
+            verdicts.update(same_as_reference(load_program(fuzzgen.gen_calls(seed))[0]))
+        assert verdicts >= {"poly", "unknown"}

@@ -418,6 +418,16 @@ class TestAnalyze:
         assert lines[0] == "poly"
         assert "iint z;" in out
 
+    @pytest.mark.parametrize("name", sorted(
+        f.name for f in CORPUS.glob("*.pc") if f.name != "badmul.pc"))
+    def test_witness_rechecks(self, capsys, tmp_path, name):
+        code, out, _ = run_cli(capsys, "analyze", corpus(name))
+        assert code == 0 and out.startswith("poly\n")
+        f = tmp_path / "witness.pc"
+        f.write_text(out.split("\n", 1)[1])
+        code, out, err = run_cli(capsys, "check", f)
+        assert (code, out, err) == (0, "well-typed: int\n", "")
+
     def test_unknown(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", corpus("badmul.pc"))
         assert code == 0 and out.strip() == "unknown"

@@ -394,6 +394,8 @@ class TestScopes:
 
 
 _F = "int f(int a){return a;} "
+_G = "int f(iint a, iint b){return a;} "
+_PSV = "argument {} of 'f' must be iint, got non-iterable int"
 _OWN = "cannot assign to iterable variable {!r} inside a loop or function body"
 _CTOR = ("array constructor is only allowed as the right-hand side of an "
          "assignment to an array variable")
@@ -552,6 +554,25 @@ class TestPinnedDiagnostics:
            "an index chain over a variable", "1:25", ()),
           ("unbound-variable", "variable 'y' is not declared", "0:0",
            ("y",))]),
+        # every argument is judged, and a call nested in an argument too
+        ("int main(int x){" + _G + "int o; o=f(x, x); return 0;}", "extended",
+         [("param-subtype-violation", _PSV.format(1), "1:59", ("f",)),
+          ("param-subtype-violation", _PSV.format(2), "1:59", ("f",))]),
+        ("int main(int x){" + _G + "int o; o=f(f(1, x), 1); return 0;}",
+         "extended",
+         [("param-subtype-violation", _PSV.format(2), "1:61", ("f",)),
+          ("param-subtype-violation", _PSV.format(1), "1:59", ("f",))]),
+        # an argument only not iterable enough keeps the call's type; one of
+        # the wrong class leaves the call untyped
+        ("int main(int x){" + _G + "bool o; o=f(x, 1); return 0;}", "extended",
+         [("param-subtype-violation", _PSV.format(1), "1:60", ("f",)),
+          ("operand-type-mismatch", "cannot assign int to 'o' of type bool",
+           "1:59", ("o",))]),
+        ("int main(int x){" + _G + "bool o; o=f(x, true); return 0;}",
+         "extended",
+         [("param-subtype-violation", _PSV.format(1), "1:60", ("f",)),
+          ("operand-type-mismatch", "argument 2 of 'f' must be iint, got bool",
+           "1:60", ("f",))]),
     ])
     def test_diagnostics(self, src, mode, want):
         prog = compile_src(src, mode) if isinstance(src, str) else src()
