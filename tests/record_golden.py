@@ -1,28 +1,40 @@
-"""Front-end golden digests: what `load_program` makes of a fixed set of
-inputs, so that a change to the lexer or parser that alters any tree,
-position, printed text or error shows up in `test_golden.py`.
+"""Golden digests of the front end and the engine, so that a change that
+alters any outcome shows up in `test_golden.py`.
 
-Each input is stored as the hash of its source and a digest of its
-outcome: the mode, the tree with every node's `pos`, and the
-`pretty_print` text; or, for an input that fails, the error's class, text
-and position.  Rewrite the file after an intended change with
+frontend.json: what `load_program` makes of a fixed set of inputs.  Each
+input is stored as the hash of its source and a digest of its outcome: the
+mode, the tree with every node's `pos`, and the `pretty_print` text; or,
+for an input that fails, the error's class, text and position.
+
+engine.json: what `run_program` makes of fixed programs on fixed inputs.
+Each program is stored as the hash of its source and one digest per
+observation, a run in one mode on one input: the output, `ic`,
+`max_value_size`, `rule_counts` and the array arguments after the run; or,
+for a run that fails, the error's class, text and position.
+
+Rewrite both files after an intended change with
 
     PYTHONPATH=src python tests/record_golden.py
 """
 
 import hashlib
+import itertools
 import json
 import pathlib
+import random
 import sys
 
 import fuzzgen
 from conftest import CORPUS, SUGARED, corpus_source
 
-from polyc import load_program, pretty_print
+from polyc import VArray, check_program, format_value, load_program, \
+    pretty_print, run_program
+from polyc.ast import ArrayT, is_string_type
 from polyc.errors import PolycError
-from polyc.tm import clock_program, compile_tm, parse_tm
+from polyc.tm import clock_program, compile_tm, encode_input, parse_tm
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "frontend.json"
+ENGINE = GOLDEN.parent / "engine.json"
 
 _MAIN = "// mode: {mode}\nint main(int x, int y) {{\n{body}\n    return x;\n}}\n"
 
@@ -97,13 +109,150 @@ def digests():
             for name, src in inputs()}
 
 
-def main():
-    GOLDEN.parent.mkdir(exist_ok=True)
-    table = digests()
+# -- the engine ---------------------------------------------------------------
+
+_EXT = "// mode: extended\n"
+
+# small programs for what the corpus and the generated programs do not reach:
+# runtime errors and their positions, calls, aliasing, `&&`/`||` around impure
+# operands and unchecked programs (a name starting with "unchecked-")
+ENGINE_CASES = {
+    "index": (_EXT + "int main(int x){array<int> a; a=array(3); a[1]=x; "
+              "return a[x]+a[1];}", [[1], [3], [-1]]),
+    "nested-write": (_EXT + "int main(int x){array<array<int>> a; a=array(2); "
+                     "array<int> b; b=array(2); a[0]=b; a[0][x]=5; a[1][0]=x; "
+                     "return b[1];}", [[1], [2]]),
+    "string-index": (_EXT + 'int main(int x, istring s){int o; if(s[x]=="1")'
+                     "{o=1;} else {o=2;} return o;}", [[0, "10"], [2, "10"]]),
+    "array-length": (_EXT + "int main(int x, iint n){array<int> a; "
+                     "a=array(x); array<bool> b; b=array(size(n)); "
+                     "return size(n);}", [[2, 5], [-2, 5]]),
+    "calls": (_EXT + "int main(int x, array<int> r){int k; k=x+1; "
+              "int f(array<int> p, int a){p[0]=a+k; a=a+a; return a;} "
+              "k=7; int g; g=f(r, x); int h; h=max(g, f(r, k)); "
+              "return g+h+x+r[0];}", [[3, [0, 1]], [2 ** 40, [5]]]),
+    "loops": (_EXT + "int main(iint n){int o; for(i<size(n)){ "
+              "for(j<size(n)){ if(j>i){break;} else {} o=o+j; } "
+              "if(i%2==0){continue;} else {} o=o+100; } return o;}",
+              [[0], [5], [300]]),
+    "short-circuit": (_EXT + "int main(int x){array<int> a; a=array(2); "
+                      "bool f(int y){int z; z=y+y; return y>1;} bool b; "
+                      "b=false&&f(x); b=b||true||f(x); b=x>2&&a[x]==0; "
+                      "return x;}", [[1], [3]]),
+    "unchecked-ctor": (_EXT + "int main(int x){array<int> a; a=array(x); "
+                       "return x;}", [[2]]),
+    "unchecked-break": (_EXT + "int main(int x){int f(int a){break; return a;} "
+                        "return f(x);}", [[1]]),
+    "unchecked-unbound": ("int main(int x){int o; o=x+y; return x;}", [[1]]),
+    "unchecked-assign": ("int main(int x){o=x; return x;}", [[1]]),
+    "unchecked-watch": ("int main(int x){iint z; z=x; int o; "
+                        "for(i<size(z)){o=o+1; z=o;} return o;}", [[0], [5]]),
+}
+
+
+def _run(prog, mode, args, **options):
+    """The digest of one run: its report and the array arguments after it,
+    or the error's class, text and position."""
+    try:
+        rep = run_program(prog, args, mode=mode, **options)
+    except PolycError as e:
+        text = f"{type(e).__name__}|{e.message}|{e.pos!r}"
+    else:
+        arrays = [format_value(a) for a in args if isinstance(a, VArray)]
+        text = (f"{format_value(rep.output)}|{rep.ic}|{rep.max_value_size}|"
+                f"{sorted(rep.rule_counts.items())}|{arrays}")
+    return _hash(text)
+
+
+def _arguments(prog, raw):
+    """Fresh argument values, so that no run sees another's array writes."""
+    return [VArray(list(v), t.elem) if isinstance(t, ArrayT) else v
+            for (t, _), v in zip(prog.params, raw)]
+
+
+def _corpus_args(prog, rng):
+    """Random values of the program's parameter types, small enough that
+    loops budgeted by them stay short and at times out of an index range."""
+    raw = []
+    for t, _ in prog.params:
+        if isinstance(t, ArrayT):
+            raw.append([rng.randrange(-9, 9) for _ in range(rng.randrange(6))])
+        elif is_string_type(t):
+            raw.append("".join(rng.choice("01") for _ in range(rng.randrange(10))))
+        else:
+            raw.append(rng.choice([rng.randrange(-3, 40), 2 ** 70 + 5,
+                                   rng.randrange(1 << 12)]))
+    return raw
+
+
+def _words(n):
+    return ["".join(b) for k in range(n + 1) for b in itertools.product("01", repeat=k)]
+
+
+def engine_programs():
+    """(name, source, program, mode, runs) of every program, in a fixed
+    order; runs holds (observation, raw arguments, options) triples."""
+    for path in sorted(CORPUS.glob("*.pc")):
+        src = corpus_source(path.name)
+        prog, mode = load_program(src)
+        check_program(prog, mode)
+        rng = random.Random(path.name)
+        runs = []
+        for k in range(8):
+            raw = _corpus_args(prog, rng)
+            runs += [(f"plain/{k}", raw, {}), (f"cost/{k}", raw, {"cost_mode": True})]
+        yield f"corpus/{path.name}", src, prog, mode, runs
+    for name in ("bitflip.tm", "successor.tm"):
+        machine = parse_tm(corpus_source(name), name=name)
+        for d in (1, 2, 3):
+            src = pretty_print(compile_tm(machine, d))
+            prog, mode = load_program(src)
+            check_program(prog, mode)
+            runs = [(f"plain/{w or '-'}", [encode_input(w)], {})
+                    for w in _words(7 if d < 3 else 4)]
+            runs += [(f"cost/{w or '-'}", [encode_input(w)], {"cost_mode": True})
+                     for w in _words(4)]
+            yield f"tm/{name}-{d}", src, prog, mode, runs
+    for name, (src, arg_lists) in ENGINE_CASES.items():
+        prog, mode = load_program(src)
+        if not name.startswith("unchecked-"):
+            check_program(prog, mode)
+        watch = fuzzgen.watch_sets(prog)
+        runs = []
+        for k, raw in enumerate(arg_lists):
+            runs += [(f"plain/{k}", raw, {"watch": watch}),
+                     (f"cost/{k}", raw, {"cost_mode": True, "watch": watch}),
+                     (f"fuel-5/{k}", raw, {"fuel": 5, "watch": watch})]
+        yield f"case/{name}", src, prog, mode, runs
+    for seed in range(1000):
+        prog = fuzzgen.gen_program(seed)
+        rng = random.Random(seed)
+        raw = [rng.randrange(-2 ** 12, 2 ** 12) for _ in prog.params]
+        watch = fuzzgen.watch_sets(prog)
+        runs = [("plain", raw, {"watch": watch}),
+                ("cost", raw, {"cost_mode": True, "watch": watch})]
+        runs += [(f"fuel-{f}", raw, {"fuel": f, "watch": watch}) for f in (0, 7, 40)]
+        yield f"fuzz-{seed}", pretty_print(prog), prog, "core", runs
+
+
+def engine_digests():
+    return {name: {"source": _hash(src), **{
+        obs: _run(prog, mode, _arguments(prog, raw), **options)
+        for obs, raw, options in runs}}
+        for name, src, prog, mode, runs in engine_programs()}
+
+
+def _write(path, table):
     lines = [f"{json.dumps(name)}: {json.dumps(table[name], sort_keys=True)}"
              for name in sorted(table)]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(table)} entries to {path}", file=sys.stderr)
+
+
+def main():
+    GOLDEN.parent.mkdir(exist_ok=True)
+    _write(GOLDEN, digests())
+    _write(ENGINE, engine_digests())
 
 
 if __name__ == "__main__":
