@@ -1,29 +1,32 @@
-"""Evaluator with an exact cost mode: statements compile to closures,
-expressions to generated Python.
+"""Evaluator with an exact cost mode: statements and expressions compile to
+generated Python, one function per shape.
 
-A program is compiled once, at its first run, for plain and cost mode, and
-the code is cached per Program object, keyed on id() with a weak reference.
-Statements become closures over the store and the run state (Feeley and
-Lapalme, "Using closures for code generation", Computer Languages 12(1),
-1987); plain mode does not call an empty else.  Each expression becomes one
-generated function g(store, run).  Its source is the expression's shape:
-names, decoded constants and positions are parameters of a factory, and a
-bounded cache keeps one compiled factory per shape.  A scope tracks the
+A program is compiled at its first run, and the code is cached per Program
+object, keyed on id() with a weak reference.  Each statement becomes one
+generated function g(store, run) -> None, "break" or "continue".  Its source
+is the statement's shape: its expressions are inlined as text, while names,
+decoded constants, positions, AST nodes and the functions of its child
+statements are parameters of a factory.  A bounded cache keeps one compiled
+factory per shape, so a shape is compiled once per process; no shape inlines
+another statement, so shapes are shared across programs.  A scope tracks the
 names bound at each point of the program: a read of one indexes the store,
 any other read checks that it is bound.  Annotations the checker or the
 analysis fill in or rewrite in place are read when run.
 
-Cost mode charges one step per expression node, declaration, function
-definition, assignment, break, continue and block entry; the conditional,
-loop, empty-block and program rules count without a step.  Each slot -- a
+Each program has two variants, compiled apart, each at its first use.  The
+plain variant holds no metering code, and its `if` does not call an empty
+else.  The metered variant runs cost, fuel and watch runs.  Cost mode
+charges one step per expression node, declaration, function definition,
+assignment, break, continue and block entry; the conditional, loop,
+empty-block and program rules count without a step.  Each slot -- a
 statement or a function's or the program's return expression -- has a static
-rule vector, in which `&&` and `||` evaluate both operands.  Compiling numbers
-the slots in one table per program; a run counts `counts[k] += 1` into one
-list per run, then folds count x vector into `rule_counts`.  Ints are sized on
-each bind, arrays when made, passed in or written; no other value is, so `&&`
-and `||` may stop at the operand that decides them when all operands after
-the first are pure and read bound names, at no change in cost.  Fuel counts
-statements.
+rule vector, in which `&&` and `||` evaluate both operands.  Compiling the
+metered variant numbers the slots in one table per program; a run counts
+`counts[k] += 1` into one list per run, then folds count x vector into
+`rule_counts`.  Ints are sized on each bind, arrays when made, passed in or
+written; no other value is, so `&&` and `||` may stop at the operand that
+decides them when all operands after the first are pure and read bound
+names, at no change in cost.  Fuel counts statements.
 """
 
 import weakref
@@ -31,8 +34,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .ast import (
-    NO_POS, ArrayCtor, Assign, Block, Break, Call, CallStmt, Const, Continue,
-    Decl, Expr, For, FunDef, If, Index, OpApp, Paren, Var, left_chain, walk,
+    NO_POS, ArrayCtor, ArrayT, Assign, Block, Break, Call, CallStmt, Const,
+    Continue, Decl, Expr, For, FunDef, If, Index, OpApp, Paren, Var, left_chain,
+    walk,
 )
 from .errors import ArgumentError, FuelExhausted, InternalError, PolyRuntimeError
 from .ops import BINARY, BUILTIN_NAMES, UNARY, apply_op
@@ -74,7 +78,8 @@ class Interp:
         self.store, self.rule_counts = {}, {}
         self.steps = self.max_size = 0
         self.fuel_limit = self.fuel = fuel  # statements left to execute
-        self.metered = cost_mode or fuel is not None  # statements count slots
+        # the metered variant runs it, and its statements count slots
+        self.metered = cost_mode or fuel is not None or watch is not None
         self.counts = None  # executions per slot of the program's table
 
     def spend(self):
@@ -96,7 +101,7 @@ class Interp:
         if len(args) != len(prog.params):
             raise ArgumentError(
                 f"program expects {len(prog.params)} arguments, got {len(args)}")
-        table, main = _program(prog)
+        table, main = _program(prog, self.metered)
         self.store = st = {}
         if self.mode == "extended":
             st.update((name, Builtin(name)) for name in BUILTIN_NAMES)
@@ -141,67 +146,71 @@ def _vector(slot):
     return slot[0]
 
 
-_CODE = {}  # id(program) -> (weak reference to it, slot table, code)
+_CODE = {}  # id(program) -> [weak reference to it, plain, metered variant]
 
 
-def _program(prog):
-    """The slot table and code, main(store, run) -> output, of a program; the
-    entry goes with the program, so a reused id() finds no stale code."""
+def _program(prog, metered):
+    """The slot table (None when plain) and code, main(store, run) -> output,
+    of a program's variant; the entry goes with the program, so a reused id()
+    finds no stale code."""
     key = id(prog)
     entry = _CODE.get(key)
     if entry is None or entry[0]() is not prog:
-        table = []
-        entry = _CODE[key] = (
-            weakref.ref(prog, lambda _, key=key: _CODE.pop(key, None)), table,
-            _unit(table, prog.body, prog.ret_expr, InternalError,
-                  "the program body", dict.fromkeys(n for _, n in prog.params),
-                  "Prog"))
-    return entry[1:]
+        entry = _CODE[key] = [
+            weakref.ref(prog, lambda _, key=key: _CODE.pop(key, None)), None, None]
+    if entry[1 + metered] is None:
+        table = [] if metered else None
+        entry[1 + metered] = table, _unit(
+            table, prog.body, prog.ret_expr, InternalError, "the program body",
+            dict.fromkeys(n for _, n in prog.params), ("Prog",))
+    return entry[1 + metered]
 
 
 def _fail(message, pos=NO_POS):
     raise InternalError(message, pos)
 
 
-# -- expressions: generated functions g(store, run) -> value -----------------
+# -- shapes: generated functions g(store, run) --------------------------------
 # A shape's factory takes what its source reads as parameters p0, p1, ...
 
-_SHAPES = {}  # (parameter count, source) -> factory, oldest first
+_SHAPES = {}  # (parameter count, signature, source) -> factory, oldest first
 SHAPES_MAX = 4096
 _DEPTH = 48  # the most brackets one shape nests; deeper parts are own shapes
 _CHAIN = 32  # the most operators one shape chains; a longer chain runs _fold
 _INFIX = {"+": " + ", "-": " - ", "==": " == ", "!=": " != ", "<": " < ",
           "<=": " <= ", ">": " > ", ">=": " >= ", "&&": " & ", "||": " | "}
 _STOP = {"&&": (" and ", False), "||": (" or ", True)}
+_SIZED = "v.__class__ is not int or v.bit_length() > r.max_size"
 
 
-def _branch(s, t, sc, *names):
-    """Compile s with `names` bound too, then unbind the names bound since
-    (the last keys of sc, a dict): a branch may not run to its end."""
-    mark = len(sc)
-    for name in names:
-        sc[name] = None
-    code = _stmt(s, t, sc)
-    while len(sc) > mark:
-        sc.popitem()
-    return code
+def _p(ps, x):
+    """Append parameter x to ps; the name the shape reads it by."""
+    ps.append(x)
+    return f"p{len(ps) - 1}"
+
+
+def _shape(lines, ps, args="st, r"):
+    """The function g(args) whose body is `lines`, reading ps[k] as p<k>; a
+    line indented by one more space nests under the line before it."""
+    text = "\n  ".join(lines)
+    key = (len(ps), args, text)
+    factory = _SHAPES.get(key)
+    if factory is None:
+        if len(_SHAPES) >= SHAPES_MAX:
+            del _SHAPES[next(iter(_SHAPES))]
+        names = ", ".join([f"p{k}" for k in range(len(ps))])
+        code = compile(f"def factory({names}):\n def g({args}):\n  {text}\n"
+                       " return g", "<polyc shape>", "exec")
+        exec(code, globals(), ns := {})
+        factory = _SHAPES[key] = ns["factory"]
+    return factory(*ps)
 
 
 def _expr(e, scope):
     """Compile expression e to (g, pure); see _emit for pure."""
     ps = []
     text, pure = _emit(e, scope, ps, 0)
-    key = (len(ps), text)
-    factory = _SHAPES.get(key)
-    if factory is None:
-        if len(_SHAPES) >= SHAPES_MAX:
-            del _SHAPES[next(iter(_SHAPES))]
-        names = ", ".join([f"p{k}" for k in range(len(ps))])
-        code = compile(f"def factory({names}):\n def g(st, r):\n  return "
-                       f"{text}\n return g", "<polyc expression>", "exec")
-        exec(code, globals(), ns := {})
-        factory = _SHAPES[key] = ns["factory"]
-    return factory(*ps), pure
+    return _shape([f"return {text}"], ps), pure
 
 
 def _emit(e, scope, ps, depth):
@@ -210,32 +219,28 @@ def _emit(e, scope, ps, depth):
     operators, so evaluating it cannot fail or size a value."""
     cls = e.__class__
     if cls is Var:
-        k = len(ps)
         if e.name in scope:
-            ps.append(e.name)
-            return f"st[p{k}]", True
-        ps += e.name, e.pos
-        return f"_load(st, p{k}, p{k + 1})", False
+            return f"st[{_p(ps, e.name)}]", True
+        return f"_load(st, {_p(ps, e.name)}, {_p(ps, e.pos)})", False
     if cls is Const:
-        ps.append(literal_value(e.text))
-        return f"p{len(ps) - 1}", True
+        return _p(ps, literal_value(e.text)), True
     if cls is Paren:  # a parenthesis costs a step but does no work
         return _emit(e.inner, scope, ps, depth)
     if depth > _DEPTH:
         g, pure = _expr(e, scope)
-        ps.append(g)
-        return f"p{len(ps) - 1}(st, r)", pure
+        return f"{_p(ps, g)}(st, r)", pure
     if cls is OpApp and len(e.args) == 2:
         left, right = e.args
         pairs = left_chain(e)[1] if left.__class__ is OpApp else ((e, right),)
         if len(pairs) > _CHAIN:  # each operand is a shape of its own
-            (first, pure), k = _expr(pairs[0][0].args[0], scope), len(ps)
+            first, pure = _expr(pairs[0][0].args[0], scope)
             steps = [(BINARY.get(n.op) or _unknown(n), *_expr(x, scope))
                      for n, x in pairs]
             tail = all(p and n.op in BINARY
                        for (n, _), (_, _, p) in zip(pairs, steps))
-            ps += first, steps, _STOP[e.op][1] if e.op in _STOP and tail else None
-            return f"_fold(st, r, p{k}, p{k + 1}, p{k + 2})", pure and tail
+            decided = _STOP[e.op][1] if e.op in _STOP and tail else None
+            return (f"_fold(st, r, {_p(ps, first)}, {_p(ps, steps)}, "
+                    f"{_p(ps, decided)})"), pure and tail
         depth += len(pairs)
         text, pure = _emit(pairs[0][0].args[0], scope, ps, depth)
         if e.op in _STOP:  # which chains only with itself
@@ -250,33 +255,28 @@ def _emit(e, scope, ps, depth):
         for node, right in pairs:
             t, p = _emit(right, scope, ps, depth)
             infix, pure = _INFIX.get(node.op), pure and p and node.op in BINARY
-            if not infix:  # a function: / and % here, or an unknown operator
-                ps.append(BINARY.get(node.op) or _unknown(node))
-            text = f"({text}{infix}{t})" if infix else f"p{len(ps) - 1}({text}, {t})"
+            # a function: / and % here, or an unknown operator
+            text = (f"({text}{infix}{t})" if infix else
+                    f"{_p(ps, BINARY.get(node.op) or _unknown(node))}({text}, {t})")
         return text, pure
     if cls is OpApp:
         text, pure = _emit(e.args[0], scope, ps, depth + 1)
         if e.op == "!" or e.op == "-":
             return f"({'not ' if e.op == '!' else '-'}{text})", pure
-        ps.append(UNARY.get(e.op) or _unknown(e))
-        return f"p{len(ps) - 1}({text})", pure and e.op in UNARY
+        return (f"{_p(ps, UNARY.get(e.op) or _unknown(e))}({text})",
+                pure and e.op in UNARY)
     if cls is Index:
         base, index = [_emit(x, scope, ps, depth + 1)[0] for x in (e.base, e.index)]
-        ps.append(e.pos)
-        return f"_index({base}, {index}, p{len(ps) - 1})", False
+        return f"_index({base}, {index}, {_p(ps, e.pos)})", False
     if cls is Call:  # the callee is looked up before the arguments run
-        k = len(ps)
-        ps += e.fname, e.pos
-        fn = (f"st[p{k}]" if e.fname in scope
-              else f'_load(st, p{k}, p{k + 1}, "function")')
+        name, pos = _p(ps, e.fname), _p(ps, e.pos)
+        fn = f"st[{name}]" if e.fname in scope else f'_load(st, {name}, {pos}, "function")'
         args = ", ".join([_emit(a, scope, ps, depth + 2)[0] for a in e.args])
-        return f"_call({fn}, [{args}], p{k}, p{k + 1}, r)", False
+        return f"_call({fn}, [{args}], {name}, {pos}, r)", False
     if cls is ArrayCtor:
         length = _emit(e.length, scope, ps, depth + 1)[0]
-        ps.append(e)
-        return f"_new_array({length}, p{len(ps) - 1}, r)", False
-    ps.append(f"cannot evaluate {e!r}")
-    return f"_fail(p{len(ps) - 1})", False
+        return f"_new_array({length}, {_p(ps, e)}, r)", False
+    return f"_fail({_p(ps, f'cannot evaluate {e!r}')})", False
 
 
 def _fold(st, r, first, steps, decided):
@@ -334,113 +334,122 @@ def _new_array(n, e, r):
     return a
 
 
-# -- statements: closures (store, run) -> None, "break" or "continue" ---------
-# Each numbers its slot k in the slot table t; when metered, it first spends
-# fuel, if a limit is set, and counts k.  The scope `sc` gains the names its
-# Decls and FunDefs bind: a block that is run to its end has run them, but
-# a branch, a loop body or a function body may not have.
+# -- statements: shapes (store, run) -> None, "break" or "continue" -----------
+# The metered variant numbers a statement's slot k in the slot table t; the
+# statement first spends fuel, if a limit is set, and counts k.  The scope
+# `sc` gains the names its Decls and FunDefs bind: a block that is run to its
+# end has run them, but a branch, a loop body or a function body may not have.
 
 
 def _stmt(s, t, sc):
-    cls = s.__class__
-    if cls is Assign and s.lvalue.__class__ is Var:
-        name, expr, pos = s.lvalue.name, _expr(s.expr, sc)[0], s.pos
-        k, check = _number(t, [s.expr], "Asgmt"), name not in sc
+    """Compile s to (g, whether g may return a signal); metered when t, the
+    slot table, is not None."""
+    cls, ps, lines, signals = s.__class__, [], [], False
 
-        def assign(st, r):
-            if r.metered:
-                if r.fuel is not None:
-                    r.spend()
-                r.counts[k] += 1
-            v = expr(st, r)
-            if check and name not in st:
-                _fail(f"assignment to unbound variable {name!r}", pos)
-            st[name] = v
-            if r.cost and (v.__class__ is not int or v.bit_length() > r.max_size):
-                r.track(v)
-        return assign
-    if cls is Assign:  # to an array cell; the target's Index nodes are free
+    def meter(exprs, *own):
+        if t is not None:
+            lines.extend(["if r.fuel is not None: r.spend()",
+                          f"r.counts[{_p(ps, _number(t, exprs, *own))}] += 1"])
+
+    def ex(e):
+        return _emit(e, sc, ps, 0)[0]
+
+    def sub(x, *names):  # then unbind the names bound since: the last keys
+        mark = len(sc)
+        sc.update(dict.fromkeys(names))
+        g, sig = _stmt(x, t, sc)
+        while len(sc) > mark:
+            sc.popitem()
+        return _p(ps, g), sig
+
+    if cls is Assign and s.lvalue.__class__ is Var:
+        meter([s.expr], "Asgmt")
+        name, text, bound = _p(ps, s.lvalue.name), ex(s.expr), s.lvalue.name in sc
+        lines.append(f"st[{name}] = {text}" if t is None and bound else f"v = {text}")
+        if not bound:
+            message = f"assignment to unbound variable {s.lvalue.name!r}"
+            lines.append(f"if {name} not in st: _fail({_p(ps, message)}, "
+                         f"{_p(ps, s.pos)})")
+        if t is not None or not bound:
+            lines.append(f"st[{name}] = v")
+        if t is not None:
+            lines.append(f"if r.cost and ({_SIZED}): r.track(v)")
+    elif cls is Assign:  # to an array cell; the target's Index nodes are free
         chain, node = [], s.lvalue
         while node.__class__ is Index:
             chain.insert(0, node.index)
             node = node.base
-        base, expr = _expr(node, sc)[0], _expr(s.expr, sc)[0]
-        idxs = [_expr(i, sc)[0] for i in chain]
-        return _simple(_number(t, [node, *chain, s.expr], "Asgmt"),
-                       lambda st, r: _write_cell(r, base(st, r), [
-                           f(st, r) for f in idxs], expr(st, r), s.pos))
-    if cls is If:
-        k, cond = _number(t, [s.cond], "Cond"), _expr(s.cond, sc)[0]
-        then, els = _branch(s.then, t, sc), _branch(s.els, t, sc)
-        # plain mode does not call an empty else; metered, it counts its slot
-        skip = s.els.__class__ is Block and not s.els.stmts
-
-        def if_(st, r):
-            if r.metered:
-                if r.fuel is not None:
-                    r.spend()
-                r.counts[k] += 1
-                return (then if cond(st, r) else els)(st, r)
-            if cond(st, r):
-                return then(st, r)
-            if not skip:
-                return els(st, r)
-        return if_
-    if cls is Block:
-        k = _number(t, [], "Block", *(() if s.stmts else ("EmptyBlock",)))
-        fns = [_stmt(x, t, sc) for x in s.stmts]
-
-        def block(st, r):
-            if r.metered:
-                if r.fuel is not None:
-                    r.spend()
-                r.counts[k] += 1
-            for fn in fns:
-                sig = fn(st, r)
-                if sig is not None:
-                    return sig
-        return block
-    if cls is For:
-        k, bound = _number(t, [s.bound], "Loop"), _expr(s.bound, sc)[0]
-        body = _branch(s.body, t, sc, s.counter)
-        return _simple(k, lambda st, r: _loop(st, r, bound(st, r), body, s))
-    if cls is Decl:  # a fresh default each time: no array is shared
-        k, name, annot = _number(t, [], "Decl"), s.name, s.annot
-        sc[name] = None
-
-        def decl(st, r):
-            if r.metered:
-                if r.fuel is not None:
-                    r.spend()
-                r.counts[k] += 1
-            st[name] = v = default_value(annot)
-            if r.cost:
-                r.track(v)
-        return decl
-    if cls is FunDef:
-        k, code = _number(t, [], "Fun"), _function(s, t, sc)
+        meter([node, *chain, s.expr], "Asgmt")
+        lines.append(f"_write_cell(r, {ex(node)}, [{', '.join(map(ex, chain))}], "
+                     f"{ex(s.expr)}, {_p(ps, s.pos)})")
+    elif cls is If:
+        meter([s.cond], "Cond")
+        then, signals = sub(s.then)
+        lines += [f"if {ex(s.cond)}:", f" return {then}(st, r)"]
+        # plain, an empty else is not called; metered, it counts its slot
+        if t is not None or s.els.__class__ is not Block or s.els.stmts:
+            els, sig = sub(s.els)
+            lines += ["else:", f" return {els}(st, r)"]
+            signals = signals or sig
+    elif cls is Block:
+        meter([], "Block", *(() if s.stmts else ("EmptyBlock",)))
+        subs = [(*_stmt(x, t, sc), x.pos) for x in s.stmts]
+        lines += _calls(subs, ps, "return sig") or ["pass"]
+        signals = any(sig for _, sig, _ in subs)
+    elif cls is For:
+        meter([s.bound], "Loop")
+        bound, (body, sig), counter = ex(s.bound), sub(s.body, s.counter), s.counter
+        if t is None:
+            lines += [f"for j in range({bound}):", f" st[{_p(ps, counter)}] = j",
+                      f" if {body}(st, r) == 'break': break" if sig else
+                      f" {body}(st, r)"]
+        else:
+            message = "loop body changed the iterable restriction of the store"
+            lines += [f"n = {bound}", f"w = r.watch and r.watch.get({_p(ps, id(s))})",
+                      "for j in range(n):", f" st[{_p(ps, counter)}] = j",
+                      " if w: before = {x: st[x] for x in w if x in st}",
+                      f" sig = {body}(st, r)",
+                      " if w and before != {x: st[x] for x in before}: "
+                      f"_fail({_p(ps, message)}, {_p(ps, s.pos)})",
+                      " if sig == 'break': break",  # "continue" moves on
+                      "if n > 0 and r.cost: r.track(j)"]  # j only grows
+    elif cls is Decl:  # a fresh default each time: no array is shared
+        meter([], "Decl")
         sc[s.name] = None
-        return _simple(k, lambda st, r: st.__setitem__(
-            s.name, Closure(dict(st), s.name, code)))
-    if cls is CallStmt:
-        return _simple(_number(t, [s.call]), _expr(s.call, sc)[0])
-    if cls is Break or cls is Continue:
-        return _simple(_number(t, [], cls.__name__), lambda st, r: None,
-                       "break" if cls is Break else "continue")
-    return _simple(_number(t, []), lambda st, r: _fail(
-        f"cannot execute {s!r}"))
+        value = (f"default_value({_p(ps, s.annot)})" if isinstance(s.annot, ArrayT)
+                 else _p(ps, default_value(s.annot)))
+        lines.append(f"st[{_p(ps, s.name)}] = v = {value}")
+        if t is not None:
+            lines.append("if r.cost: r.track(v)")
+    elif cls is FunDef:
+        meter([], "Fun")
+        code = _p(ps, _function(s, t, sc))
+        sc[s.name] = None
+        name = _p(ps, s.name)
+        lines.append(f"st[{name}] = Closure(dict(st), {name}, {code})")
+    elif cls is CallStmt:
+        meter([s.call])
+        lines.append(ex(s.call))
+    elif cls is Break or cls is Continue:
+        meter([], cls.__name__)
+        lines.append(f"return {cls.__name__.lower()!r}")
+        signals = True
+    else:
+        meter([])
+        lines.append(f"_fail({_p(ps, f'cannot execute {s!r}')})")
+    return _shape(lines, ps), signals
 
 
-def _simple(k, action, sig=None):
-    """A statement that counts slot k, does `action`, then signals `sig`."""
-    def simple(st, r):
-        if r.metered:
-            if r.fuel is not None:
-                r.spend()
-            r.counts[k] += 1
-        action(st, r)
-        return sig
-    return simple
+def _calls(subs, ps, on_signal):
+    """Lines that run subs, (g, may signal, pos) triples, in turn, in a loop
+    whose shape does not depend on their number; the line on_signal handles
+    the signal `sig` of the statement at position q."""
+    if not subs:
+        return []
+    if not any(sig for _, sig, _ in subs):
+        return [f"for f in {_p(ps, tuple(g for g, _, _ in subs))}:", " f(st, r)"]
+    return [f"for f, q in {_p(ps, tuple((g, pos) for g, _, pos in subs))}:",
+            " sig = f(st, r)", f" if sig: {on_signal}"]
 
 
 def _write_cell(r, target, idxs, v, pos):
@@ -458,51 +467,30 @@ def _write_cell(r, target, idxs, v, pos):
                 r.track(v)
 
 
-def _loop(st, r, n, body, s):
-    names, counter = None if r.watch is None else r.watch.get(id(s)), s.counter
-    for j in range(n):
-        st[counter] = j
-        before = names and {x: st[x] for x in names if x in st}
-        sig = body(st, r)
-        if names and before != {x: st[x] for x in before}:
-            _fail("loop body changed the iterable restriction of the store",
-                  s.pos)
-        if sig == "break":  # "continue" just moves on to the next j
-            break
-    if n > 0 and r.cost:
-        r.track(j)  # the counter only grows: its last value is the largest
-
-
 def _function(f, t, sc):
     """Compile FunDef f to code(closure value, arguments, run); like its store,
     its scope copies the one where it is defined and adds its parameters."""
-    names = [n for _, n in f.params]
-    main = _unit(t, f.body, f.ret_expr, PolyRuntimeError,
-                 f"the body of function {f.name!r}", dict.fromkeys([*sc, *names]))
-
-    def invoke(fv, vals, r):
-        st = dict(fv.def_store)
-        st.update(zip(names, vals))
-        for v in vals if r.cost else ():
-            if v.__class__ is not int or v.bit_length() > r.max_size:
-                r.track(v)
-        return main(st, r)
-    return invoke
+    names = tuple(n for _, n in f.params)
+    return _unit(t, f.body, f.ret_expr, PolyRuntimeError,
+                 f"the body of function {f.name!r}", dict.fromkeys([*sc, *names]),
+                 (), names)
 
 
-def _unit(t, body, ret_expr, error, where, sc, *own):
-    """Compile a body and return expression to main(store, run) -> value."""
-    stmts = [(_stmt(x, t, sc), x.pos) for x in body]
-    ret = _expr(ret_expr, sc)[0]
-    k = _number(t, [ret_expr], *own)
-
-    def main(st, r):
-        for fn, pos in stmts:
-            sig = fn(st, r)
-            if sig is not None:
-                raise error(f"{sig} escaped {where}", pos)
-        v = ret(st, r)
-        if r.cost:
-            r.counts[k] += 1
-        return v
-    return main
+def _unit(t, body, ret_expr, error, where, sc, own, params=None):
+    """Compile a body and return expression to main(store, run) -> value, or,
+    given its parameters, a function's to code(closure value, arguments, run)."""
+    ps, lines = [], []
+    if params is not None:
+        lines += ["st = dict(fv.def_store)", f"st.update(zip({_p(ps, params)}, vals))"]
+        if t is not None:
+            lines += ["if r.cost:", " for v in vals:", f"  if {_SIZED}: r.track(v)"]
+    subs = [(*_stmt(x, t, sc), x.pos) for x in body]
+    error, where = _p(ps, error), _p(ps, f" escaped {where}")
+    lines += _calls(subs, ps, f"raise {error}(sig + {where}, q)")
+    ret = _emit(ret_expr, sc, ps, 0)[0]
+    if t is None:
+        lines.append(f"return {ret}")
+    else:
+        k = _p(ps, _number(t, [ret_expr], *own))
+        lines += [f"v = {ret}", f"r.counts[{k}] += 1", "return v"]
+    return _shape(lines, ps, "st, r" if params is None else "fv, vals, r")

@@ -623,20 +623,61 @@ class TestShortCircuit:
 
 
 class TestGeneratedExpressions:
-    """Each expression runs as one generated function; a bounded cache keeps
-    one compiled factory per shape, with names and constants as parameters."""
+    """Each statement and expression runs as one generated function; a
+    bounded cache keeps one compiled factory per shape, with names and
+    constants as parameters."""
 
-    SRC = ("int main(int {x}){{int {o}; {o}={x}+{k}; if({o}>{k}&&{x}!=1)"
-           "{{{o}={o}-{k};}}else{{}} return {o}*2;}}")
+    SRC = ("int main(int {x}){{int {o}; {o}={x}+{k}; for({i}<{k}){{{o}={o}+{i};}} "
+           "if({o}>{k}&&{x}!=1){{{o}={o}-{k};}}else{{}} return {o}*2;}}")
 
     def test_names_and_constants_add_no_shapes(self, monkeypatch):
         monkeypatch.setattr(interp, "_SHAPES", {})
-        first = compile_src(self.SRC.format(x="x", o="o", k="3"))
-        assert run_program(first, [5]).output == 10
+        first = compile_src(self.SRC.format(x="x", o="o", i="i", k="3"))
+        for cost in (False, True):  # the plain and the metered variant
+            assert run_program(first, [5], cost_mode=cost).output == 16
         shapes = list(interp._SHAPES)
-        second = compile_src(self.SRC.format(x="n", o="acc", k="40"))
-        assert run_program(second, [1]).output == 82
+        statements = [text for *_, text in shapes if not text.startswith("return")]
+        assert len(statements) >= 10
+        second = compile_src(self.SRC.format(x="n", o="acc", i="j", k="40"))
+        for cost in (False, True):
+            assert run_program(second, [1], cost_mode=cost).output == 1642
         assert list(interp._SHAPES) == shapes
+
+    def test_metered_variant_is_compiled_lazily_once(self, monkeypatch):
+        metered = []
+        unit = interp._unit
+
+        def counting(t, *rest):
+            metered.append(t is not None)
+            return unit(t, *rest)
+        monkeypatch.setattr(interp, "_unit", counting)
+        prog = compile_src(self.SRC.format(x="x", o="o", i="i", k="3"))
+        for _ in range(3):
+            assert run_program(prog, [5]).output == 16
+        assert metered == [False]
+        for options in ({"cost_mode": True}, {"fuel": 100}, {"watch": {}},
+                        {"cost_mode": True}):
+            assert run_program(prog, [5], **options).output == 16
+        assert metered == [False, True]
+
+    @pytest.mark.parametrize("name", sorted(TestSlotTable.COSTS))
+    def test_programs_run_while_their_shapes_are_evicted(self, monkeypatch,
+                                                         name):
+        # with room for one shape, compiling a program evicts its own shapes
+        monkeypatch.setattr(interp, "_SHAPES", {})
+        monkeypatch.setattr(interp, "SHAPES_MAX", 1)
+        prog, mode = load_checked(name)
+        for entry in TestSlotTable.COSTS[name][::12]:
+            def run(**options):
+                args = TestSlotTable.args_of(prog, entry["args"])
+                return run_program(prog, args, mode=mode, **options), args
+            (rep, args), (plain, plain_args) = run(cost_mode=True), run()
+            assert (rep.ic, rep.max_value_size, rep.rule_counts) == (
+                entry["ic"], entry["max_value_size"], entry["rule_counts"])
+            assert (plain.output, plain_args) == (rep.output, args)
+            with pytest.raises(FuelExhausted):
+                run(fuel=10)
+            assert len(interp._SHAPES) <= 1
 
     def test_cache_stays_bounded(self, monkeypatch):
         monkeypatch.setattr(interp, "_SHAPES", {})
