@@ -234,7 +234,9 @@ def _emit(e, scope, ps, depth):
         pairs = left_chain(e)[1] if left.__class__ is OpApp else ((e, right),)
         if len(pairs) > _CHAIN:  # each operand is a shape of its own
             first, pure = _expr(pairs[0][0].args[0], scope)
-            steps = [(BINARY.get(n.op) or _unknown(n), *_expr(x, scope))
+            code = {id(x): x for _, x in pairs}  # `m*a` repeats one node
+            code = {k: _expr(x, scope) for k, x in code.items()}
+            steps = [(BINARY.get(n.op) or _unknown(n), *code[id(x)])
                      for n, x in pairs]
             tail = all(p and n.op in BINARY
                        for (n, _), (_, _, p) in zip(pairs, steps))
