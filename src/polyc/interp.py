@@ -356,7 +356,7 @@ def _stmt(s, t, sc):
     def ex(e):
         return _emit(e, sc, ps, 0)[0]
 
-    def sub(x, *names):  # then unbind the names bound since: the last keys
+    def sub(x, *names):  # a branch or loop body, which may not run to its end
         mark = len(sc)
         sc.update(dict.fromkeys(names))
         g, sig = _stmt(x, t, sc)

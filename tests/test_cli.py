@@ -1,6 +1,7 @@
 import decimal
 import errno
 import functools
+import gc
 import io
 import json
 import os
@@ -596,3 +597,27 @@ class TestCachedParser:
         code, out, err = run_cli(capsys, "check", corpus("fastmul.pc"),
                                  "--mode", "fast")
         assert (code, out) == (3, "") and "invalid choice: 'fast'" in err
+
+
+class TestCollectorPolicy:
+    """main() runs each command with the cyclic collector off and gives the
+    caller back its own setting, on success and on failure."""
+
+    @pytest.mark.parametrize("argv,code", [(["clock", "1"], 0),
+                                           (["run", "missing.pc"], 3)])
+    def test_off_during_a_command_and_restored(self, capsys, monkeypatch,
+                                               argv, code):
+        seen, command = [], cli._command
+
+        def watching(args):
+            seen.append(gc.isenabled())
+            return command(args)
+        monkeypatch.setattr(cli, "_command", watching)
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                assert run_cli(capsys, *argv)[0] == code
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False, False]
