@@ -234,8 +234,8 @@ def _emit(e, scope, ps, depth):
         pairs = left_chain(e)[1] if left.__class__ is OpApp else ((e, right),)
         if len(pairs) > _CHAIN:  # each operand is a shape of its own
             first, pure = _expr(pairs[0][0].args[0], scope)
-            code = {id(x): x for _, x in pairs}  # `m*a` repeats one node
-            code = {k: _expr(x, scope) for k, x in code.items()}
+            nodes = {id(x): x for _, x in pairs}  # `m*a` repeats one node
+            code = {k: _expr(x, scope) for k, x in nodes.items()}
             steps = [(BINARY.get(n.op) or _unknown(n), *code[id(x)])
                      for n, x in pairs]
             tail = all(p and n.op in BINARY
@@ -344,9 +344,9 @@ def _new_array(n, e, r):
 
 
 def _stmt(s, t, sc):
-    """Compile s to (g, whether g may return a signal); metered when t, the
-    slot table, is not None."""
-    cls, ps, lines, signals = s.__class__, [], [], False
+    """Compile s to g(store, run); metered when t, the slot table, is not
+    None."""
+    cls, ps, lines = s.__class__, [], []
 
     def meter(exprs, *own):
         if t is not None:
@@ -359,10 +359,10 @@ def _stmt(s, t, sc):
     def sub(x, *names):  # a branch or loop body, which may not run to its end
         mark = len(sc)
         sc.update(dict.fromkeys(names))
-        g, sig = _stmt(x, t, sc)
+        g = _stmt(x, t, sc)
         while len(sc) > mark:
             sc.popitem()
-        return _p(ps, g), sig
+        return _p(ps, g)
 
     if cls is Assign and s.lvalue.__class__ is Var:
         meter([s.expr], "Asgmt")
@@ -386,25 +386,19 @@ def _stmt(s, t, sc):
                      f"{ex(s.expr)}, {_p(ps, s.pos)})")
     elif cls is If:
         meter([s.cond], "Cond")
-        then, signals = sub(s.then)
-        lines += [f"if {ex(s.cond)}:", f" return {then}(st, r)"]
+        lines += [f"if {ex(s.cond)}:", f" return {sub(s.then)}(st, r)"]
         # plain, an empty else is not called; metered, it counts its slot
         if t is not None or s.els.__class__ is not Block or s.els.stmts:
-            els, sig = sub(s.els)
-            lines += ["else:", f" return {els}(st, r)"]
-            signals = signals or sig
+            lines += ["else:", f" return {sub(s.els)}(st, r)"]
     elif cls is Block:
         meter([], "Block", *(() if s.stmts else ("EmptyBlock",)))
-        subs = [(*_stmt(x, t, sc), x.pos) for x in s.stmts]
-        lines += _calls(subs, ps, "return sig") or ["pass"]
-        signals = any(sig for _, sig, _ in subs)
+        lines += _calls(s.stmts, t, sc, ps, "return sig") or ["pass"]
     elif cls is For:
         meter([s.bound], "Loop")
-        bound, (body, sig), counter = ex(s.bound), sub(s.body, s.counter), s.counter
+        bound, body, counter = ex(s.bound), sub(s.body, s.counter), s.counter
         if t is None:
             lines += [f"for j in range({bound}):", f" st[{_p(ps, counter)}] = j",
-                      f" if {body}(st, r) == 'break': break" if sig else
-                      f" {body}(st, r)"]
+                      f" if {body}(st, r) == 'break': break"]
         else:
             message = "loop body changed the iterable restriction of the store"
             lines += [f"n = {bound}", f"w = r.watch and r.watch.get({_p(ps, id(s))})",
@@ -435,23 +429,20 @@ def _stmt(s, t, sc):
     elif cls is Break or cls is Continue:
         meter([], cls.__name__)
         lines.append(f"return {cls.__name__.lower()!r}")
-        signals = True
     else:
         meter([])
         lines.append(f"_fail({_p(ps, f'cannot execute {s!r}')})")
-    return _shape(lines, ps), signals
+    return _shape(lines, ps)
 
 
-def _calls(subs, ps, on_signal):
-    """Lines that run subs, (g, may signal, pos) triples, in turn, in a loop
-    whose shape does not depend on their number; the line on_signal handles
-    the signal `sig` of the statement at position q."""
-    if not subs:
+def _calls(stmts, t, sc, ps, on_signal):
+    """Lines that compile and run stmts in turn, in a loop whose shape does
+    not depend on their number; the line on_signal handles the signal `sig`
+    of the statement at position q."""
+    if not stmts:
         return []
-    if not any(sig for _, sig, _ in subs):
-        return [f"for f in {_p(ps, tuple(g for g, _, _ in subs))}:", " f(st, r)"]
-    return [f"for f, q in {_p(ps, tuple((g, pos) for g, _, pos in subs))}:",
-            " sig = f(st, r)", f" if sig: {on_signal}"]
+    subs = tuple((_stmt(x, t, sc), x.pos) for x in stmts)
+    return [f"for f, q in {_p(ps, subs)}:", " sig = f(st, r)", f" if sig: {on_signal}"]
 
 
 def _write_cell(r, target, idxs, v, pos):
@@ -486,9 +477,8 @@ def _unit(t, body, ret_expr, error, where, sc, own, params=None):
         lines += ["st = dict(fv.def_store)", f"st.update(zip({_p(ps, params)}, vals))"]
         if t is not None:
             lines += ["if r.cost:", " for v in vals:", f"  if {_SIZED}: r.track(v)"]
-    subs = [(*_stmt(x, t, sc), x.pos) for x in body]
     error, where = _p(ps, error), _p(ps, f" escaped {where}")
-    lines += _calls(subs, ps, f"raise {error}(sig + {where}, q)")
+    lines += _calls(body, t, sc, ps, f"raise {error}(sig + {where}, q)")
     ret = _emit(ret_expr, sc, ps, 0)[0]
     if t is None:
         lines.append(f"return {ret}")
