@@ -3,30 +3,32 @@ generated Python, one function per shape.
 
 A program is compiled at its first run, and the code is cached per Program
 object, keyed on id() with a weak reference.  Each statement becomes one
-generated function g(store, run) -> None, "break" or "continue".  Its source
-is the statement's shape: its expressions are inlined as text, while names,
-decoded constants, positions, AST nodes and the functions of its child
-statements are parameters of a factory.  A bounded cache keeps one compiled
-factory per shape, so a shape is compiled once per process; no shape inlines
-another statement, so shapes are shared across programs.  A scope tracks the
-names bound at each point of the program: a read of one indexes the store,
-any other read checks that it is bound.  Annotations the checker or the
-analysis fill in or rewrite in place are read when run.
+generated function g(store, run) -> None, "break" or "continue"; a list
+compiles each distinct node once, so the normalizer's output, whose halving
+step one list holds 32 times, compiles that step once.  Its source is the
+statement's shape: its expressions are inlined as text, while names, decoded
+constants, positions, AST nodes and the functions of its child statements are
+parameters of a factory.  A bounded cache keeps one compiled factory per
+shape, so a shape is compiled once per process; no shape inlines another
+statement, so shapes are shared across programs.  A scope tracks the names
+bound at each point of the program: a read of one indexes the store, any
+other read checks that it is bound.  Annotations the checker or the analysis
+fill in or rewrite in place are read when run.
 
 Each program has two variants, compiled apart, each at its first use.  The
 plain variant holds no metering code, and its `if` does not call an empty
-else.  The metered variant runs cost, fuel and watch runs.  Cost mode
-charges one step per expression node, declaration, function definition,
-assignment, break, continue and block entry; the conditional, loop,
-empty-block and program rules count without a step.  Each slot -- a
-statement or a function's or the program's return expression -- has a static
-rule vector, in which `&&` and `||` evaluate both operands.  Compiling the
-metered variant numbers the slots in one table per program; a run counts
-`counts[k] += 1` into one list per run, then folds count x vector into
-`rule_counts`.  Ints are sized on each bind, arrays when made, passed in or
-written; no other value is, so `&&` and `||` may stop at the operand that
-decides them when all operands after the first are pure and read bound
-names, at no change in cost.  Fuel counts statements.
+else.  The metered variant runs cost, fuel and watch runs.  Cost mode charges
+one step per expression node, declaration, function definition, assignment,
+break, continue and block entry; the conditional, loop, empty-block and
+program rules count without a step.  Each slot -- a statement or a function's
+or the program's return expression -- has a static rule vector, in which `&&`
+and `||` evaluate both operands.  Compiling the metered variant numbers the
+slots in one table per program, one per node however often a list repeats it;
+a run counts `counts[k] += 1` into one list per run, then folds count x
+vector into `rule_counts`.  Ints are sized on each bind, arrays when made,
+passed in or written; no other value is, so `&&` and `||` may stop at the
+operand that decides them when all operands after the first are pure and read
+bound names, at no change in cost.  Fuel counts statements.
 """
 
 import weakref
@@ -438,10 +440,13 @@ def _stmt(s, t, sc):
 def _calls(stmts, t, sc, ps, on_signal):
     """Lines that compile and run stmts in turn, in a loop whose shape does
     not depend on their number; the line on_signal handles the signal `sig`
-    of the statement at position q."""
+    of the statement at position q.  A node the list repeats runs the code
+    of its first position: the scope only grows, so that code holds later."""
     if not stmts:
         return []
-    subs = tuple((_stmt(x, t, sc), x.pos) for x in stmts)
+    code = {}
+    subs = tuple((code.get(id(x)) or code.setdefault(id(x), _stmt(x, t, sc)), x.pos)
+                 for x in stmts)
     return [f"for f, q in {_p(ps, subs)}:", " sig = f(st, r)", f" if sig: {on_signal}"]
 
 

@@ -24,6 +24,17 @@ int main(int x, int y) {
 """
 
 
+# the core corpus programs the normalizer accepts, with inputs
+NORMALIZE_CASES = [
+    ("fastmul.pc", [(6, 7), (3, 1), (0, 0), (123, 456), (31, 17)]),
+    ("double_loop.pc", [(3, 5), (0, 0), (7, 1), (100, 100), (2, 63)]),
+    ("single_step.pc", [(0,), (5,), (-3,), (100,), (2 ** 20,)]),
+    ("identity.pc", [(0,), (7,), (-7,), (123456,), (-1,)]),
+    ("sum_counters.pc", [(6, 7), (0, 0), (255, 1), (9, 9), (1, 0)]),
+    ("branchy.pc", [(9,), (-9,), (0,), (1,), (255,)]),
+]
+
+
 def corpus_source(name):
     return (CORPUS / name).read_text(encoding="utf-8")
 

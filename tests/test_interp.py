@@ -7,22 +7,24 @@ import weakref
 import pytest
 
 import fuzzgen
-from conftest import ROOT, compile_src, load_checked
+from conftest import NORMALIZE_CASES, ROOT, compile_src, load_checked
 
 from polyc import check_program, load_program, run_program
 from polyc.ast import (
     ArrayT, Arrow, Assign, Block, BOOL, Break, Call, Const, Decl, For, IINT,
-    If, INT, ISTRING, OpApp, Paren, Pos, Program, STRING, Var,
+    If, INT, ISTRING, OpApp, Paren, Pos, Program, STRING, Stmt, Var, clone,
+    walk,
 )
 from polyc import interp
 from polyc.errors import (
-    ArgumentError, FuelExhausted, InternalError, PolyRuntimeError,
+    ArgumentError, FuelExhausted, InternalError, PolycError, PolyRuntimeError,
 )
 from polyc.interp import Interp, apply_op
 from polyc.lexer import tokenize
 from polyc.ops import OPS, PRECEDENCE, TABLE
 from polyc.parser import Parser
 from polyc.printer import expr_str
+from polyc.transform import normalize_simple
 from polyc.typecheck import op_signature
 from polyc.values import (
     Builtin, Closure, VArray, decimal_to_int, default_value, int_to_decimal,
@@ -709,6 +711,117 @@ class TestGeneratedExpressions:
                 run_program(compile_src(src, mode), args, cost_mode=cost,
                             mode=mode)
             assert (exc.value.message, exc.value.pos) == (message, pos)
+
+
+def outcome(prog, args, mode="core", **options):
+    """A run's output and cost report, or its error and the store it left."""
+    it = Interp(mode=mode, **options)
+    try:
+        rep = it.run(prog, list(args))
+    except PolycError as e:  # builtins and closures compare by identity
+        return type(e).__name__, e.message, e.pos, {
+            k: v for k, v in it.store.items()
+            if not isinstance(v, (Builtin, Closure))}
+    return rep.output, rep.ic, rep.max_value_size, rep.rule_counts
+
+
+def options_of(prog):
+    """Plain, cost, fuel at several limits, and watch runs."""
+    return [{}, {"cost_mode": True}, *({"fuel": n} for n in (0, 1, 7, 40)),
+            {"cost_mode": True, "fuel": 40},
+            {"watch": fuzzgen.watch_sets(prog), "fuel": 10 ** 6}]
+
+
+def statement_lists(prog):
+    return [prog.body] + [s.stmts for s in walk(prog.body, Stmt)
+                          if s.__class__ is Block]
+
+
+class TestRepeatedStatements:
+    """A statement node that one list holds at several positions is compiled
+    once and runs at each of them as a copy of it would."""
+
+    def assert_same_runs(self, shared, copied, arg_lists, mode="core"):
+        for args in arg_lists:
+            for a, b in zip(options_of(shared), options_of(copied)):
+                assert outcome(shared, args, mode, **a) == outcome(
+                    copied, args, mode, **b), (args, a)
+
+    @staticmethod
+    def repeat(src, mode, *moves):
+        """Two copies of src's program, each (k, i, j) move replacing the
+        j-th statement of the k-th statement list by its i-th, in one by
+        identity and in the other by a clone: both run the same statements."""
+        progs = [compile_src(src, mode), compile_src(src, mode)]
+        for prog, copy in zip(progs, (lambda s: s, clone)):
+            lists = statement_lists(prog)
+            for k, i, j in moves:
+                lists[k][j] = copy(lists[k][i])
+        return progs
+
+    def test_fuzzed_block_with_a_repeated_statement(self):
+        rng = random.Random(31)
+        for seed in range(200):
+            progs = [fuzzgen.gen_program(seed) for _ in range(2)]
+            lists = [statement_lists(p) for p in progs]
+            k = rng.choice([k for k, s in enumerate(lists[0]) if s])
+            i = rng.randrange(len(lists[0][k]))
+            j = rng.randint(i + 1, len(lists[0][k]))
+            node = lists[0][k][i]
+            lists[0][k].insert(j, node)
+            lists[1][k].insert(j, clone(node))
+            shared, copied = progs
+            # the copy's slots are the node's statements over again
+            slots = [len(interp._program(p, True)[0]) for p in (copied, shared)]
+            assert slots[0] - slots[1] == sum(1 for _ in walk([node], Stmt))
+            args = [rng.randrange(-2 ** 12, 2 ** 12) for _ in shared.params]
+            self.assert_same_runs(shared, copied, [args])
+
+    @pytest.mark.parametrize("name,inputs", NORMALIZE_CASES,
+                             ids=[name for name, _ in NORMALIZE_CASES])
+    def test_normalized_corpus_shares_its_halving_step(self, name, inputs):
+        prog, mode = load_checked(name)
+        shared = normalize_simple(prog, mode).program
+        self.assert_same_runs(shared, clone(shared), [
+            [*args, t] for args in inputs for t in (1, 3, 40, 4096)], "extended")
+
+    def test_normalized_fastmul_compiles_each_node_once(self, fastmul):
+        shared = normalize_simple(fastmul).program
+        copied = clone(shared)
+        # 69 distinct statements and the return expression; the clone shares
+        # no node, so each of its 32 copies of a halving step has its slots
+        assert [len(interp._program(p, True)[0]) for p in (shared, copied)] == [
+            70, 225]
+        reports = [run_program(p, [37, 91, 4096], cost_mode=True, mode="extended")
+                   for p in (shared, copied)]
+        assert reports[0].output == 37 * 91
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("src,moves", [
+        # the first copy reads v, still undeclared when it is compiled; it
+        # fails unbound when o starts positive
+        ("int main(int x){int o; o=x%2; if(o>0){o=o+v;}else{o=1;} int v; v=x; "
+         "if(o>0){o=o+v;}else{o=1;} return o;}", [(0, 2, 5)]),
+        ("int main(int x){int v; v=x; int v; v=v+1; return v;}", [(0, 0, 2)]),
+        # an escaping break, on the second run of the shared if
+        ("// mode: extended\nint main(int x){int o; o=x; if(o>3){break;}else{} "
+         "o=o+4; if(o>3){break;}else{} return o;}", [(0, 2, 4)]),
+        # lists: 1 the loop body, 6 the then-branch `break; break;`
+        ("// mode: extended\nint main(int x){int o; o=0; for(i<size(x)){ "
+         "if(i==2){continue;}else{} o=o+1; if(i==2){continue;}else{} "
+         "if(i==5){break; break;}else{} o=o+2; if(i==5){break; break;}else{} } "
+         "return o;}", [(6, 0, 1), (1, 0, 2), (1, 3, 5)]),
+        ("// mode: extended\nint main(int x){int o; o=x; int f(int a){return o+a;} "
+         "o=o+1; int f(int a){return o+a;} int r; r=f(x); return r;}",
+         [(0, 2, 4)]),
+    ], ids=["decl-between", "decl", "escaping-break", "break-continue", "fundef"])
+    def test_handwritten_repeats(self, src, moves):
+        mode = "extended" if src.startswith("//") else "core"
+        shared, copied = self.repeat(src, mode, *moves)
+        assert shared == copied
+        lists = statement_lists(shared)
+        assert all(lists[k][i] is lists[k][j] for k, i, j in moves)
+        self.assert_same_runs(shared, copied, [[0], [1], [2], [6], [300]], mode)
 
 
 # -- the operator table: one case per row ------------------------------------

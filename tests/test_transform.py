@@ -2,7 +2,9 @@ import time
 
 import pytest
 
-from conftest import compile_src, doubling_calls, load_checked, load_printed
+from conftest import (
+    NORMALIZE_CASES, compile_src, doubling_calls, load_checked, load_printed,
+)
 
 from polyc import check_program, pretty_print, run_program
 from polyc.interp import Interp
@@ -160,16 +162,6 @@ class TestT2:
         res = check_program(t2_cost_tracker(prog), "core")
         assert not res.ok
         assert {d.kind for d in res.errors} == {"unbound-variable"}
-
-
-NORMALIZE_CASES = [
-    ("fastmul.pc", [(6, 7), (3, 1), (0, 0), (123, 456), (31, 17)]),
-    ("double_loop.pc", [(3, 5), (0, 0), (7, 1), (100, 100), (2, 63)]),
-    ("single_step.pc", [(0,), (5,), (-3,), (100,), (2 ** 20,)]),
-    ("identity.pc", [(0,), (7,), (-7,), (123456,), (-1,)]),
-    ("sum_counters.pc", [(6, 7), (0, 0), (255, 1), (9, 9), (1, 0)]),
-    ("branchy.pc", [(9,), (-9,), (0,), (1,), (255,)]),
-]
 
 
 class TestNormalize:
