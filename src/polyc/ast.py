@@ -23,9 +23,6 @@ NO_POS = Pos(0, 0)
 class Type:
     """Base class for type annotations."""
 
-    def __str__(self):
-        return type(self).__name__.lower()
-
 
 @dataclass(frozen=True)
 class Fundamental(Type):
@@ -34,10 +31,8 @@ class Fundamental(Type):
     def __str__(self):
         return self.name
 
-    # the five instances below are singletons; identity must survive copying
-    def __copy__(self):
-        return self
-
+    # the five instances below are singletons; identity must survive a deep
+    # copy, which the benchmark makes of array arguments
     def __deepcopy__(self, memo):
         return self
 

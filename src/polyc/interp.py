@@ -1,19 +1,21 @@
 """Evaluator with an exact cost mode: statements and expressions compile to
 generated Python, one function per shape.
 
-A program is compiled at its first run, and the code is cached per Program
-object, keyed on id() with a weak reference.  Each statement becomes one
-generated function g(store, run) -> None, "break" or "continue"; a list
-compiles each distinct node once, so the normalizer's output, whose halving
-step one list holds 32 times, compiles that step once.  Its source is the
-statement's shape: its expressions are inlined as text, while names, decoded
-constants, positions, AST nodes and the functions of its child statements are
-parameters of a factory.  A bounded cache keeps one compiled factory per
-shape, so a shape is compiled once per process; no shape inlines another
-statement, so shapes are shared across programs.  A scope tracks the names
-bound at each point of the program: a read of one indexes the store, any
-other read checks that it is bound.  Annotations the checker or the analysis
-fill in or rewrite in place are read when run.
+A program is compiled at its first run, and the code is kept in a plain
+attribute of the Program object, not a field, so a copy compiles its own.
+Each statement becomes one generated function g(store, run) -> None, "break"
+or "continue"; a list compiles each distinct node once, so the normalizer's
+output, whose halving step one list holds 32 times, compiles that step once.
+Its source is the statement's shape: its expressions are inlined as text,
+while names, decoded constants, positions, AST nodes and the functions of its
+child statements are parameters of a factory.  A bounded cache keeps one
+compiled factory per shape, so a shape is compiled once per process; no shape
+inlines another statement, so shapes are shared across programs.  A scope
+tracks the names bound at each point of the program: a read of one indexes
+the store, any other read checks that it is bound.  A call to a builtin that
+no binding in scope shadows resolves when compiled; the store holds no
+builtins.  Annotations the checker or the analysis fill in or rewrite in
+place are read when run.
 
 Each program has two variants, compiled apart, each at its first use.  The
 plain variant holds no metering code, and its `if` does not call an empty
@@ -23,15 +25,14 @@ break, continue and block entry; the conditional, loop, empty-block and
 program rules count without a step.  Each slot -- a statement or a function's
 or the program's return expression -- has a static rule vector, in which `&&`
 and `||` evaluate both operands.  Compiling the metered variant numbers the
-slots in one table per program, one per node however often a list repeats it;
-a run counts `counts[k] += 1` into one list per run, then folds count x
-vector into `rule_counts`.  Ints are sized on each bind, arrays when made,
-passed in or written; no other value is, so `&&` and `||` may stop at the
-operand that decides them when all operands after the first are pure and read
-bound names, at no change in cost.  Fuel counts statements.
+slots in one table of vectors per program, one per node however often a list
+repeats it; a run counts `counts[k] += 1` into one list per run, then folds
+count x vector into `rule_counts`.  Ints are sized on each bind, arrays when
+made, passed in or written; no other value is, so `&&` and `||` may stop at
+the operand that decides them when all operands after the first are pure and
+read bound names, at no change in cost.  Fuel counts statements.
 """
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -105,8 +106,6 @@ class Interp:
                 f"program expects {len(prog.params)} arguments, got {len(args)}")
         table, main = _program(prog, self.metered)
         self.store = st = {}
-        if self.mode == "extended":
-            st.update((name, Builtin(name)) for name in BUILTIN_NAMES)
         for (annot, name), v in zip(prog.params, args):
             if not value_consistent(v, annot):
                 raise ArgumentError(
@@ -121,8 +120,8 @@ class Interp:
         finally:  # a failed run folds what it counted too
             if self.cost:
                 totals = self.rule_counts
-                for slot, n in zip(table, counts):
-                    for rule, k in (slot[0] or _vector(slot)) if n else ():
+                for vector, n in zip(table, counts):
+                    for rule, k in vector if n else ():
                         totals[rule] = totals.get(rule, 0) + n * k
                 self.steps = sum(n for r, n in totals.items() if r not in _FREE_RULES)
         if not self.cost:
@@ -133,39 +132,26 @@ class Interp:
 
 
 def _number(table, exprs, *own):
-    """Add a slot -- a statement's or return expression's rule vector, made at
-    first use, the expressions it evaluates and its own rules; its number."""
-    table.append([None, exprs, own])
-    return len(table) - 1
-
-
-def _vector(slot):
-    """One rule per expression node the slot evaluates, plus its own."""
-    c = Counter(_RULE.get(n.__class__) for n in walk(slot[1], Expr))
-    c.update(slot[2])
+    """Add a slot -- a statement or return expression -- to the table as its
+    rule vector: one rule per expression node it evaluates, plus its own; its
+    number."""
+    c = Counter(_RULE.get(n.__class__) for n in walk(exprs, Expr))
+    c.update(own)
     c.pop(None, None)  # nodes that cannot run charge nothing
-    slot[0] = tuple(c.items())
-    return slot[0]
-
-
-_CODE = {}  # id(program) -> [weak reference to it, plain, metered variant]
+    table.append(tuple(c.items()))
+    return len(table) - 1
 
 
 def _program(prog, metered):
     """The slot table (None when plain) and code, main(store, run) -> output,
-    of a program's variant; the entry goes with the program, so a reused id()
-    finds no stale code."""
-    key = id(prog)
-    entry = _CODE.get(key)
-    if entry is None or entry[0]() is not prog:
-        entry = _CODE[key] = [
-            weakref.ref(prog, lambda _, key=key: _CODE.pop(key, None)), None, None]
-    if entry[1 + metered] is None:
+    of a program's variant, compiled at its first use."""
+    code = vars(prog).setdefault("compiled", [None, None])  # plain, metered
+    if code[metered] is None:
         table = [] if metered else None
-        entry[1 + metered] = table, _unit(
+        code[metered] = table, _unit(
             table, prog.body, prog.ret_expr, InternalError, "the program body",
             dict.fromkeys(n for _, n in prog.params), ("Prog",))
-    return entry[1 + metered]
+    return code[metered]
 
 
 def _fail(message, pos=NO_POS):
@@ -274,7 +260,9 @@ def _emit(e, scope, ps, depth):
         return f"_index({base}, {index}, {_p(ps, e.pos)})", False
     if cls is Call:  # the callee is looked up before the arguments run
         name, pos = _p(ps, e.fname), _p(ps, e.pos)
-        fn = f"st[{name}]" if e.fname in scope else f'_load(st, {name}, {pos}, "function")'
+        fn = (f"st[{name}]" if e.fname in scope else
+              f"_builtin(r, {_p(ps, Builtin(e.fname))}, {pos})"
+              if e.fname in BUILTIN_NAMES else f'_load(st, {name}, {pos}, "function")')
         args = ", ".join([_emit(a, scope, ps, depth + 2)[0] for a in e.args])
         return f"_call({fn}, [{args}], {name}, {pos}, r)", False
     if cls is ArrayCtor:
@@ -304,6 +292,13 @@ def _load(st, name, pos, kind="variable"):
         return st[name]
     except KeyError:
         raise InternalError(f"{kind} {name!r} unbound at runtime", pos) from None
+
+
+def _builtin(r, fv, pos):
+    """A builtin no binding shadows; only extended mode has builtins."""
+    if r.mode == "extended":
+        return fv
+    raise InternalError(f"function {fv.name!r} unbound at runtime", pos)
 
 
 def _index(b, i, pos):
@@ -341,8 +336,8 @@ def _new_array(n, e, r):
 # -- statements: shapes (store, run) -> None, "break" or "continue" -----------
 # The metered variant numbers a statement's slot k in the slot table t; the
 # statement first spends fuel, if a limit is set, and counts k.  The scope
-# `sc` gains the names its Decls and FunDefs bind: a block that is run to its
-# end has run them, but a branch, a loop body or a function body may not have.
+# `sc` gains the names its Decls and FunDefs bind, until the end of the block,
+# branch or loop body that binds them, as the checker's scope does.
 
 
 def _stmt(s, t, sc):
@@ -358,13 +353,15 @@ def _stmt(s, t, sc):
     def ex(e):
         return _emit(e, sc, ps, 0)[0]
 
-    def sub(x, *names):  # a branch or loop body, which may not run to its end
-        mark = len(sc)
-        sc.update(dict.fromkeys(names))
-        g = _stmt(x, t, sc)
+    def end(mark, out):  # the names bound since `mark` go out of scope
         while len(sc) > mark:
             sc.popitem()
-        return _p(ps, g)
+        return out
+
+    def sub(x, *names):  # a branch or loop body
+        mark = len(sc)
+        sc.update(dict.fromkeys(names))
+        return _p(ps, end(mark, _stmt(x, t, sc)))
 
     if cls is Assign and s.lvalue.__class__ is Var:
         meter([s.expr], "Asgmt")
@@ -394,7 +391,8 @@ def _stmt(s, t, sc):
             lines += ["else:", f" return {sub(s.els)}(st, r)"]
     elif cls is Block:
         meter([], "Block", *(() if s.stmts else ("EmptyBlock",)))
-        lines += _calls(s.stmts, t, sc, ps, "return sig") or ["pass"]
+        mark = len(sc)
+        lines += end(mark, _calls(s.stmts, t, sc, ps, "return sig")) or ["pass"]
     elif cls is For:
         meter([s.bound], "Loop")
         bound, body, counter = ex(s.bound), sub(s.body, s.counter), s.counter
@@ -421,7 +419,12 @@ def _stmt(s, t, sc):
             lines.append("if r.cost: r.track(v)")
     elif cls is FunDef:
         meter([], "Fun")
-        code = _p(ps, _function(s, t, sc))
+        # like its store, a function's scope copies the one where it is
+        # defined and adds its parameters
+        names = tuple(n for _, n in s.params)
+        code = _p(ps, _unit(t, s.body, s.ret_expr, PolyRuntimeError,
+                            f"the body of function {s.name!r}",
+                            dict.fromkeys([*sc, *names]), (), names))
         sc[s.name] = None
         name = _p(ps, s.name)
         lines.append(f"st[{name}] = Closure(dict(st), {name}, {code})")
@@ -463,15 +466,6 @@ def _write_cell(r, target, idxs, v, pos):
             target.items[idx] = v
             if r.cost and (v.__class__ is not int or v.bit_length() > r.max_size):
                 r.track(v)
-
-
-def _function(f, t, sc):
-    """Compile FunDef f to code(closure value, arguments, run); like its store,
-    its scope copies the one where it is defined and adds its parameters."""
-    names = tuple(n for _, n in f.params)
-    return _unit(t, f.body, f.ret_expr, PolyRuntimeError,
-                 f"the body of function {f.name!r}", dict.fromkeys([*sc, *names]),
-                 (), names)
 
 
 def _unit(t, body, ret_expr, error, where, sc, own, params=None):

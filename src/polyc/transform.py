@@ -168,20 +168,13 @@ def _stmt_is_flat(s):
                    or isinstance(x, OpApp) and x.op == "size" for x in walk([s]))
 
 
-class _Label:
-    __slots__ = ("idx",)
-
-    def __init__(self):
-        self.idx = None
-
-
 class _Normalizer:
     def __init__(self, prog):
         self.prog = prog
         self.taken = set(program_names(prog))
         self.suffix = {}  # base -> k: base, base2, ..., base<k> are taken
         self.decls = []  # hoisted (Type, machine-name) pairs
-        self.blocks = []  # lists of statements / jump thunks
+        self.blocks = []  # lists of statements, one per pc value
         self.cur = None
         self.loop_stack = []  # (incr_label, after_label)
         self.callee = None  # name of the function being expanded
@@ -203,21 +196,23 @@ class _Normalizer:
     # -- block plumbing -----------------------------------------------------
 
     def place(self, label):
-        label.idx = len(self.blocks)
+        """Start a block at `label`, the Const that its jumps assign to pc."""
+        label.text = str(len(self.blocks))
         self.blocks.append([])
         self.cur = self.blocks[-1]
 
     def emit(self, stmt):
         if self.cur is None:  # unreachable code after break/continue
-            self.place(_Label())
+            self.place(Const(""))
         self.cur.append(stmt)
 
     def jump(self, label):
-        self.emit(("jump", label))
+        self.emit(Assign(Var(self.pc), label))
         self.cur = None
 
     def branch(self, cond, if_true, if_false):
-        self.emit(("branch", cond, if_true, if_false))
+        self.emit(If(cond, Block([Assign(Var(self.pc), if_true)]),
+                     Block([Assign(Var(self.pc), if_false)])))
         self.cur = None
 
     # -- top level ----------------------------------------------------------
@@ -226,22 +221,18 @@ class _Normalizer:
         prog = self.prog
         # source name -> machine name, or (FunDef, the functions it sees)
         scope = {n: n for _, n in prog.params}
-        self.place(_Label())
+        self.place(Const(""))
         self.compile_seq(prog.body, scope)
         ret = self.rewrite_expr(prog.ret_expr, scope)
-        done = _Label()
+        done = len(self.blocks)  # the pc that ends the loop
         if self.cur is not None:
-            self.jump(done)
-        done.idx = len(self.blocks)
+            self.jump(_num(done))
 
         self.decls.append((INT, self.pc))
         body = [Decl(t, n) for t, n in self.decls]
-        loop_body = []
-        for k, blk in enumerate(self.blocks):
-            stmts = [self.materialize(x) for x in blk]
-            loop_body.append(If(OpApp("==", [Var(self.pc), _num(k)]),
-                                Block(stmts), Block([])))
-        loop_body.append(If(OpApp("==", [Var(self.pc), _num(done.idx)]),
+        loop_body = [If(OpApp("==", [Var(self.pc), _num(k)]), Block(blk), Block([]))
+                     for k, blk in enumerate(self.blocks)]
+        loop_body.append(If(OpApp("==", [Var(self.pc), _num(done)]),
                             Break(), Block([])))
         body.append(For(self.i, OpApp("size", [Var(self.y)]),
                         Block(loop_body)))
@@ -252,16 +243,6 @@ class _Normalizer:
             bound_var=self.y,
             symbolic_bound=f"O(n^({m}^{m}))",
         )
-
-    def materialize(self, item):
-        if isinstance(item, tuple) and item[0] == "jump":
-            return Assign(Var(self.pc), _num(item[1].idx))
-        if isinstance(item, tuple) and item[0] == "branch":
-            _, cond, lt, lf = item
-            return If(cond,
-                      Block([Assign(Var(self.pc), _num(lt.idx))]),
-                      Block([Assign(Var(self.pc), _num(lf.idx))]))
-        return item
 
     # -- statements ---------------------------------------------------------
 
@@ -278,7 +259,7 @@ class _Normalizer:
             return
         if isinstance(s, If):
             cond = self.rewrite_expr(s.cond, scope)
-            then_l, else_l, join_l = _Label(), _Label(), _Label()
+            then_l, else_l, join_l = Const(""), Const(""), Const("")
             self.branch(cond, then_l, else_l)
             for label, branch in ((then_l, s.then), (else_l, s.els)):
                 self.place(label)
@@ -319,10 +300,7 @@ class _Normalizer:
         body_scope[s.counter] = counter
         self.decls.append((INT, counter))
         self.emit(Assign(Var(counter), Const("0")))
-        head = _Label()
-        body_l = _Label()
-        incr = _Label()
-        after = _Label()
+        head, body_l, incr, after = Const(""), Const(""), Const(""), Const("")
         self.jump(head)
         self.place(head)
         self.branch(OpApp("<", [Var(counter), bound_expr]), body_l, after)
@@ -403,8 +381,7 @@ class _Normalizer:
                      Block([Assign(Var(t_val), OpApp("-", [Var(t_val)]))]),
                      Block([])))
         self.emit(Assign(Var(t_sz), Const("0")))
-        halve = _Label()
-        nxt = _Label()
+        halve, nxt = Const(""), Const("")
         self.jump(halve)
         self.place(halve)
         step = If(OpApp("!=", [Var(t_val), Const("0")]),

@@ -304,6 +304,34 @@ class TestExtendedRuntime:
         prog = compile_src(src, "extended")
         assert run_program(prog, [3, 9], mode="extended").output == 12
 
+    @pytest.mark.parametrize("src,want", [
+        # the function's scope ends with the branch that defines it
+        ("int main(int x){ if(x>0){ int max(int a,int b){return 0;} "
+         "x=max(x,1); } else {} return max(x,5); }", 5),
+        # the first iteration's definition is out of scope in the second
+        ("int main(iint z){ int x; x=7; for(i<size(z)){ x=max(x,5); "
+         "int max(int a,int b){return 0;} } return x; }", 7),
+        ("int main(int x){ { int min(int a,int b){return 0;} } "
+         "return min(x,5); }", 3),
+    ], ids=["branch", "loop-body", "block"])
+    def test_builtin_shadowed_in_an_ended_scope(self, src, want):
+        # the store is flat: the user function stays bound after its scope
+        # ends, but a call there reaches the builtin, as the checker says
+        prog = compile_src("// mode: extended\n" + src, "extended")
+        assert check_program(prog, "extended").ok
+        for cost in (False, True):
+            assert run_program(prog, [3], cost_mode=cost,
+                               mode="extended").output == want
+
+    def test_store_holds_no_builtins(self):
+        it = Interp(mode="extended")
+        prog = compile_src("// mode: extended\n"
+                           "int main(int a){int f(int b){return max(a,b);} "
+                           "return f(1);}", "extended")
+        assert it.run(prog, [4]).output == 4
+        assert set(it.store) == {"a", "f"}
+        assert set(it.store["f"].def_store) == {"a"}
+
 
 class TestStatementSurface:
     """Expressions and statements run as parts of a whole program."""
@@ -329,17 +357,49 @@ class TestCompiledEngine:
     """Traps of an engine that compiles each program once and caches it."""
 
     def test_cache_keeps_no_program_alive(self):
-        prog = compile_src("int main(int x){return x+1;}")
-        assert run_program(prog, [1]).output == 2
-        ref = weakref.ref(prog)
-        del prog
-        gc.collect()
-        assert ref() is None
+        # with the collector off, a reference cycle through the code kept on
+        # the program would keep it alive
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            prog = compile_src("int main(int x){return x+1;}")
+            for cost in (False, True):
+                assert run_program(prog, [1], cost_mode=cost).output == 2
+            ref = weakref.ref(prog)
+            del prog
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
         # a new program may reuse a dead one's id(); it must not reuse its code
         for k in range(50):
             prog = compile_src(f"int main(int x){{return x+{k};}}")
             assert run_program(prog, [1]).output == 1 + k
             del prog
+
+    def test_clone_compiles_its_own_code(self, fastmul):
+        prog = clone(fastmul)
+        for metered in (False, True):
+            assert run_program(prog, [6, 7], cost_mode=metered).output == 42
+            copy = clone(prog)
+            assert copy == prog
+            assert (interp._program(copy, metered)
+                    is not interp._program(prog, metered))
+            assert run_program(copy, [6, 7], cost_mode=metered).output == 42
+
+    def test_core_builtin_call_is_unbound(self):
+        # the checker rejects it in core mode; run unchecked, the call fails
+        # before its arguments run
+        pos = Pos(2, 5)
+        prog = Program([(INT, "x")], [], Call("min", [Var("x"), Var("y")], pos))
+        for cost in (False, True):
+            with pytest.raises(InternalError) as exc:
+                run_program(prog, [1], cost_mode=cost)
+            assert (exc.value.message, exc.value.pos) == (
+                "function 'min' unbound at runtime", pos)
+        # extended, the builtin is found, so the argument fails next
+        with pytest.raises(InternalError, match="variable 'y' unbound"):
+            run_program(prog, [1], mode="extended")
 
     def test_array_element_type_is_read_when_run(self):
         # the checker fills in ArrayCtor.elem in place, after a first run
@@ -702,7 +762,10 @@ class TestGeneratedExpressions:
          "variable 'y' unbound at runtime", Pos(2, 54)),
         ("// mode: extended\nint main(int x){int o; o=g(x+y); return o;}",
          "extended", [1], "function 'g' unbound at runtime", Pos(2, 26)),
-    ], ids=["arithmetic", "index", "argument", "callee"])
+        # the store holds no builtins
+        ("// mode: extended\nint main(int x){return min;}", "extended", [1],
+         "variable 'min' unbound at runtime", Pos(2, 24)),
+    ], ids=["arithmetic", "index", "argument", "callee", "builtin-name"])
     def test_unbound_name_fails_where_it_is_read(self, src, mode, args,
                                                  message, pos):
         # only an unchecked program can read an unbound name
