@@ -17,7 +17,6 @@ from .analysis import IllTypedError, poly_check
 from .errors import ArgumentError, LexError, ParseError, DesugarError, \
     PolyRuntimeError, PolycError
 from .interp import run_program
-from .lexer import tokenize
 from .printer import pretty_print
 from .tm import MAX_DEGREE, TmError, clock_program, compile_tm, parse_tm
 from .transform import (
@@ -25,8 +24,8 @@ from .transform import (
     t1_max_tracker, t2_cost_tracker,
 )
 from .typecheck import check_program
-from .values import VArray, decimal_to_int, format_value, literal_value
-from .ast import ArrayT, BOOL, is_int_type, is_string_type
+from .values import format_value, int_to_decimal, numeral, parse_value, \
+    signed_numeral
 
 EXIT_OK = 0
 EXIT_TYPE = 1
@@ -116,18 +115,19 @@ def build_parser():
     add("cost", cmd_run, "run with cost accounting", "file",
         ("args", dict(nargs="*")), "--mode", "--json", cost=True)
     add("clock", cmd_clock, "emit the degree-d clock program",
-        ("degree", dict(type=int)))
+        ("degree", dict(type=signed_numeral)))
     add("compile-tm", cmd_compile_tm,
         "compile a Turing machine spec to a core program", "tmfile",
-        ("--degree", dict(type=int, default=None, help="polynomial degree of "
-                          "the step budget (default 2)")))
+        ("--degree", dict(type=signed_numeral, default=None,
+                          help="polynomial degree of the step budget "
+                               "(default 2)")))
     add("transform", cmd_transform, "source-to-source transforms",
         ("kind", dict(choices=["t1", "t2", "normalize"])), "file", "--mode")
     add("analyze", cmd_analyze, "infer iterable annotations; verdict poly "
         "or unknown", "file", "--mode")
     add("equiv", cmd_equiv,
         "exhaustively compare two programs on a bounded input box",
-        "file1", "file2", ("bound", dict(type=int)), "--mode")
+        "file1", "file2", ("bound", dict(type=signed_numeral)), "--mode")
     return p
 
 
@@ -136,15 +136,16 @@ _parser = functools.cache(build_parser)
 
 
 def _fuel():
-    """The number of statements a run may execute: POLYC_FUEL in ASCII
-    decimal digits, or None (unlimited) when unset or empty."""
+    """The number of statements a run may execute: POLYC_FUEL as a numeral,
+    or None (unlimited) when unset or empty."""
     raw = os.environ.get("POLYC_FUEL")
     if not raw:
         return None
-    if not (raw.isascii() and raw.isdigit()):
+    fuel = numeral(raw)
+    if fuel is None:
         raise CliFailure(EXIT_USAGE, "POLYC_FUEL must be a non-negative "
-                                     f"decimal integer, got {raw!r}")
-    return decimal_to_int(raw)
+                                     f"integer numeral, got {raw!r}")
+    return fuel
 
 
 def _read(path):
@@ -171,66 +172,7 @@ def _checked(path, mode_flag, json_mode=False):
     return prog, mode
 
 
-def parse_arg_literal(text, annot, mode):
-    """Surface syntax of program inputs: signed decimal, 0b binary,
-    true/false, [v,...] arrays, double-quoted strings."""
-    text = text.strip()
-    if is_int_type(annot):
-        neg = text.startswith("-")
-        body = text[1:] if neg else text
-        # the language's own numerals: one decimal or binary literal token
-        try:
-            kind, lexeme, _, _ = tokenize(body)[0]
-        except LexError:
-            kind = lexeme = None
-        if lexeme != body or kind not in ("decimal-literal", "binary-literal"):
-            raise ArgumentError(f"expected an integer literal, got {text!r}")
-        v = literal_value(body)
-        return -v if neg else v
-    if annot is BOOL:
-        if text in ("true", "false"):
-            return text == "true"
-        raise ArgumentError(f"expected true or false, got {text!r}")
-    if is_string_type(annot):
-        if mode != "extended":
-            raise ArgumentError("string arguments require extended mode")
-        if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
-            return text[1:-1]
-        return text  # unquoted convenience form
-    if isinstance(annot, ArrayT):
-        if mode != "extended":
-            raise ArgumentError("array arguments require extended mode")
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ArgumentError(f"expected a bracketed list, got {text!r}")
-        inner = text[1:-1].strip()
-        items = []
-        if inner:
-            for piece in _split_top(inner):
-                items.append(parse_arg_literal(piece, annot.elem, mode))
-        return VArray(items, annot.elem)
-    raise ArgumentError(f"cannot build a value of type {annot}")
-
-
-def _split_top(text):
-    """Split at the commas outside brackets and double-quoted strings."""
-    parts, depth, cur, quoted = [], 0, [], False
-    for ch in text:
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "[" and not quoted:
-            depth += 1
-        elif ch == "]" and not quoted:
-            depth -= 1
-        if ch == "," and depth == 0 and not quoted:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _program_args(prog, raw_args, mode):
+def _program_args(prog, raw_args):
     if len(raw_args) != len(prog.params):
         raise CliFailure(
             EXIT_USAGE,
@@ -238,7 +180,7 @@ def _program_args(prog, raw_args, mode):
     vals = []
     for (annot, name), raw in zip(prog.params, raw_args):
         try:
-            vals.append(parse_arg_literal(raw, annot, mode))
+            vals.append(parse_value(raw, annot))
         except ArgumentError as e:
             raise CliFailure(EXIT_USAGE, f"argument {name!r}: {e.message}")
     return vals
@@ -246,7 +188,7 @@ def _program_args(prog, raw_args, mode):
 
 def cmd_run(args):
     prog, mode = _checked(args.file, args.mode, args.json)
-    vals = _program_args(prog, args.args, mode)
+    vals = _program_args(prog, args.args)
     report = run_program(prog, vals, cost_mode=args.cost, mode=mode,
                          fuel=_fuel())
     if args.json:
@@ -327,7 +269,7 @@ def cmd_equiv(args):
     same, witness = bounded_equiv(p1, p2, args.bound, mode=mode, fuel=_fuel())
     print("true" if same else "false")
     if not same:
-        print("witness: " + " ".join(str(v) for v in witness))
+        print("witness: " + " ".join(map(int_to_decimal, witness)))
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from .ast import (
 )
 from .errors import PolycError
 from .parser import MAX_NESTING
+from .values import int_to_decimal, numeral
 
 BLANK = "B"
 SYMBOLS = ("0", "1", BLANK)
@@ -46,13 +47,14 @@ class TuringMachine:
         if self.n_states < 2:
             raise TmError("a machine needs at least a start and a halt state")
         for (q, a), (q2, b, mv) in self.transitions.items():
+            arc = f"({int_to_decimal(q)},{a})"  # states of any size
             if not (0 <= q < self.n_states) or not (0 <= q2 < self.n_states):
-                raise TmError(f"transition ({q},{a}) uses an unknown state")
+                raise TmError(f"transition {arc} uses an unknown state")
             if q == self.HALT:
                 raise TmError("the halt state must have no outgoing transitions")
             if a not in SYMBOLS or b not in SYMBOLS:
-                raise TmError(f"transition ({q},{a})->({q2},{b},{mv}) uses an "
-                              "unknown symbol")
+                raise TmError(f"transition {arc}->({int_to_decimal(q2)},{b},"
+                              f"{mv}) uses an unknown symbol")
             if mv not in MOVES:
                 raise TmError(f"unknown move {mv!r}")
         for q in range(self.n_states):
@@ -67,7 +69,8 @@ class TuringMachine:
 
 def parse_tm(text, name="tm"):
     """Parse the .tm format: 'states: n', 'halt: 1' and one transition per
-    line 'q<i> <sym> -> q<j> <sym'> <L|R>' with sym in 0/1/B."""
+    line 'q<i> <sym> -> q<j> <sym'> <L|R>' with sym in 0/1/B; n, i and j are
+    numerals of the language, decimal or 0b binary."""
     n_states = None
     transitions = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -75,10 +78,9 @@ def parse_tm(text, name="tm"):
         if not line:
             continue
         if line.startswith("states:"):
-            count = line.split(":", 1)[1].strip()
-            if not _is_numeral(count):
+            n_states = numeral(line.split(":", 1)[1].strip())
+            if n_states is None:
                 raise TmError(f"line {lineno}: malformed state count {line!r}")
-            n_states = int(count)
             continue
         if line.startswith("halt:"):
             if line.split(":", 1)[1].strip() != "1":
@@ -101,17 +103,12 @@ def parse_tm(text, name="tm"):
     return TuringMachine(n_states, transitions, name).validate()
 
 
-def _is_numeral(text):
-    """ASCII decimal digits only: int() would also take signs, underscores,
-    spaces and other scripts' digits."""
-    return text.isascii() and text.isdigit()
-
-
 def _state(token):
-    """The number of a state written q<digits>."""
-    if token[:1] != "q" or not _is_numeral(token[1:]):
+    """The number of a state written q and a numeral."""
+    n = numeral(token[1:]) if token[:1] == "q" else None
+    if n is None:
         raise ValueError(f"malformed state {token!r}")
-    return int(token[1:])
+    return n
 
 
 def tm_run(machine, input_str, fuel=1_000_000):
@@ -255,25 +252,17 @@ def _transition_block(q, sym, q2, write, move):
 
 
 def _move_block(move):
-    if move == "L":
-        # pull the last written digit of y under the head; no move at the
-        # leftmost position
-        return If(
-            OpApp(">", [Var("y"), _num(2)]),
-            Block([
-                Assign(Var("x"), OpApp("+", [OpApp("*", [_num(3), Var("x")]),
-                                             OpApp("%", [Var("y"), _num(3)])])),
-                Assign(Var("y"), OpApp("/", [Var("y"), _num(3)])),
-            ]),
-            Block([]),
-        )
-    return If(
-        OpApp(">", [Var("x"), _num(2)]),
-        Block([
-            Assign(Var("y"), OpApp("+", [OpApp("*", [_num(3), Var("y")]),
-                                         OpApp("%", [Var("x"), _num(3)])])),
-            Assign(Var("x"), OpApp("/", [Var("x"), _num(3)])),
-        ]),
-        Block([Assign(Var("y"), OpApp("+", [OpApp("*", [_num(3), Var("y")]),
-                                            _num(2)]))]),
-    )
+    """Pull the last written digit of y under the head (L) or push the head
+    cell onto y (R).  L at the leftmost position does not move; R from the
+    blank sea pushes a blank."""
+    src, dst = ("y", "x") if move == "L" else ("x", "y")
+
+    def push(digit):
+        """dst = 3*dst + digit, with 3*dst as the parser lowers it."""
+        d = Var(dst)
+        return Assign(Var(dst), OpApp("+", [
+            OpApp("+", [OpApp("+", [d, d]), d]), digit]))
+    return If(OpApp(">", [Var(src), _num(2)]),
+              Block([push(OpApp("%", [Var(src), _num(3)])),
+                     Assign(Var(src), OpApp("/", [Var(src), _num(3)]))]),
+              Block([] if move == "L" else [push(_num(2))]))

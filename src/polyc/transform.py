@@ -445,15 +445,22 @@ def stabilization_search(simple, prog, args, t_max=1 << 20, mode="core",
 
 def bounded_equiv(p1, p2, input_bound, mode="core", fuel=None):
     """Exhaustively compare two programs on all integer inputs with
-    |v_i| <= input_bound; returns (True, None) or (False, witness)."""
-    import itertools
-
+    |v_i| <= input_bound; returns (True, None) or (False, witness).  The
+    inputs are counted up in place, the last fastest, so a bound of any size
+    takes no memory."""
     if len(p1.params) != len(p2.params):
         raise ArgumentError("programs have different arity")
-    rng = range(-input_bound, input_bound + 1)
-    for tup in itertools.product(rng, repeat=len(p1.params)):
+    tup = [-input_bound] * len(p1.params)
+    while input_bound >= 0 or not tup:  # else the box is empty
         v1 = run_program(p1, list(tup), mode=mode, fuel=fuel).output
         v2 = run_program(p2, list(tup), mode=mode, fuel=fuel).output
         if v1 != v2:
-            return False, tup
+            return False, tuple(tup)
+        for i in reversed(range(len(tup))):
+            if tup[i] < input_bound:
+                tup[i] += 1
+                break
+            tup[i] = -input_bound
+        else:
+            break
     return True, None

@@ -1,11 +1,14 @@
-"""Runtime values and the size measure.
+"""Runtime values, their text form and the size measure.
 
 Integers are Python ints (unbounded), booleans are Python bools, strings are
 Python str.  Arrays are mutable reference values; closures capture the store
-at definition time.
+at definition time.  Every number read from outside a program is a numeral.
 """
 
+import re
+
 from .ast import ArrayT, BOOL, is_int_type, is_string_type
+from .errors import ArgumentError
 
 
 class VArray:
@@ -63,13 +66,30 @@ def default_value(annot):
 
 
 def literal_value(text):
-    if text.isdigit():  # the lexer's decimal literals are ASCII digits
-        return decimal_to_int(text)
     if text == "true" or text == "false":
         return text == "true"
-    if text.startswith('"'):
-        return text[1:-1]
-    return int(text[2:], 2) if text.startswith("0b") else int(text)
+    return text[1:-1] if text.startswith('"') else numeral(text)
+
+
+# the language's one numeral syntax, as the lexer reads it
+_NUMERAL = re.compile(r"0b([01]+)|[0-9]+")
+
+
+def numeral(text):
+    """The value of a numeral: ASCII decimal digits, or 0b and binary digits,
+    of any length; None for any other text."""
+    m = _NUMERAL.fullmatch(text)
+    return m and (int(m[1], 2) if m[1] else decimal_to_int(text))
+
+
+def signed_numeral(text):
+    """The value of an optional - and a numeral, with surrounding spaces;
+    ValueError otherwise."""
+    text = text.strip()
+    v = numeral(text.removeprefix("-"))
+    if v is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return -v if text.startswith("-") else v
 
 
 # int() and str() refuse more decimal digits than a process-wide limit (640
@@ -135,3 +155,44 @@ def format_value(v):
     if isinstance(v, VArray):
         return "[" + ",".join(format_value(x) for x in v.items) + "]"
     return repr(v)
+
+
+def parse_value(text, annot):
+    """The value of type annot that text writes, the inverse of format_value:
+    an integer is an optional - and a numeral, a string may go unquoted, an
+    array is [v,...]; surrounding spaces are ignored."""
+    text = text.strip()
+    if is_int_type(annot):
+        try:
+            return signed_numeral(text)
+        except ValueError:
+            raise ArgumentError(
+                f"expected an integer literal, got {text!r}") from None
+    if annot is BOOL:
+        if text in ("true", "false"):
+            return text == "true"
+        raise ArgumentError(f"expected true or false, got {text!r}")
+    if is_string_type(annot):  # quoted, or unquoted for convenience
+        quoted = len(text) >= 2 and text[0] == text[-1] == '"'
+        return text[1:-1] if quoted else text
+    if isinstance(annot, ArrayT):
+        if not (text.startswith("[") and text.endswith("]")):
+            raise ArgumentError(f"expected a bracketed list, got {text!r}")
+        inner = text[1:-1].strip()
+        items = [parse_value(piece, annot.elem)
+                 for piece in _split_top(inner)] if inner else []
+        return VArray(items, annot.elem)
+    raise ArgumentError(f"cannot build a value of type {annot}")
+
+
+def _split_top(text):
+    """Split at the commas outside brackets and double-quoted strings."""
+    parts, depth, start, quoted = [], 0, 0, False
+    for i, ch in enumerate(text):
+        quoted ^= ch == '"'
+        if not quoted:
+            depth += (ch == "[") - (ch == "]")
+            if ch == "," and depth == 0:
+                parts.append(text[start:i])
+                start = i + 1
+    return parts + [text[start:]]

@@ -56,8 +56,7 @@ def compile_src(src, mode="core"):
 
 
 def load_printed(tree):
-    """What `load_program` makes of a generated tree's printed text: the
-    code generators still write `m*a`, which the parser lowers."""
+    """What `load_program` makes of a generated tree's printed text."""
     return load_program(pretty_print(tree))[0]
 
 

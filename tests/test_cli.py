@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -13,12 +14,12 @@ import pytest
 
 from conftest import CORPUS, corpus_source, doubling_calls
 
-from polyc import parse_source
+from polyc import parse_source, pretty_print
 from polyc import cli
 from polyc.cli import build_parser, main
 from polyc.errors import ParseError
 from polyc.parser import MAX_NESTING
-from polyc.tm import MAX_DEGREE
+from polyc.tm import MAX_DEGREE, clock_program, compile_tm, parse_tm
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +213,36 @@ class TestRun:
              "7"], capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=path))
         assert (proc.returncode, proc.stdout) == (0, "42\n"), proc.stderr
+
+    def test_main_module_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["polyc", "run", corpus("fastmul.pc"),
+                                          "6", "7"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("polyc", run_name="__main__")
+        assert (exc.value.code, capsys.readouterr().out) == (0, "42\n")
+
+    def test_json_output_without_cost(self, capsys):
+        assert run_cli(capsys, "run", corpus("fastmul.pc"), "6", "7",
+                       "--json") == (0, '{"output": "42"}\n', "")
+
+    def test_bool_arguments(self, capsys, tmp_path):
+        f = tmp_path / "bool.pc"
+        f.write_text("// mode: extended\nint main(bool b){int r; "
+                     "if(b){r=1;}else{r=2;} return r;}\n")
+        assert run_cli(capsys, "run", f, "true") == (0, "1\n", "")
+        assert run_cli(capsys, "run", f, " false ") == (0, "2\n", "")
+        assert run_cli(capsys, "run", f, "True") == (
+            3, "", "argument 'b': expected true or false, got 'True'\n")
+
+    def test_nested_array_argument(self, capsys, tmp_path):
+        f = tmp_path / "nested.pc"
+        f.write_text("// mode: extended\nint main(array<array<int>> a, "
+                     "int i, int j){return a[i][j];}\n")
+        rows = "[[1, 0b10], [ ]]"
+        assert run_cli(capsys, "run", f, rows, "0", "1") == (0, "2\n", "")
+        code, out, err = run_cli(capsys, "run", f, rows, "1", "0")
+        assert (code, out) == (2, "")
+        assert "array index 0 out of range (length 0)" in err
 
     def test_string_array_argument_with_comma(self, capsys, tmp_path):
         f = tmp_path / "strs.pc"
@@ -494,6 +525,38 @@ class TestEquiv:
             assert (code, out.strip(), err) == (0, "true", "")
 
 
+    def test_bound_past_sys_maxsize(self, capsys, tmp_path):
+        # the programs differ on the first input of the box
+        add, zero = tmp_path / "add.pc", tmp_path / "zero.pc"
+        add.write_text("int main(int x,int y){return x+y;}\n")
+        zero.write_text("int main(int x,int y){return 0;}\n")
+        bound = sys.maxsize + 1
+        assert run_cli(capsys, "equiv", add, zero, bound) == (
+            0, f"false\nwitness: -{bound} -{bound}\n", "")
+
+
+class TestTmSpecErrors:
+    @pytest.mark.parametrize("text,message", [
+        ("states: 1\nhalt: 1\n",
+         "a machine needs at least a start and a halt state"),
+        ("states: 2\nq0 0 -> q2 0 R\n", "transition (0,0) uses an unknown "
+         "state"),
+        ("states: 2\nq0 x -> q1 0 R\n", "transition (0,x)->(1,0,R) uses an "
+         "unknown symbol"),
+        ("states: 2\nq0 0 -> q1 0 S\n", "unknown move 'S'"),
+        ("states: 2\nq0 0 q1 0 R\n", "line 2: expected a transition"),
+        ("states: 2\nq0 0 -> q1 0 R\nq0 0 -> q1 1 R\n",
+         "line 3: duplicate transition for (q0,0)"),
+        ("q0 0 -> q1 0 R\n", "missing 'states:' line"),
+    ], ids=["one-state", "unknown-state", "unknown-symbol", "unknown-move",
+            "no-arrow", "duplicate", "no-states"])
+    def test_exit_3(self, capsys, tmp_path, text, message):
+        f = tmp_path / "bad.tm"
+        f.write_text(text)
+        assert run_cli(capsys, "compile-tm", f) == (
+            3, "", f"error: {message}\n")
+
+
 class TestExitCodeTotality:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 3
@@ -621,3 +684,118 @@ class TestCollectorPolicy:
         finally:
             gc.enable()
         assert seen == [False, False]
+
+
+BIG = "9" * 5000  # past Python's int/str digit limit
+REJECTED = ["1_0", "+2", "٢", "3e2", "0x1e", "0b", "0b12"]
+# where a number is read, and the text each valid form stands for there
+INPUTS = ["argument", "POLYC_FUEL", "DEGREE", "--degree", "BOUND", "states:",
+          "q<n>"]
+NUMBERS = {"7": "7", "0b111": "7", BIG: BIG}
+SIGNED = {"argument", "DEGREE", "--degree", "BOUND"}
+STRIPPED = SIGNED | {"states:"}
+
+
+def tm_text(count, last=None):
+    """A machine whose states 0, 2-6 and `last` go straight to the halt
+    state; its transitions from `last` start at line 21."""
+    states = ["0", "2", "3", "4", "5", "6"] + ([] if last is None else [last])
+    return f"states: {count}\nhalt: 1\n" + "".join(
+        f"q{q} {a} -> q1 {a} R\n" for q in states for a in "01B")
+
+
+class TestNumerals:
+    """Every number polyc reads from outside a program is one numeral of the
+    language, decimal or 0b binary, of any length, with a `-` only where a
+    negative value means something."""
+
+    @pytest.fixture
+    def read(self, capsys, monkeypatch, tmp_path):
+        zero = tmp_path / "zero.pc"
+        zero.write_text("int main(int x){return 0;}\n")
+        machine = tmp_path / "m.tm"
+        identity, fastmul = corpus("identity.pc"), corpus("fastmul.pc")
+
+        def read(where, text):
+            """The outcome of a command that reads `text` at `where`."""
+            argv = {"argument": ["run", identity, text],
+                    "POLYC_FUEL": ["run", fastmul, "6", "7"],
+                    "DEGREE": ["clock", text],
+                    "--degree": ["compile-tm", corpus("bitflip.tm"),
+                                 "--degree", text],
+                    "BOUND": ["equiv", identity, zero, text],
+                    "states:": ["compile-tm", machine, "--degree", "1"],
+                    "q<n>": ["compile-tm", machine, "--degree", "1"]}[where]
+            machine.write_text(tm_text(text) if where == "states:"
+                               else tm_text(8, text))
+            with monkeypatch.context() as env:
+                if where == "POLYC_FUEL":
+                    env.setenv("POLYC_FUEL", text)
+                return run_cli(capsys, *argv)
+        return read
+
+    @staticmethod
+    def read_as(where, value):
+        """The outcome when `where` reads the number written `value`."""
+        fastmul = corpus("fastmul.pc")
+        if where == "argument":
+            return 0, value + "\n", ""
+        if where == "POLYC_FUEL":
+            return (0, "42\n", "") if value == BIG else (
+                2, "", f"{fastmul}:0:0: fuel exhausted: interpreter fuel "
+                f"limit of {value} statements exceeded\n")
+        if where in ("DEGREE", "--degree"):
+            if value in (BIG, "-7"):
+                return 3, "", f"degree must be between 1 and {MAX_DEGREE}\n"
+            if where == "DEGREE":
+                return 0, pretty_print(clock_program(int(value))), ""
+            machine = parse_tm((CORPUS / "bitflip.tm").read_text())
+            return 0, pretty_print(compile_tm(machine, int(value))), ""
+        if where == "BOUND":
+            if value.startswith("-"):
+                return 3, "", "bound must be non-negative\n"
+            return 0, f"false\nwitness: -{value}\n", ""
+        if value == BIG:
+            return 3, "", ("error: transition function is not total: "
+                           "missing (7,0)\n" if where == "states:" else
+                           f"error: transition ({BIG},0) uses an unknown "
+                           "state\n")
+        text = tm_text(7) if where == "states:" else tm_text(8, "7")
+        return 0, pretty_print(compile_tm(parse_tm(text), 1)), ""
+
+    @staticmethod
+    def rejected(where, text):
+        """The outcome when `where` refuses `text`."""
+        if where == "argument":
+            return 3, "", (f"argument 'x': expected an integer literal, got "
+                           f"{text.strip()!r}\n")
+        if where == "POLYC_FUEL":
+            return 3, "", (f"POLYC_FUEL must be a non-negative integer "
+                           f"numeral, got {text!r}\n")
+        if where == "states:":
+            return 3, "", (f"error: line 1: malformed state count "
+                           f"{f'states: {text}'.strip()!r}\n")
+        if where == "q<n>":
+            return 3, "", (f"error: line 21: malformed transition "
+                           f"{f'q{text} 0 -> q1 0 R'.strip()!r}\n")
+        return 3, "", None  # argparse's usage message
+
+    @pytest.mark.parametrize("text", [*NUMBERS, "-7", " 7 ", "", *REJECTED],
+                             ids=["7", "0b111", "5000-digits", "minus-7",
+                                  "spaced-7", "empty", *REJECTED])
+    @pytest.mark.parametrize("where", INPUTS)
+    def test_one_numeral_rule(self, read, where, text):
+        if text in NUMBERS or (text == "-7" and where in SIGNED) or (
+                text == " 7 " and where in STRIPPED):
+            want = self.read_as(where, NUMBERS.get(text.strip(), "-7"))
+        elif text == "" and where == "POLYC_FUEL":
+            want = (0, "42\n", "")  # empty means unlimited
+        else:
+            want = self.rejected(where, text)
+        code, out, err = read(where, text)
+        assert "internal error" not in err
+        if want[2] is None:
+            assert (code, out) == want[:2]
+            assert f"error: argument {where.lower()}: invalid" in err
+        else:
+            assert (code, out, err) == want

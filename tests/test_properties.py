@@ -16,11 +16,13 @@ from conftest import CORPUS, corpus_source
 from polyc import (
     check_program, parse_source, pretty_print, run_program, tokenize,
 )
-from polyc.ast import Assign, BOOL, Block, Const, Decl, For, If, INT, OpApp, Var
+from polyc.ast import (
+    ArrayT, Assign, BOOL, Block, Const, Decl, For, If, INT, OpApp, STRING, Var,
+)
 from polyc.cli import main
 from polyc.ops import _div, _mod
 from polyc.parser import detect_mode
-from polyc.values import size_of_value
+from polyc.values import VArray, format_value, parse_value, size_of_value
 
 FUEL = 10 ** 7
 
@@ -97,6 +99,31 @@ class TestTruncatingDivision:
         q = int(Fraction(a, b)) if b else 0
         assert _div(a, b) == q
         assert _mod(a, b) == (a - b * q if b else 0)
+
+
+# a parameter type, arrays nested up to three deep, and values of it
+ARG_TYPES = st.recursive(st.sampled_from([INT, BOOL, STRING]),
+                         lambda elem: elem.map(ArrayT), max_leaves=4)
+
+
+def values_of(annot):
+    if annot is INT:
+        return st.one_of(OPERANDS, st.integers(10 ** 4400, 10 ** 4500).flatmap(
+            lambda n: st.sampled_from([n, -n])))
+    if annot is BOOL:
+        return st.booleans()
+    if annot is STRING:  # an argument string holds no quote and no newline
+        return st.text(st.characters(blacklist_characters='"\n'))
+    return st.lists(values_of(annot.elem), max_size=3).map(
+        lambda items: VArray(items, annot.elem))
+
+
+class TestArgumentText:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ARG_TYPES.flatmap(lambda t: st.tuples(st.just(t), values_of(t))))
+    def test_parse_value_inverts_format_value(self, typed):
+        annot, v = typed
+        assert parse_value(format_value(v), annot) == v
 
 
 # -- the CLI on fuzzgen programs with long chains and deep nests spliced in --

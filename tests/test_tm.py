@@ -185,6 +185,17 @@ class TestCompiler:
                 got = decode_output(run_program(prog, [encode_input(w)]).output)
                 assert got == tm_run(machine, w)
 
+    @pytest.mark.parametrize("name", ["bitflip.tm", "successor.tm"])
+    def test_tree_is_the_parsed_tree(self, name):
+        # the checker and the engine take the compiled tree as it is
+        machine = load_machine(name)
+        prog = compile_tm(machine, 2)
+        assert prog == load_printed(prog)
+        assert check_program(prog, "core").ok
+        for w in ["", "1", "0110"]:
+            got = decode_output(run_program(prog, [encode_input(w)]).output)
+            assert got == tm_run(machine, w)
+
     def test_block_count_bound(self):
         for name in ["bitflip.tm", "successor.tm"]:
             machine = load_machine(name)

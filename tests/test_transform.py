@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -451,6 +452,18 @@ class TestBoundedEquiv:
         r1, _ = bounded_equiv(fastmul, addp, 2)
         r2, _ = bounded_equiv(addp, fastmul, 2)
         assert r1 == r2
+
+    @pytest.mark.parametrize("bound", [-1, 0, 1, 2])
+    def test_witness_is_the_first_in_lexicographic_order(self, bound):
+        picky = compile_src("int main(int x,int y,int z){int o; "
+                            "if(y>0){if(z<0){o=1;}else{o=0;}}else{o=0;} "
+                            "return o;}")
+        zero = compile_src("int main(int x,int y,int z){return 0;}")
+        box = itertools.product(range(-bound, bound + 1), repeat=3)
+        first = next((t for t in box if t[1] > 0 > t[2]), None)
+        assert bounded_equiv(picky, zero, bound) == (first is None, first)
+        none = compile_src("int main(){return 0;}")
+        assert bounded_equiv(none, none, bound) == (True, None)
 
     def test_arity_mismatch(self, fastmul):
         single = compile_src("int main(int x){return x;}")
