@@ -1,5 +1,5 @@
-"""Golden digests of the front end and the engine, so that a change that
-alters any outcome shows up in `test_golden.py`.
+"""Golden digests of the front end, the engine and the command line, so
+that a change that alters any outcome shows up in `test_golden.py`.
 
 frontend.json: what `load_program` makes of a fixed set of inputs.  Each
 input is stored as the hash of its source and a digest of its outcome: the
@@ -12,29 +12,42 @@ observation, a run in one mode on one input: the output, `ic`,
 `max_value_size`, `rule_counts` and the array arguments after the run; or,
 for a run that fails, the error's class, text and position.
 
-Rewrite both files after an intended change with
+cli.json: what `polyc` makes of fixed command lines, each run in a
+directory holding a copy of the corpus and a few failing inputs, so that
+every path it prints is relative.  Each command line is stored as the
+digest of its exit code, stdout and stderr.
+
+Rewrite the files after an intended change with
 
     PYTHONPATH=src python tests/record_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
 import pathlib
 import random
+import shutil
 import sys
+import tempfile
+from unittest import mock
 
 import fuzzgen
 from conftest import CORPUS, SUGARED, corpus_source
 
 from polyc import VArray, check_program, format_value, load_program, \
     pretty_print, run_program
+from polyc import cli
 from polyc.ast import ArrayT, is_string_type
 from polyc.errors import PolycError
 from polyc.tm import clock_program, compile_tm, encode_input, parse_tm
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "frontend.json"
 ENGINE = GOLDEN.parent / "engine.json"
+CLI = GOLDEN.parent / "cli.json"
 
 _MAIN = "// mode: {mode}\nint main(int x, int y) {{\n{body}\n    return x;\n}}\n"
 
@@ -242,6 +255,97 @@ def engine_digests():
         for name, src, prog, mode, runs in engine_programs()}
 
 
+# -- the command line ---------------------------------------------------------
+
+# the arguments each corpus program runs on; the others take "6 7"
+CORPUS_ARGS = {
+    "branchy.pc": ["9"], "identity.pc": ["9"], "single_step.pc": ["9"],
+    "knapsack.pc": ["[1,2,2,3,1]", "[1,2,3,4,5]", "0b11111", "0b11111"],
+    "path.pc": ["3", "0", "2", '"010001000"'],
+    "sort.pc": ["[3,-1,2]", "0b111"],
+}
+
+# the inputs that fail, in cases/ beside the corpus
+CASES = {
+    "lexical.pc": b"int main(int x){ return x $ 1; }\n",
+    "syntax.pc": b"int main(int x){ return x }\n",
+    "core.pc": b"// mode: core\nint main(int x){ x += 1; return x; }\n",
+    "desugar.pc": b"// mode: extended\nint main(int x){ int a = 1; "
+                  b"int b = a*x; return b; }\n",
+    "runtime.pc": b"// mode: extended\nint main(int x){ array<int> a; "
+                  b"a = array(2); return a[x]; }\n",
+    "ill-typed.pc": b"int main(int x){ bool b; b = x; return x; }\n",
+    "latin1.pc": b"int main(int x){ return x; } // \xff\n",
+    "bad.tm": b"states: x\n",
+}
+
+
+def cli_lines():
+    """(environment, argv) of every command line, in a fixed order: each
+    command on each corpus file, then one line for each way to fail."""
+    for path in sorted(CORPUS.glob("*.pc")):
+        f = f"corpus/{path.name}"
+        args = CORPUS_ARGS.get(path.name, ["6", "7"])
+        for argv in (
+                ["run", f, *args], ["run", f, *args, "--cost"],
+                ["cost", f, *args, "--json"], ["check", f],
+                ["check", f, "--json"], ["transform", "t1", f],
+                ["transform", "t2", f], ["transform", "normalize", f],
+                ["analyze", f], ["equiv", f, f, "1"]):
+            yield {}, argv
+    for d in (1, 2, 3):
+        yield {}, ["clock", str(d)]
+    for name in ("bitflip.tm", "successor.tm"):
+        yield {}, ["compile-tm", f"corpus/{name}"]
+    fastmul, identity = "corpus/fastmul.pc", "corpus/identity.pc"
+    for name in ("lexical", "syntax", "core", "desugar", "latin1"):
+        yield {}, ["run", f"cases/{name}.pc", "1"]
+    yield {}, ["equiv", "cases/syntax.pc", identity, "1"]
+    yield {}, ["equiv", identity, "cases/desugar.pc", "1"]
+    yield {}, ["run", "cases/runtime.pc", "5"]
+    yield {}, ["equiv", "cases/runtime.pc", identity, "1"]
+    yield {}, ["equiv", identity, "cases/runtime.pc", "1"]
+    yield {"POLYC_FUEL": "1"}, ["run", fastmul, "6", "7"]
+    yield {"POLYC_FUEL": "1"}, ["cost", fastmul, "6", "7", "--json"]
+    yield {"POLYC_FUEL": "1"}, ["equiv", fastmul, fastmul, "1"]
+    yield {"POLYC_FUEL": "1_0"}, ["run", fastmul, "6", "7"]
+    yield {}, ["run", fastmul, "6"]
+    yield {}, ["run", fastmul, "6", "seven"]
+    yield {}, ["run", "cases/missing.pc", "1"]
+    yield {}, ["clock", "0"]
+    yield {}, ["compile-tm", "corpus/bitflip.tm", "--degree", "0"]
+    yield {}, ["equiv", fastmul, fastmul, "-1"]
+    yield {}, ["equiv", fastmul, identity, "1"]
+    yield {}, ["compile-tm", "cases/bad.tm"]
+    yield {}, ["analyze", "cases/ill-typed.pc"]
+
+
+def _cli(env, argv):
+    """The digest of one command line: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        if "POLYC_FUEL" not in env:
+            os.environ.pop("POLYC_FUEL", None)
+        code = cli.main(argv)
+    return _hash(f"{code}|{out.getvalue()}|{err.getvalue()}")
+
+
+def cli_digests():
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(CORPUS, pathlib.Path(tmp, "corpus"))
+        pathlib.Path(tmp, "cases").mkdir()
+        for name, data in CASES.items():
+            pathlib.Path(tmp, "cases", name).write_bytes(data)
+        os.chdir(tmp)
+        try:
+            return {" ".join([*(f"{k}={v}" for k, v in env.items()), *argv]):
+                    _cli(env, argv) for env, argv in cli_lines()}
+        finally:
+            os.chdir(here)
+
+
 def _write(path, table):
     lines = [f"{json.dumps(name)}: {json.dumps(table[name], sort_keys=True)}"
              for name in sorted(table)]
@@ -253,6 +357,7 @@ def main():
     GOLDEN.parent.mkdir(exist_ok=True)
     _write(GOLDEN, digests())
     _write(ENGINE, engine_digests())
+    _write(CLI, cli_digests())
 
 
 if __name__ == "__main__":

@@ -23,3 +23,11 @@ def test_engine_matches_golden_digests():
                if obs != "source" and table[n][obs] != golden[n].get(obs)]
     assert not changed, f"run_program outcomes changed: {changed[:20]}"
     assert all(sorted(table[n]) == sorted(golden[n]) for n in table)
+
+
+def test_cli_matches_golden_digests():
+    golden = json.loads(record_golden.CLI.read_text())
+    table = record_golden.cli_digests()
+    assert sorted(table) == sorted(golden)
+    changed = [line for line in table if table[line] != golden[line]]
+    assert not changed, f"polyc outcomes changed: {changed}"
