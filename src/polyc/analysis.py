@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .ast import (Arrow, Call, Decl, FunDef, OpApp, Paren, Program, Var, IINT, INT,
                   clone, is_int_type, walk_stmts)
-from .errors import PolycError
+from .errors import IllTypedError
 from .typecheck import SIZE_MISMATCH, Checker, check_program, decl_site, param_site
 from .values import Builtin
 
@@ -25,14 +25,6 @@ from .values import Builtin
 # whose annotations the analysis never changes: ill-typed.
 ITERABILITY_KINDS = ("iterable-assignment-in-loop", "iterable-decl-in-loop",
                      "non-iterable-loop-bound")
-
-
-class IllTypedError(PolycError):
-    label = "ill-typed"
-
-    def __init__(self, message, diags):
-        super().__init__(message)
-        self.diags = diags
 
 
 @dataclass
@@ -133,7 +125,8 @@ def poly_check(prog):
            and d.message.startswith(SIZE_MISMATCH) for d in res.errors):
         return PolyVerdict("unknown", state, diags=tuple(res.errors))
     raise IllTypedError(
-        "program is ill-typed for reasons unrelated to iterability", res.errors)
+        "program is ill-typed for reasons unrelated to iterability",
+        diags=res.errors)
 
 
 def erase_annotations(prog):

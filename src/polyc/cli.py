@@ -1,11 +1,17 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 type error, 2 runtime error, 3 usage error; output
-that cannot be written (a closed pipe, a full disk) is a usage error too.
+Every failure is a `PolycError`; its class in `polyc.errors`, the one place
+that assigns exit codes, says what is printed on stderr and the code: 1 for
+lexical, syntax, core-mode, desugar and type errors; 2 for runtime errors
+and exhausted fuel; 3 for unreadable files, bad arguments, bad `.tm` files,
+transforms that do not apply and programs `analyze` finds ill-typed.  Output
+that cannot be written (a closed pipe, a full disk) exits with 3 too, and
+any other exception is an internal error with 2.
 POLYC_FUEL caps the number of statements a run executes (absent = unlimited).
 """
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -13,31 +19,19 @@ import os
 import sys
 
 from . import load_program
-from .analysis import IllTypedError, poly_check
-from .errors import ArgumentError, LexError, ParseError, DesugarError, \
-    PolyRuntimeError, PolycError
+from .analysis import poly_check
+from .errors import CheckError, InternalError, PolycError, ShapeError, \
+    UsageError
 from .interp import run_program
 from .printer import pretty_print
-from .tm import MAX_DEGREE, TmError, clock_program, compile_tm, parse_tm
+from .tm import MAX_DEGREE, clock_program, compile_tm, parse_tm
 from .transform import (
-    TransformError, bounded_equiv, normalize_simple, simple_form_shape_ok,
-    t1_max_tracker, t2_cost_tracker,
+    bounded_equiv, normalize_simple, simple_form_shape_ok, t1_max_tracker,
+    t2_cost_tracker,
 )
 from .typecheck import check_program
 from .values import format_value, int_to_decimal, numeral, parse_value, \
     signed_numeral
-
-EXIT_OK = 0
-EXIT_TYPE = 1
-EXIT_RUNTIME = 2
-EXIT_USAGE = 3
-
-
-class CliFailure(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
 
 def main(argv=None):
@@ -58,32 +52,20 @@ def _command(argv):
         args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits on its own for bad usage or --help
-        return EXIT_OK if e.code in (0, None) else EXIT_USAGE
+        return 0 if e.code in (0, None) else UsageError.exit_code
     try:
-        code = args.handler(args)
+        args.handler(args)
         sys.stdout.flush()  # a closed or full stdout fails here, not at exit
-        return code
+        return 0
     except OSError as e:  # files are read in _read: this is a stdout write
         print(f"error: cannot write output: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except CliFailure as e:
-        print(e.message, file=sys.stderr)
-        return e.code
-    except (LexError, ParseError, DesugarError) as e:
-        print(e.render(getattr(args, "file", "<input>")), file=sys.stderr)
-        return EXIT_TYPE
-    except (PolyRuntimeError,) as e:
-        print(e.render(getattr(args, "file", "<input>")), file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ArgumentError, TmError, TransformError, IllTypedError) as e:
-        print(f"error: {e.message}", file=sys.stderr)
-        return EXIT_USAGE
+        return UsageError.exit_code
     except PolycError as e:
-        print(f"error: {e.message}", file=sys.stderr)
-        return EXIT_RUNTIME
+        print(e.render(), file=sys.stderr)
+        return e.exit_code
     except Exception as e:  # total exit-code contract for scripted use
         print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return InternalError.exit_code
 
 
 def build_parser():
@@ -143,8 +125,8 @@ def _fuel():
         return None
     fuel = numeral(raw)
     if fuel is None:
-        raise CliFailure(EXIT_USAGE, "POLYC_FUEL must be a non-negative "
-                                     f"integer numeral, got {raw!r}")
+        raise UsageError("POLYC_FUEL must be a non-negative integer numeral, "
+                         f"got {raw!r}")
     return fuel
 
 
@@ -153,72 +135,76 @@ def _read(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        raise CliFailure(EXIT_USAGE, f"cannot read {path}: {e}")
+        raise UsageError(f"cannot read {path}: {e}")
 
 
-def _load(path, mode_flag):
-    return load_program(_read(path), mode_flag)
+@contextlib.contextmanager
+def _in_file(path):
+    """Name `path` as the file of the errors raised inside."""
+    try:
+        yield
+    except PolycError as e:
+        e.where = path
+        raise
 
 
 def _checked(path, mode_flag, json_mode=False):
-    prog, mode = _load(path, mode_flag)
-    res = check_program(prog, mode)
-    if not res.ok:
-        if json_mode:
-            print(json.dumps({"diagnostics": [d.to_json() for d in res.errors]}))
-        for d in res.errors:
-            print(d.render(path), file=sys.stderr)
-        raise CliFailure(EXIT_TYPE, f"{len(res.errors)} type error(s)")
+    with _in_file(path):
+        prog, mode = load_program(_read(path), mode_flag)
+        res = check_program(prog, mode)
+        if not res.ok:
+            if json_mode:
+                print(json.dumps({"diagnostics": [d.to_json()
+                                                  for d in res.errors]}))
+            raise CheckError(f"{len(res.errors)} type error(s)",
+                             diags=res.errors)
     return prog, mode
 
 
 def _program_args(prog, raw_args):
     if len(raw_args) != len(prog.params):
-        raise CliFailure(
-            EXIT_USAGE,
-            f"program expects {len(prog.params)} arguments, got {len(raw_args)}")
+        raise UsageError(f"program expects {len(prog.params)} arguments, "
+                         f"got {len(raw_args)}")
     vals = []
     for (annot, name), raw in zip(prog.params, raw_args):
         try:
             vals.append(parse_value(raw, annot))
-        except ArgumentError as e:
-            raise CliFailure(EXIT_USAGE, f"argument {name!r}: {e.message}")
+        except PolycError as e:
+            raise UsageError(f"argument {name!r}: {e.message}")
     return vals
 
 
 def cmd_run(args):
     prog, mode = _checked(args.file, args.mode, args.json)
     vals = _program_args(prog, args.args)
-    report = run_program(prog, vals, cost_mode=args.cost, mode=mode,
-                         fuel=_fuel())
+    with _in_file(args.file):
+        report = run_program(prog, vals, cost_mode=args.cost, mode=mode,
+                             fuel=_fuel())
     if args.json:
         doc = report.to_json() if args.cost else {"output": format_value(
             report.output).strip('"')}
         print(json.dumps(doc))
-        return EXIT_OK
+        return
     print(format_value(report.output))
     if args.cost:
         print(f"ic: {report.ic}")
         print(f"max value size: {report.max_value_size}")
-    return EXIT_OK
 
 
 def cmd_check(args):
     _checked(args.file, args.mode, args.json)
     print(json.dumps({"diagnostics": []}) if args.json else "well-typed: int")
-    return EXIT_OK
 
 
 def _degree(d):
     """A degree whose clock loops the parser reads back."""
     if not 1 <= d <= MAX_DEGREE:
-        raise CliFailure(EXIT_USAGE, f"degree must be between 1 and {MAX_DEGREE}")
+        raise UsageError(f"degree must be between 1 and {MAX_DEGREE}")
     return d
 
 
 def cmd_clock(args):
     print(pretty_print(clock_program(_degree(args.degree))), end="")
-    return EXIT_OK
 
 
 def cmd_compile_tm(args):
@@ -231,7 +217,6 @@ def cmd_compile_tm(args):
               file=sys.stderr)
     prog = compile_tm(machine, _degree(degree))
     print(pretty_print(prog), end="")
-    return EXIT_OK
 
 
 def cmd_transform(args):
@@ -243,34 +228,32 @@ def cmd_transform(args):
     else:
         sf = normalize_simple(prog, mode)
         if not simple_form_shape_ok(sf):
-            raise CliFailure(EXIT_RUNTIME, "normalizer produced a bad shape")
+            raise ShapeError("normalizer produced a bad shape")
         print(f"// budget variable: {sf.bound_var}; "
               f"bound {sf.symbolic_bound}", file=sys.stderr)
         print(pretty_print(sf.program, mode_marker="extended"), end="")
-    return EXIT_OK
 
 
 def cmd_analyze(args):
-    prog, _ = _load(args.file, args.mode)
-    verdict = poly_check(prog)
+    with _in_file(args.file):
+        verdict = poly_check(load_program(_read(args.file), args.mode)[0])
     print(verdict.verdict)
     if verdict.verdict == "poly":
         print(pretty_print(verdict.witness, mode_marker="extended"), end="")
-    return EXIT_OK
 
 
 def cmd_equiv(args):
     p1, mode1 = _checked(args.file1, args.mode)
     p2, mode2 = _checked(args.file2, args.mode)
     if args.bound < 0:
-        raise CliFailure(EXIT_USAGE, "bound must be non-negative")
+        raise UsageError("bound must be non-negative")
     # extended mode only adds the builtin bindings, so it runs core programs too
     mode = "extended" if "extended" in (mode1, mode2) else "core"
-    same, witness = bounded_equiv(p1, p2, args.bound, mode=mode, fuel=_fuel())
+    same, witness = bounded_equiv(p1, p2, args.bound, mode=mode, fuel=_fuel(),
+                                  names=(args.file1, args.file2))
     print("true" if same else "false")
     if not same:
         print("witness: " + " ".join(map(int_to_decimal, witness)))
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from .ast import (
     Assign, Block, Const, Decl, For, If, OpApp, Program, Var,
     BOOL, IINT, INT,
 )
-from .errors import PolycError
+from .errors import TmError
 from .parser import MAX_NESTING
 from .values import int_to_decimal, numeral
 
@@ -28,10 +28,6 @@ DIGIT = {"0": 0, "1": 1, BLANK: 2}
 # the largest degree whose program the parser reads back: its d + 1 nested
 # loops take two levels each (a branch and its block), `o=o+o` two more
 MAX_DEGREE = MAX_NESTING // 2 - 2
-
-
-class TmError(PolycError):
-    label = "turing machine error"
 
 
 @dataclass

@@ -19,13 +19,9 @@ from .ast import (
     fresh_name, program_names, rebuild, walk, walk_stmts,
 )
 from .parser import MAX_SCALAR
-from .errors import ArgumentError, PolycError
+from .errors import ArgumentError, PolyRuntimeError, TransformError
 from .interp import run_program
-from .values import format_value
-
-
-class TransformError(PolycError):
-    label = "transform error"
+from .values import format_value, int_to_decimal
 
 
 def _num(n):
@@ -272,10 +268,11 @@ class _Normalizer:
             self.compile_loop(s, scope)
             return
         if isinstance(s, (Break, Continue)):
-            if not self.loop_stack:  # the checker lets a function body break
+            if not self.loop_stack:  # only in a program the checker rejects
                 word = type(s).__name__.lower()
-                raise TransformError(f"{word} escapes the body of function "
-                                     f"{self.callee!r}", s.pos)
+                body = ("the program body" if self.callee is None
+                        else f"the body of function {self.callee!r}")
+                raise TransformError(f"{word} escapes {body}", s.pos)
             incr, after = self.loop_stack[-1]
             self.jump(after if isinstance(s, Break) else incr)
             return
@@ -443,18 +440,27 @@ def stabilization_search(simple, prog, args, t_max=1 << 20, mode="core",
         f"never reproduced output {format_value(target)}")
 
 
-def bounded_equiv(p1, p2, input_bound, mode="core", fuel=None):
+def bounded_equiv(p1, p2, input_bound, mode="core", fuel=None,
+                  names=("<input>", "<input>")):
     """Exhaustively compare two programs on all integer inputs with
     |v_i| <= input_bound; returns (True, None) or (False, witness).  The
     inputs are counted up in place, the last fastest, so a bound of any size
-    takes no memory."""
+    takes no memory.  A runtime error names its program's file, from
+    `names`, and the input it failed on."""
     if len(p1.params) != len(p2.params):
         raise ArgumentError("programs have different arity")
     tup = [-input_bound] * len(p1.params)
+
+    def output(prog, name):
+        try:
+            return run_program(prog, list(tup), mode=mode, fuel=fuel).output
+        except PolyRuntimeError as e:
+            e.where = name
+            e.message += f" ({' '.join(['input', *map(int_to_decimal, tup)])})"
+            raise
+
     while input_bound >= 0 or not tup:  # else the box is empty
-        v1 = run_program(p1, list(tup), mode=mode, fuel=fuel).output
-        v2 = run_program(p2, list(tup), mode=mode, fuel=fuel).output
-        if v1 != v2:
+        if output(p1, names[0]) != output(p2, names[1]):
             return False, tuple(tup)
         for i in reversed(range(len(tup))):
             if tup[i] < input_bound:

@@ -474,6 +474,14 @@ class TestAnalyze:
             assert "program is ill-typed for reasons unrelated to " \
                 "iterability" in err
 
+    def test_ill_typed_shows_the_diagnostics(self, capsys, tmp_path):
+        f = tmp_path / "bool.pc"
+        f.write_text("int main(int x){ bool b; b = x; return x; }\n")
+        assert run_cli(capsys, "analyze", f) == (3, "", (
+            f"{f}:1:28: operand-type-mismatch: cannot assign iint to 'b' of "
+            "type bool\nerror: program is ill-typed for reasons unrelated "
+            "to iterability\n"))
+
     def test_iterable_element_doubled_in_a_loop(self, capsys, tmp_path):
         # a[0] doubles once per inner step and bounds the next inner loop
         f = tmp_path / "elem.pc"
@@ -524,6 +532,33 @@ class TestEquiv:
             code, out, err = run_cli(capsys, "equiv", first, second, "2")
             assert (code, out.strip(), err) == (0, "true", "")
 
+
+    def test_runtime_error_names_program_and_input(self, capsys, tmp_path):
+        # each program fails on the first input of the box, -1
+        oob = tmp_path / "oob.pc"
+        oob.write_text("// mode: extended\nint main(int x){array<int> a; "
+                       "a=array(2); return a[x];}\n")
+        for first, second in ((oob, corpus("identity.pc")),
+                              (corpus("identity.pc"), oob)):
+            assert run_cli(capsys, "equiv", first, second, "1") == (
+                2, "", f"{oob}:2:51: runtime error: array index -1 out of "
+                "range (length 2) (input -1)\n")
+
+    def test_fuel_exhausted_names_program_and_input(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # fastmul runs more than one statement, zero.pc none
+        zero = tmp_path / "zero.pc"
+        zero.write_text("int main(int x,int y){return 0;}\n")
+        fastmul = corpus("fastmul.pc")
+        monkeypatch.setenv("POLYC_FUEL", "1")
+        for first, second in ((fastmul, zero), (zero, fastmul)):
+            assert run_cli(capsys, "equiv", first, second, "1") == (
+                2, "", f"{fastmul}:0:0: fuel exhausted: interpreter fuel "
+                "limit of 1 statements exceeded (input -1 -1)\n")
+        # the run command's message is unchanged
+        assert run_cli(capsys, "run", fastmul, "6", "7") == (
+            2, "", f"{fastmul}:0:0: fuel exhausted: interpreter fuel limit "
+            "of 1 statements exceeded\n")
 
     def test_bound_past_sys_maxsize(self, capsys, tmp_path):
         # the programs differ on the first input of the box

@@ -389,6 +389,17 @@ class TestInline:
                                                  "function 'f'"):
             normalize_simple(prog)
 
+    @pytest.mark.parametrize("stmt", ["break", "continue"])
+    def test_jump_in_program_body_rejected(self, stmt):
+        # the checker rejects it too (misplaced-break); unchecked, the
+        # normalizer names the program body as the engine does
+        prog = compile_src(f"int main(int x){{{stmt}; return x;}}", "extended")
+        assert [d.kind for d in check_program(prog, "extended").errors] == \
+            ["misplaced-break"]
+        with pytest.raises(TransformError, match=f"^{stmt} escapes the "
+                                                 "program body$"):
+            normalize_simple(prog)
+
     def test_call_expansion_is_bounded(self):
         prog = compile_src(doubling_calls(15), "extended")
         assert check_program(prog, "extended").ok
