@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from .ast import (Arrow, Call, Decl, FunDef, OpApp, Paren, Program, Var, IINT, INT,
                   clone, is_int_type, walk_stmts)
 from .errors import IllTypedError
+from .ops import Op
 from .typecheck import SIZE_MISMATCH, Checker, check_program, decl_site, param_site
-from .values import Builtin
 
 # After the worklist, a parameter subtype violation can only be about strings,
 # whose annotations the analysis never changes: ill-typed.
@@ -90,7 +90,7 @@ class _Recorder(Checker):
                 todo.append(e.inner)
             elif isinstance(e, OpApp) and e.op != "size":
                 todo.extend(e.args)
-            elif isinstance(e, Call) and isinstance(self.lookup(e.fname), Builtin):
+            elif isinstance(e, Call) and isinstance(self.lookup(e.fname), Op):
                 todo.extend(e.args)
         return sites
 

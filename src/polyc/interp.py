@@ -13,9 +13,9 @@ compiled factory per shape, so a shape is compiled once per process; no shape
 inlines another statement, so shapes are shared across programs.  A scope
 tracks the names bound at each point of the program: a read of one indexes
 the store, any other read checks that it is bound.  A call to a builtin that
-no binding in scope shadows resolves when compiled; the store holds no
-builtins.  Annotations the checker or the analysis fill in or rewrite in
-place are read when run.
+no binding in scope shadows resolves to its operator row when compiled; the
+store holds no builtins.  Annotations the checker or the analysis fill in or
+rewrite in place are read when run.
 
 Each program has two variants, compiled apart, each at its first use.  The
 plain variant holds no metering code, and its `if` does not call an empty
@@ -42,9 +42,9 @@ from .ast import (
     walk,
 )
 from .errors import ArgumentError, FuelExhausted, InternalError, PolyRuntimeError
-from .ops import BINARY, BUILTIN_NAMES, UNARY, apply_op
+from .ops import BINARY, BUILTIN_NAMES, UNARY, Op, apply_op
 from .values import (
-    Builtin, Closure, VArray, default_value, format_value, int_to_decimal,
+    Closure, VArray, default_value, format_value, int_to_decimal,
     literal_value, size_of_value, value_consistent,
 )
 
@@ -261,7 +261,7 @@ def _emit(e, scope, ps, depth):
     if cls is Call:  # the callee is looked up before the arguments run
         name, pos = _p(ps, e.fname), _p(ps, e.pos)
         fn = (f"st[{name}]" if e.fname in scope else
-              f"_builtin(r, {_p(ps, Builtin(e.fname))}, {pos})"
+              f"_builtin(r, {_p(ps, BUILTIN_NAMES[e.fname])}, {pos})"
               if e.fname in BUILTIN_NAMES else f'_load(st, {name}, {pos}, "function")')
         args = ", ".join([_emit(a, scope, ps, depth + 2)[0] for a in e.args])
         return f"_call({fn}, [{args}], {name}, {pos}, r)", False
@@ -295,10 +295,10 @@ def _load(st, name, pos, kind="variable"):
 
 
 def _builtin(r, fv, pos):
-    """A builtin no binding shadows; only extended mode has builtins."""
+    """A builtin's row where no binding shadows it; extended mode only."""
     if r.mode == "extended":
         return fv
-    raise InternalError(f"function {fv.name!r} unbound at runtime", pos)
+    raise InternalError(f"function {fv.lexeme!r} unbound at runtime", pos)
 
 
 def _index(b, i, pos):
@@ -315,8 +315,8 @@ def _index(b, i, pos):
 
 
 def _call(fv, vals, fname, pos, r):
-    if isinstance(fv, Builtin):
-        return apply_op(fv.name, vals)
+    if fv.__class__ is Op:  # a builtin's row
+        return apply_op(fv.lexeme, vals)
     if not isinstance(fv, Closure):
         _fail(f"{fname!r} is not callable", pos)
     return fv.code(fv, vals, r)

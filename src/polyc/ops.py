@@ -102,6 +102,10 @@ class Op:
     fn: object  # Python evaluation function
     extended: bool = False  # defined in extended mode only
 
+    def __str__(self):
+        # a builtin's name has its row as type; diagnostics show it so
+        return f"<builtin {self.lexeme}>"
+
 
 TABLE = (
     Op("||", 2, 0, _bool, operator.or_),
@@ -132,7 +136,8 @@ LEVELS = max(PRECEDENCE.values()) + 1
 # ast.left_chain; `*` chains only with itself, since each `*` node is one
 # `m*a`, which the parser lowers on its own
 CHAIN_LEVEL = {op: lv for op, lv in PRECEDENCE.items() if op != "*"}
-BUILTIN_NAMES = tuple(op.lexeme for op in TABLE if op.extended)
+# the builtins, name -> row: the only list of them the checker and engine read
+BUILTIN_NAMES = {op.lexeme: op for op in TABLE if op.extended}
 
 # lexeme -> Python function per arity, for the interpreter's hot path.  They
 # are exact dicts because CPython looks those up faster than a subclass with

@@ -17,8 +17,7 @@ from .ast import (
     left_chain, subtype_of, walk_exprs,
 )
 # sup_type is part of this module's typing surface, re-exported from the table
-from .ops import BUILTIN_NAMES, op_signature, sup_type
-from .values import Builtin
+from .ops import BUILTIN_NAMES, Op, op_signature, sup_type
 
 
 def decl_site(node):
@@ -34,7 +33,6 @@ def counter_site(node):
     return ("counter", node.counter, id(node))
 
 
-BUILTINS = {name: Builtin(name) for name in BUILTIN_NAMES}
 SIZE_MISMATCH = "size needs an iterable operand"  # Checker.op_type's message prefix
 
 
@@ -62,9 +60,9 @@ class Diag:
 
 
 def initial_env(mode):
-    """The names bound before a program: its mode's builtins, no sites."""
+    """The names bound before a program: its mode's builtins, to their rows."""
     if mode == "extended":
-        return {n: (m, None) for n, m in BUILTINS.items()}
+        return {n: (row, None) for n, row in BUILTIN_NAMES.items()}
     return {}
 
 
@@ -144,7 +142,7 @@ class Checker:
                 self.diag("unbound-variable", f"variable {e.name!r} is not declared",
                           e.pos, names=(e.name,))
                 return None
-            if isinstance(t, (Arrow, Builtin)):
+            if isinstance(t, (Arrow, Op)):
                 self.diag("operand-type-mismatch",
                           f"function {e.name!r} used as a value", e.pos, names=(e.name,))
                 return None
@@ -206,7 +204,7 @@ class Checker:
             return None
         if any(t is None for t in argts):
             return None
-        if isinstance(ft, Builtin):
+        if isinstance(ft, Op):
             res = op_signature(e.fname, argts, self.extended)
             if res is None:
                 shown = ",".join(str(t) for t in argts)
@@ -331,7 +329,7 @@ class Checker:
         elif t is None:
             self.diag("unbound-variable", f"assignment to undeclared variable {name!r}",
                       s.pos, names=(name,))
-        elif not n and isinstance(t, (Arrow, Builtin)):
+        elif not n and isinstance(t, (Arrow, Op)):
             self.diag("operand-type-mismatch",
                       f"cannot assign to function {name!r}", s.pos, names=(name,))
             t = None
@@ -408,7 +406,7 @@ class Checker:
         self.unbind(mark)
 
     def fundef(self, s):
-        if s.name in self.env and not isinstance(self.lookup(s.name), Builtin):
+        if s.name in self.env and not isinstance(self.lookup(s.name), Op):
             # builtins are ambient and may be shadowed by a user definition
             self.diag("redeclaration", f"function name {s.name!r} already bound",
                       s.pos, names=(s.name,))

@@ -42,16 +42,6 @@ class Closure:
         return f"<closure {self.name}>"
 
 
-class Builtin:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return f"<builtin {self.name}>"
-
-
 def default_value(annot):
     """Initial value for a declared variable of the given type."""
     if is_int_type(annot):

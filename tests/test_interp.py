@@ -21,13 +21,13 @@ from polyc.errors import (
 )
 from polyc.interp import Interp, apply_op
 from polyc.lexer import tokenize
-from polyc.ops import OPS, PRECEDENCE, TABLE
+from polyc.ops import BUILTIN_NAMES, OPS, PRECEDENCE, TABLE, Op
 from polyc.parser import Parser
 from polyc.printer import expr_str
 from polyc.transform import normalize_simple
 from polyc.typecheck import op_signature
 from polyc.values import (
-    Builtin, Closure, VArray, decimal_to_int, default_value, int_to_decimal,
+    Closure, VArray, decimal_to_int, default_value, int_to_decimal,
     literal_value, size_of_value,
 )
 
@@ -513,8 +513,8 @@ class TestSlotTable:
         assert it.run(inline, [4]).output == 5
         prog = Program([(Arrow((INT,), INT), "f"), (INT, "x")], [],
                        Call("f", [Var("x")]))
-        for f in (it.store["f"], Builtin("min")):
-            assert isinstance(f, (Closure, Builtin))
+        for f in (it.store["f"], BUILTIN_NAMES["min"]):
+            assert isinstance(f, (Closure, Op))
             with pytest.raises(ArgumentError, match="argument 'f' must be"):
                 run_program(prog, [f, 4], mode="extended")
 
@@ -781,10 +781,9 @@ def outcome(prog, args, mode="core", **options):
     it = Interp(mode=mode, **options)
     try:
         rep = it.run(prog, list(args))
-    except PolycError as e:  # builtins and closures compare by identity
+    except PolycError as e:  # closures compare by identity
         return type(e).__name__, e.message, e.pos, {
-            k: v for k, v in it.store.items()
-            if not isinstance(v, (Builtin, Closure))}
+            k: v for k, v in it.store.items() if not isinstance(v, Closure)}
     return rep.output, rep.ic, rep.max_value_size, rep.rule_counts
 
 
