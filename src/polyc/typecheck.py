@@ -16,6 +16,7 @@ from .ast import (
     is_int_type, is_iterable_type, is_string_type, type_class,
     left_chain, subtype_of, walk_exprs,
 )
+from .errors import LOCATED
 # sup_type is part of this module's typing surface, re-exported from the table
 from .ops import BUILTIN_NAMES, Op, op_signature, sup_type
 
@@ -47,7 +48,8 @@ class Diag:
     sites: tuple = field(default=(), compare=False)
 
     def render(self, filename="<input>"):
-        return f"{filename}:{self.pos.line}:{self.pos.col}: {self.kind}: {self.message}"
+        return LOCATED.format(where=filename, pos=self.pos, label=self.kind,
+                              message=self.message)
 
     def to_json(self):
         return {
