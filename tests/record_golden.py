@@ -12,12 +12,17 @@ observation, a run in one mode on one input: the output, `ic`,
 `max_value_size`, `rule_counts` and the array arguments after the run; or,
 for a run that fails, the error's class, text and position.
 
+tokens.json: what `tokenize` makes of the corpus, of fixed lexer strings
+and of seeded token edits of the corpus files: each input is stored as the
+hash of its source and a digest of its (kind, lexeme, line, col) list, or,
+for an input that fails, of the error's class, text and position.
+
 cli.json: what `polyc` makes of fixed command lines, each run in a
 directory holding a copy of the corpus and a few failing inputs, so that
 every path it prints is relative.  Each command line is stored as the
 digest of its exit code, stdout and stderr.
 
-Rewrite the files after an intended change with
+Rewrite the four files after an intended change with
 
     PYTHONPATH=src python tests/record_golden.py
 """
@@ -30,6 +35,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -43,10 +49,12 @@ from polyc import VArray, check_program, format_value, load_program, \
 from polyc import cli
 from polyc.ast import ArrayT, is_string_type
 from polyc.errors import PolycError
+from polyc.lexer import tokenize
 from polyc.tm import clock_program, compile_tm, encode_input, parse_tm
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "frontend.json"
 ENGINE = GOLDEN.parent / "engine.json"
+TOKENS = GOLDEN.parent / "tokens.json"
 CLI = GOLDEN.parent / "cli.json"
 
 _MAIN = "// mode: {mode}\nint main(int x, int y) {{\n{body}\n    return x;\n}}\n"
@@ -120,6 +128,61 @@ def outcome(source):
 def digests():
     return {name: {"source": _hash(src), "digest": outcome(src)}
             for name, src in inputs()}
+
+
+# -- the tokens ---------------------------------------------------------------
+
+# every token kind and lexical error, and the text skipped between tokens
+LEXER_CASES = [
+    "", " \t\r\n", "// only a comment", "x// comment\ny", "a\r\nb\n\n  c",
+    "0", "007", "0b0", "0b1011", "0b", "0b2", "0b12", "12ab", "_x x_1 iint1",
+    '"" "01" "a b"', '"unterminated', '"line\nbreak"', 'x "', "/ /",
+    "&&||++ += -= == != <= >= + - * / % ! < > =", "==== =!= <<= >>= &|",
+    "(){}[];,", "$", "x @ y", "a\tb\t$", "\u00e9t\u00e9", "\u0663", "x\u00b2",
+    "if else for return size true false array string istring void break "
+    "continue iint int bool", "int main(int x){\n\treturn x;\n}",
+    "// a\n// b\n\tx // c", "x\n\n\n    \ty$",
+]
+
+# what a token edit puts at a token: tokens, errors and skipped text
+_SNIPPETS = ["", " ", "\n", "\t", "// c\n", "$", '"', '"s"', "0b", "0b1",
+             "9", "x", "==", "=", "&&", "\u00e9"]
+_MUTANTS = 16  # per corpus file
+
+
+def token_mutants(name, source):
+    """Seeded token edits of source: a snippet in place of, or before, a
+    token, found by a pattern of its own so the inputs do not depend on the
+    lexer under test."""
+    rng = random.Random(name)
+    spans = [m.span() for m in re.finditer(r"\w+|[^\w\s]", source)]
+    for k in range(_MUTANTS):
+        start, end = rng.choice(spans)
+        end = end if rng.random() < 0.5 else start
+        yield f"mutant/{name}/{k}", source[:start] + rng.choice(_SNIPPETS) + source[end:]
+
+
+def token_inputs():
+    """(name, source) of every tokenize input, in a fixed order."""
+    for path in sorted(CORPUS.glob("*.pc")):
+        yield f"corpus/{path.name}", corpus_source(path.name)
+    for k, source in enumerate(LEXER_CASES):
+        yield f"lex/{k}", source
+    for path in sorted(CORPUS.glob("*.pc")):
+        yield from token_mutants(path.name, corpus_source(path.name))
+
+
+def token_outcome(source):
+    try:
+        text = repr(tokenize(source))
+    except PolycError as e:
+        text = f"{type(e).__name__}|{e.message}|{e.pos!r}"
+    return _hash(text)
+
+
+def token_digests():
+    return {name: {"source": _hash(src), "digest": token_outcome(src)}
+            for name, src in token_inputs()}
 
 
 # -- the engine ---------------------------------------------------------------
@@ -356,6 +419,7 @@ def _write(path, table):
 def main():
     GOLDEN.parent.mkdir(exist_ok=True)
     _write(GOLDEN, digests())
+    _write(TOKENS, token_digests())
     _write(ENGINE, engine_digests())
     _write(CLI, cli_digests())
 
