@@ -103,10 +103,11 @@ class PolyVerdict:
     diags: tuple = ()
 
 
-def poly_check(prog):
+def poly_check(prog, mode="extended"):
     """Record with every site iterable, demote along the edges, check once.
     Both checks run in extended mode whatever the input mode: only its
-    parameter rule admits main's iterable parameters."""
+    parameter rule admits main's iterable parameters; `mode`, the input's,
+    words the diagnostics that make a program ill-typed."""
     work = apply_state(clone(prog), lambda site: True)
     rec = _Recorder()
     rec.program(work)
@@ -121,12 +122,22 @@ def poly_check(prog):
     res = check_program(apply_state(work, state.assignment.get), "extended")
     if res.ok:
         return PolyVerdict("poly", state, witness=work)
-    if all(d.kind in ITERABILITY_KINDS or d.kind == "operand-type-mismatch"
-           and d.message.startswith(SIZE_MISMATCH) for d in res.errors):
+    culprits = [d for d in res.errors if d.kind not in ITERABILITY_KINDS and not (
+        d.kind == "operand-type-mismatch" and d.message.startswith(SIZE_MISMATCH))]
+    if not culprits:
         return PolyVerdict("unknown", state, diags=tuple(res.errors))
     raise IllTypedError(
         "program is ill-typed for reasons unrelated to iterability",
-        diags=res.errors)
+        diags=_as_source(prog, mode, culprits))
+
+
+def _as_source(prog, mode, diags):
+    """Each of diags, of the annotated copy (where a parameter never demoted
+    is iint), as the source's check words its kind and position, if it can."""
+    own = {}
+    for d in check_program(prog, mode).errors:
+        own.setdefault((d.kind, d.pos), []).append(d)
+    return [(own.get((d.kind, d.pos)) or [d]).pop(0) for d in diags]
 
 
 def erase_annotations(prog):

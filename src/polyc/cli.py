@@ -221,22 +221,22 @@ def cmd_compile_tm(args):
 
 def cmd_transform(args):
     prog, mode = _checked(args.file, args.mode)
-    if args.kind == "t1":
-        print(pretty_print(t1_max_tracker(prog)), end="")
-    elif args.kind == "t2":
-        print(pretty_print(t2_cost_tracker(prog)), end="")
-    else:
+    if args.kind == "normalize":
         sf = normalize_simple(prog, mode)
         if not simple_form_shape_ok(sf):
             raise ShapeError("normalizer produced a bad shape")
         print(f"// budget variable: {sf.bound_var}; "
               f"bound {sf.symbolic_bound}", file=sys.stderr)
-        print(pretty_print(sf.program, mode_marker="extended"), end="")
+        prog, mode = sf.program, "extended"
+    else:
+        prog = (t1_max_tracker if args.kind == "t1" else t2_cost_tracker)(prog)
+    print(pretty_print(prog, mode_marker=mode if mode == "extended" else None),
+          end="")
 
 
 def cmd_analyze(args):
     with _in_file(args.file):
-        verdict = poly_check(load_program(_read(args.file), args.mode)[0])
+        verdict = poly_check(*load_program(_read(args.file), args.mode))
     print(verdict.verdict)
     if verdict.verdict == "poly":
         print(pretty_print(verdict.witness, mode_marker="extended"), end="")

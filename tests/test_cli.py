@@ -414,6 +414,24 @@ class TestTransformCmd:
                                corpus("double_loop.pc"))
         assert code == 0 and "o=o+o;" in out
 
+    @pytest.mark.parametrize("kind,want", [("t1", "5"), ("t2", "-5")])
+    def test_extended_input_stays_extended(self, capsys, tmp_path, kind, want):
+        # t1 returns the largest absolute value, t2 the program's own output
+        f = tmp_path / "ext.pc"
+        f.write_text("// mode: extended\nint main(array<int> a){ return a[0]; }\n")
+        code, out, _ = run_cli(capsys, "transform", kind, f)
+        assert code == 0 and out.startswith("// mode: extended\n")
+        g = tmp_path / "out.pc"
+        g.write_text(out)
+        assert run_cli(capsys, "check", g) == (0, "well-typed: int\n", "")
+        assert run_cli(capsys, "run", g, "[-5,2]") == (0, want + "\n", "")
+
+    def test_core_input_stays_unmarked(self, capsys):
+        for kind in ("t1", "t2"):
+            code, out, _ = run_cli(capsys, "transform", kind,
+                                   corpus("double_loop.pc"))
+            assert code == 0 and out.startswith("int main(")
+
     def test_normalize(self, capsys):
         code, out, err = run_cli(capsys, "transform", "normalize",
                                  corpus("fastmul.pc"))
@@ -474,13 +492,35 @@ class TestAnalyze:
             assert "program is ill-typed for reasons unrelated to " \
                 "iterability" in err
 
-    def test_ill_typed_shows_the_diagnostics(self, capsys, tmp_path):
-        f = tmp_path / "bool.pc"
-        f.write_text("int main(int x){ bool b; b = x; return x; }\n")
-        assert run_cli(capsys, "analyze", f) == (3, "", (
-            f"{f}:1:28: operand-type-mismatch: cannot assign iint to 'b' of "
-            "type bool\nerror: program is ill-typed for reasons unrelated "
-            "to iterability\n"))
+    _BOOL = "1:28: operand-type-mismatch: cannot assign int to 'b' of type bool"
+
+    @pytest.mark.parametrize("src,want", [
+        ("int main(int x){ bool b; b = x; return x; }", [_BOOL]),
+        # an iterability error beside it is the analysis's to mend
+        ("int main(int x){ bool b; b = x; for(i<3){ iint w; } return x; }",
+         [_BOOL]),
+        ("int main(int x){ bool b; b = x; int o; for(i<size(x)){ o = o+1; } "
+         "for(j<size(o)){ } return x; }", [_BOOL]),
+        # two diagnostics of one kind at one position, in order
+        ('// mode: extended\nint main(int x){ string s; string t; '
+         'int f(istring a, istring b){ return 0; } int o; o = f(s, t); '
+         'return o; }',
+         [f"2:90: param-subtype-violation: argument {k} of 'f' must be "
+          "istring, got non-iterable string" for k in (1, 2)]),
+    ], ids=["bool", "beside-a-declaration", "beside-a-loop-bound",
+            "same-position"])
+    def test_ill_typed_shows_the_diagnostics(self, capsys, tmp_path, src,
+                                             want):
+        # worded as `check` words them: the never-demoted parameter is int
+        # there, and iint in the analysis's annotations
+        f = tmp_path / "ill.pc"
+        f.write_text(src + "\n")
+        want = [f"{f}:{line}" for line in want]
+        code, _, err = run_cli(capsys, "check", f)
+        assert code == 1 and set(want) <= set(err.splitlines())
+        assert run_cli(capsys, "analyze", f) == (3, "", "\n".join(want) + (
+            "\nerror: program is ill-typed for reasons unrelated to "
+            "iterability\n"))
 
     def test_iterable_element_doubled_in_a_loop(self, capsys, tmp_path):
         # a[0] doubles once per inner step and bounds the next inner loop
