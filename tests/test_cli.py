@@ -426,12 +426,6 @@ class TestTransformCmd:
         assert run_cli(capsys, "check", g) == (0, "well-typed: int\n", "")
         assert run_cli(capsys, "run", g, "[-5,2]") == (0, want + "\n", "")
 
-    def test_core_input_stays_unmarked(self, capsys):
-        for kind in ("t1", "t2"):
-            code, out, _ = run_cli(capsys, "transform", kind,
-                                   corpus("double_loop.pc"))
-            assert code == 0 and out.startswith("int main(")
-
     def test_normalize(self, capsys):
         code, out, err = run_cli(capsys, "transform", "normalize",
                                  corpus("fastmul.pc"))
@@ -494,8 +488,25 @@ class TestAnalyze:
 
     _BOOL = "1:28: operand-type-mismatch: cannot assign int to 'b' of type bool"
 
+    def _shows(self, capsys, tmp_path, src, want):
+        """analyze prints `want`, each line as `check` prints it, then the
+        ill-typed error."""
+        f = tmp_path / "ill.pc"
+        f.write_text(src + "\n")
+        want = [f"{f}:{line}" for line in want]
+        code, _, err = run_cli(capsys, "check", f)
+        assert code == 1 and set(want) <= set(err.splitlines())
+        assert run_cli(capsys, "analyze", f) == (3, "", "\n".join(want) + (
+            "\nerror: program is ill-typed for reasons unrelated to "
+            "iterability\n"))
+
+    def test_ill_typed_shows_the_diagnostics(self, capsys, tmp_path):
+        # worded as `check` words them: the never-demoted parameter is int
+        # there, and iint in the analysis's annotations
+        self._shows(capsys, tmp_path,
+                    "int main(int x){ bool b; b = x; return x; }", [self._BOOL])
+
     @pytest.mark.parametrize("src,want", [
-        ("int main(int x){ bool b; b = x; return x; }", [_BOOL]),
         # an iterability error beside it is the analysis's to mend
         ("int main(int x){ bool b; b = x; for(i<3){ iint w; } return x; }",
          [_BOOL]),
@@ -507,20 +518,10 @@ class TestAnalyze:
          'return o; }',
          [f"2:90: param-subtype-violation: argument {k} of 'f' must be "
           "istring, got non-iterable string" for k in (1, 2)]),
-    ], ids=["bool", "beside-a-declaration", "beside-a-loop-bound",
-            "same-position"])
-    def test_ill_typed_shows_the_diagnostics(self, capsys, tmp_path, src,
-                                             want):
-        # worded as `check` words them: the never-demoted parameter is int
-        # there, and iint in the analysis's annotations
-        f = tmp_path / "ill.pc"
-        f.write_text(src + "\n")
-        want = [f"{f}:{line}" for line in want]
-        code, _, err = run_cli(capsys, "check", f)
-        assert code == 1 and set(want) <= set(err.splitlines())
-        assert run_cli(capsys, "analyze", f) == (3, "", "\n".join(want) + (
-            "\nerror: program is ill-typed for reasons unrelated to "
-            "iterability\n"))
+    ], ids=["beside-a-declaration", "beside-a-loop-bound", "same-position"])
+    def test_ill_typed_shows_only_what_makes_it_so(self, capsys, tmp_path, src,
+                                                   want):
+        self._shows(capsys, tmp_path, src, want)
 
     def test_iterable_element_doubled_in_a_loop(self, capsys, tmp_path):
         # a[0] doubles once per inner step and bounds the next inner loop
