@@ -175,11 +175,10 @@ def _program_args(prog, raw_args):
 
 
 def cmd_run(args):
-    prog, mode = _checked(args.file, args.mode, args.json)
+    prog, _ = _checked(args.file, args.mode, args.json)
     vals = _program_args(prog, args.args)
     with _in_file(args.file):
-        report = run_program(prog, vals, cost_mode=args.cost, mode=mode,
-                             fuel=_fuel())
+        report = run_program(prog, vals, cost_mode=args.cost, fuel=_fuel())
     if args.json:
         doc = report.to_json() if args.cost else {"output": format_value(
             report.output).strip('"')}
@@ -222,7 +221,7 @@ def cmd_compile_tm(args):
 def cmd_transform(args):
     prog, mode = _checked(args.file, args.mode)
     if args.kind == "normalize":
-        sf = normalize_simple(prog, mode)
+        sf = normalize_simple(prog)
         if not simple_form_shape_ok(sf):
             raise ShapeError("normalizer produced a bad shape")
         print(f"// budget variable: {sf.bound_var}; "
@@ -243,13 +242,11 @@ def cmd_analyze(args):
 
 
 def cmd_equiv(args):
-    p1, mode1 = _checked(args.file1, args.mode)
-    p2, mode2 = _checked(args.file2, args.mode)
+    p1, _ = _checked(args.file1, args.mode)
+    p2, _ = _checked(args.file2, args.mode)
     if args.bound < 0:
         raise UsageError("bound must be non-negative")
-    # extended mode only adds the builtin bindings, so it runs core programs too
-    mode = "extended" if "extended" in (mode1, mode2) else "core"
-    same, witness = bounded_equiv(p1, p2, args.bound, mode=mode, fuel=_fuel(),
+    same, witness = bounded_equiv(p1, p2, args.bound, fuel=_fuel(),
                                   names=(args.file1, args.file2))
     print("true" if same else "false")
     if not same:

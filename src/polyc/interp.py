@@ -68,16 +68,16 @@ class CostReport:
 
 
 def run_program(prog, args, cost_mode=False, mode="core", fuel=None, watch=None):
-    """Execute a (type-checked) program on the given values."""
-    interp = Interp(cost_mode=cost_mode, mode=mode, fuel=fuel, watch=watch)
-    return interp.run(prog, args)
+    """Execute a (type-checked) program on the given values.
+    `mode` is ignored: the checker alone decides which builtins are in scope."""
+    return Interp(cost_mode=cost_mode, fuel=fuel, watch=watch).run(prog, args)
 
 
 class Interp:
     """The state of one run: store, fuel, slot counts and cost totals."""
 
-    def __init__(self, cost_mode=False, mode="core", fuel=None, watch=None):
-        self.cost, self.mode, self.watch = cost_mode, mode, watch
+    def __init__(self, cost_mode=False, fuel=None, watch=None):
+        self.cost, self.watch = cost_mode, watch
         self.store, self.rule_counts = {}, {}
         self.steps = self.max_size = 0
         self.fuel_limit = self.fuel = fuel  # statements left to execute
@@ -260,8 +260,7 @@ def _emit(e, scope, ps, depth):
         return f"_index({base}, {index}, {_p(ps, e.pos)})", False
     if cls is Call:  # the callee is looked up before the arguments run
         name, pos = _p(ps, e.fname), _p(ps, e.pos)
-        fn = (f"st[{name}]" if e.fname in scope else
-              f"_builtin(r, {_p(ps, BUILTIN_NAMES[e.fname])}, {pos})"
+        fn = (f"st[{name}]" if e.fname in scope else _p(ps, BUILTIN_NAMES[e.fname])
               if e.fname in BUILTIN_NAMES else f'_load(st, {name}, {pos}, "function")')
         args = ", ".join([_emit(a, scope, ps, depth + 2)[0] for a in e.args])
         return f"_call({fn}, [{args}], {name}, {pos}, r)", False
@@ -292,13 +291,6 @@ def _load(st, name, pos, kind="variable"):
         return st[name]
     except KeyError:
         raise InternalError(f"{kind} {name!r} unbound at runtime", pos) from None
-
-
-def _builtin(r, fv, pos):
-    """A builtin's row where no binding shadows it; extended mode only."""
-    if r.mode == "extended":
-        return fv
-    raise InternalError(f"function {fv.lexeme!r} unbound at runtime", pos)
 
 
 def _index(b, i, pos):

@@ -153,8 +153,8 @@ def normalize_simple(prog, mode="core"):
     which is what makes the one-shot assignments inside the loop typable),
     control flow becomes a program-counter dispatch, and size() occurrences
     are computed by repeated halving spread over budget iterations.
+    `mode` is ignored: the transform is the same in both modes.
     """
-    del mode
     return _Normalizer(prog).build()
 
 
@@ -423,15 +423,15 @@ class _Normalizer:
 def stabilization_search(simple, prog, args, t_max=1 << 20, mode="core",
                          fuel=None):
     """Double the budget until the normalized program reproduces the
-    original output and stays stable at twice the budget."""
-    target = run_program(prog, list(args), mode=mode, fuel=fuel).output
+    original output and stays stable at twice the budget.
+    `mode` is ignored: the engine runs a checked program in any mode."""
+    target = run_program(prog, list(args), fuel=fuel).output
     t = 1
     while t <= t_max:
-        got = run_program(simple.program, list(args) + [t],
-                          mode="extended", fuel=fuel).output
+        got = run_program(simple.program, list(args) + [t], fuel=fuel).output
         if got == target:
             again = run_program(simple.program, list(args) + [2 * t],
-                                mode="extended", fuel=fuel).output
+                                fuel=fuel).output
             if again == target:
                 return t
         t *= 2
@@ -440,8 +440,7 @@ def stabilization_search(simple, prog, args, t_max=1 << 20, mode="core",
         f"never reproduced output {format_value(target)}")
 
 
-def bounded_equiv(p1, p2, input_bound, mode="core", fuel=None,
-                  names=("<input>", "<input>")):
+def bounded_equiv(p1, p2, input_bound, fuel=None, names=("<input>", "<input>")):
     """Exhaustively compare two programs on all integer inputs with
     |v_i| <= input_bound; returns (True, None) or (False, witness).  The
     inputs are counted up in place, the last fastest, so a bound of any size
@@ -453,7 +452,7 @@ def bounded_equiv(p1, p2, input_bound, mode="core", fuel=None,
 
     def output(prog, name):
         try:
-            return run_program(prog, list(tup), mode=mode, fuel=fuel).output
+            return run_program(prog, list(tup), fuel=fuel).output
         except PolyRuntimeError as e:
             e.where = name
             e.message += f" ({' '.join(['input', *map(int_to_decimal, tup)])})"

@@ -102,7 +102,6 @@ def check_program(prog, mode="core"):
 
 class Checker:
     def __init__(self, mode="core"):
-        self.mode = mode
         self.extended = mode == "extended"
         self.errors = []
         self.fn_stack = []
@@ -434,7 +433,7 @@ class Checker:
                 self.diag("redeclaration", f"duplicate parameter {n!r}"
                           + (f" in function {owner!r}" if l else ""), u.pos, names=(n,))
             seen.add(n)
-            if not l and self.mode == "core" and t is not INT:
+            if not l and not self.extended and t is not INT:
                 self.diag("operand-type-mismatch",
                           "main parameters must be int in core mode", u.pos,
                           names=(n,))

@@ -7,9 +7,10 @@ import weakref
 import pytest
 
 import fuzzgen
-from conftest import NORMALIZE_CASES, ROOT, compile_src, load_checked
+import record_golden
+from conftest import NORMALIZE_CASES, ROOT, compile_src, load, load_checked
 
-from polyc import check_program, load_program, run_program
+from polyc import check_program, load_program, pretty_print, run_program
 from polyc.ast import (
     ArrayT, Arrow, Assign, Block, BOOL, Break, Call, Const, Decl, For, IINT,
     If, INT, ISTRING, OpApp, Paren, Pos, Program, STRING, Stmt, Var, clone,
@@ -28,7 +29,7 @@ from polyc.transform import normalize_simple
 from polyc.typecheck import op_signature
 from polyc.values import (
     Closure, VArray, decimal_to_int, default_value, int_to_decimal,
-    literal_value, size_of_value,
+    literal_value, parse_value, size_of_value,
 )
 
 
@@ -324,7 +325,7 @@ class TestExtendedRuntime:
                                mode="extended").output == want
 
     def test_store_holds_no_builtins(self):
-        it = Interp(mode="extended")
+        it = Interp()
         prog = compile_src("// mode: extended\n"
                            "int main(int a){int f(int b){return max(a,b);} "
                            "return f(1);}", "extended")
@@ -387,19 +388,30 @@ class TestCompiledEngine:
                     is not interp._program(prog, metered))
             assert run_program(copy, [6, 7], cost_mode=metered).output == 42
 
-    def test_core_builtin_call_is_unbound(self):
-        # the checker rejects it in core mode; run unchecked, the call fails
-        # before its arguments run
-        pos = Pos(2, 5)
-        prog = Program([(INT, "x")], [], Call("min", [Var("x"), Var("y")], pos))
-        for cost in (False, True):
-            with pytest.raises(InternalError) as exc:
-                run_program(prog, [1], cost_mode=cost)
-            assert (exc.value.message, exc.value.pos) == (
-                "function 'min' unbound at runtime", pos)
-        # extended, the builtin is found, so the argument fails next
-        with pytest.raises(InternalError, match="variable 'y' unbound"):
-            run_program(prog, [1], mode="extended")
+    def test_engine_ignores_the_mode(self):
+        # the checker alone decides which builtins are in scope; a core
+        # program calling `min`, which the checker rejects, runs it too
+        runs = []
+        for path in sorted((ROOT / "corpus").glob("*.pc")):
+            prog, mode = load(path.name)
+            check_program(prog, mode)  # which fills in the array types
+            runs.append((prog, record_golden.CORPUS_ARGS.get(path.name, ["6", "7"])))
+        for seed in range(50):
+            prog = fuzzgen.gen_program(seed)
+            rng = random.Random(seed)
+            runs.append((prog, [str(rng.randrange(-2 ** 12, 2 ** 12))
+                                for _ in prog.params]))
+        runs.append((Program([(INT, "x")], [], Call("min", [Var("x"), Const("2")])),
+                     ["5"]))
+        for prog, raw in runs:
+            for cost in (False, True):
+                core, extended = (
+                    run_program(prog, [parse_value(v, t) for v, (t, _) in
+                                       zip(raw, prog.params)],
+                                cost_mode=cost, mode=mode)
+                    for mode in ("core", "extended"))
+                assert core == extended, (pretty_print(prog), raw, cost)
+        assert core.output == 2
 
     def test_array_element_type_is_read_when_run(self):
         # the checker fills in ArrayCtor.elem in place, after a first run
@@ -421,7 +433,7 @@ class TestCompiledEngine:
         assert check_program(prog, "extended").ok
         stores = []
         for _ in range(2):
-            it = Interp(mode="extended")
+            it = Interp()
             it.run(prog, [6])
             stores.append(it.store)
         for st in stores:
@@ -509,7 +521,7 @@ class TestSlotTable:
                              "return b;} int g; g=f(x); return g;}",
                              "extended")
         assert check_program(inline, "extended").ok
-        it = Interp(mode="extended")
+        it = Interp()
         assert it.run(inline, [4]).output == 5
         prog = Program([(Arrow((INT,), INT), "f"), (INT, "x")], [],
                        Call("f", [Var("x")]))
@@ -632,7 +644,7 @@ class TestShortCircuit:
     def run(src, arg, cost):
         prog, mode = load_program(src)
         assert check_program(prog, mode).ok
-        it = Interp(cost_mode=cost, mode=mode)
+        it = Interp(cost_mode=cost)
         return it.run(prog, [arg]), it.store
 
     def test_skipping_keeps_the_cost_of_full_evaluation(self):
@@ -776,9 +788,9 @@ class TestGeneratedExpressions:
             assert (exc.value.message, exc.value.pos) == (message, pos)
 
 
-def outcome(prog, args, mode="core", **options):
+def outcome(prog, args, **options):
     """A run's output and cost report, or its error and the store it left."""
-    it = Interp(mode=mode, **options)
+    it = Interp(**options)
     try:
         rep = it.run(prog, list(args))
     except PolycError as e:  # closures compare by identity
@@ -803,11 +815,11 @@ class TestRepeatedStatements:
     """A statement node that one list holds at several positions is compiled
     once and runs at each of them as a copy of it would."""
 
-    def assert_same_runs(self, shared, copied, arg_lists, mode="core"):
+    def assert_same_runs(self, shared, copied, arg_lists):
         for args in arg_lists:
             for a, b in zip(options_of(shared), options_of(copied)):
-                assert outcome(shared, args, mode, **a) == outcome(
-                    copied, args, mode, **b), (args, a)
+                assert outcome(shared, args, **a) == outcome(
+                    copied, args, **b), (args, a)
 
     @staticmethod
     def repeat(src, mode, *moves):
@@ -845,7 +857,7 @@ class TestRepeatedStatements:
         prog, mode = load_checked(name)
         shared = normalize_simple(prog, mode).program
         self.assert_same_runs(shared, clone(shared), [
-            [*args, t] for args in inputs for t in (1, 3, 40, 4096)], "extended")
+            [*args, t] for args in inputs for t in (1, 3, 40, 4096)])
 
     def test_normalized_fastmul_compiles_each_node_once(self, fastmul):
         shared = normalize_simple(fastmul).program
@@ -883,7 +895,7 @@ class TestRepeatedStatements:
         assert shared == copied
         lists = statement_lists(shared)
         assert all(lists[k][i] is lists[k][j] for k, i, j in moves)
-        self.assert_same_runs(shared, copied, [[0], [1], [2], [6], [300]], mode)
+        self.assert_same_runs(shared, copied, [[0], [1], [2], [6], [300]])
 
 
 # -- the operator table: one case per row ------------------------------------

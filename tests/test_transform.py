@@ -65,8 +65,8 @@ TRACKER_CASES = [
 ]
 
 
-def run_with_store(prog, args, mode="core"):
-    it = Interp(cost_mode=True, mode=mode)
+def run_with_store(prog, args):
+    it = Interp(cost_mode=True)
     report = it.run(prog, list(args))
     return report, it.store
 
