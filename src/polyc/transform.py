@@ -420,7 +420,7 @@ class _Normalizer:
 # stabilization and bounded equivalence
 
 
-def stabilization_search(simple, prog, args, t_max=1 << 20, mode="core",
+def stabilization_search(simple, prog, args, t_max=1 << 64, mode="core",
                          fuel=None):
     """Double the budget until the normalized program reproduces the
     original output and stays stable at twice the budget.

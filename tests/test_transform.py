@@ -191,6 +191,15 @@ class TestNormalize:
         sf = normalize_simple(prog)
         assert stabilization_search(sf, prog, [7]) == 1
 
+    @pytest.mark.parametrize("y,t", [(2 ** 30, 2 ** 30), (2 ** 30 - 1, 2 ** 29)])
+    def test_default_cap_stabilizes_fastmul_on_thirty_bits(self, y, t):
+        # a budget's bit length is the number of loop iterations, so a
+        # 31-bit budget runs the 30 or 31 steps of fastmul's loop
+        prog, _ = load_checked("fastmul.pc")
+        sf = normalize_simple(prog)
+        assert stabilization_search(sf, prog, [3, y]) == t
+        assert run_program(sf.program, [3, y, t]).output == 3 * y
+
     def test_identity_agrees_for_any_budget(self):
         prog, _ = load_checked("identity.pc")
         sf = normalize_simple(prog)
@@ -237,6 +246,8 @@ class TestNormalize:
         sf.program.ret_expr = Const("1234567")
         with pytest.raises(TransformError):
             stabilization_search(sf, prog, [6, 7], t_max=1 << 12)
+        with pytest.raises(TransformError, match=f"up to {1 << 64}:"):
+            stabilization_search(sf, prog, [6, 7])
 
     def test_functions_inlined_first(self):
         src = ("// mode: extended\n"
