@@ -180,9 +180,7 @@ def cmd_run(args):
     with _in_file(args.file):
         report = run_program(prog, vals, cost_mode=args.cost, fuel=_fuel())
     if args.json:
-        doc = report.to_json() if args.cost else {"output": format_value(
-            report.output).strip('"')}
-        print(json.dumps(doc))
+        print(json.dumps(report.to_json()))
         return
     print(format_value(report.output))
     if args.cost:

@@ -63,8 +63,10 @@ class CostReport:
     rule_counts: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {"output": format_value(self.output).strip('"'), "ic": self.ic,
-                "max_value_size": self.max_value_size}
+        doc = {"output": format_value(self.output).strip('"')}
+        if self.ic is not None:  # a cost report
+            doc.update(ic=self.ic, max_value_size=self.max_value_size)
+        return doc
 
 
 def run_program(prog, args, cost_mode=False, mode="core", fuel=None, watch=None):
