@@ -344,13 +344,10 @@ class TestInline:
                "return add(add(x,y),add(y,1));}")
         prog = compile_src(src, "extended")
         sf = normalize_simple(prog)
-        from polyc.ast import Call, walk_exprs, walk_stmts, stmt_exprs
+        from polyc.ast import Call, walk
 
-        exprs = [sf.program.ret_expr]
-        for s in walk_stmts(sf.program.body):
-            exprs.extend(stmt_exprs(s))
         assert not any(isinstance(e, Call)
-                       for x in exprs for e in walk_exprs(x))
+                       for e in walk(sf.program.body + [sf.program.ret_expr]))
         t = stabilization_search(sf, prog, [3, 4], mode="extended")
         assert run_program(sf.program, [3, 4, t], mode="extended").output == 12
 
