@@ -10,7 +10,10 @@ engine.json: what `run_program` makes of fixed programs on fixed inputs.
 Each program is stored as the hash of its source and one digest per
 observation, a run in one mode on one input: the output, `ic`,
 `max_value_size`, `rule_counts` and the array arguments after the run; or,
-for a run that fails, the error's class, text and position.
+for a run that fails, the error's class, text and position.  A "partial"
+observation digests a sweep of cost runs over every fuel up to the first
+that completes: the steps and rule counts each run leaves on its `Interp`,
+failed or not.
 
 tokens.json: what `tokenize` makes of the corpus, of fixed lexer strings
 and of seeded token edits of the corpus files: each input is stored as the
@@ -49,6 +52,7 @@ from polyc import VArray, check_program, format_value, load_program, \
 from polyc import cli
 from polyc.ast import ArrayT, is_string_type
 from polyc.errors import PolycError
+from polyc.interp import Interp
 from polyc.lexer import tokenize
 from polyc.tm import clock_program, compile_tm, encode_input, parse_tm
 
@@ -223,6 +227,34 @@ ENGINE_CASES = {
     "unchecked-assign": ("int main(int x){o=x; return x;}", [[1]]),
     "unchecked-watch": ("int main(int x){iint z; z=x; int o; "
                         "for(i<size(z)){o=o+1; z=o;} return o;}", [[0], [5]]),
+    # early exits at the first, a middle and the last position of a loop
+    # body, a branch and a function body
+    **{f"{kind}-in-loop": (_EXT + f"int main(int x){{int o; for(i<3){{{kind}; o=o+1; "
+                           f"o=o+2;}} for(i<3){{o=o+1; {kind}; o=o+2;}} "
+                           f"for(i<3){{o=o+1; o=o+2; {kind};}} return o;}}", [[0]])
+       for kind in ("break", "continue")},
+    **{f"{kind}-in-branch": (
+        _EXT + f"int main(int x){{int o; for(i<4){{if(x==0&&i==1){{{kind}; o=o+1; "
+        f"o=o+2;}} else {{}} if(x==1&&i==1){{o=o+1; {kind}; o=o+2;}} else {{}} "
+        f"if(x==2&&i==1){{o=o+1; o=o+2; {kind};}} else {{}} o=o+10;}} return o;}}",
+        [[0], [1], [2], [3]]) for kind in ("break", "continue")},
+    "index-in-loop": (_EXT + "int main(int x){array<int> a; a=array(1); int o; "
+                      "for(i<2){o=a[min(x/100, i)]; o=o+i; o=a[min(x/10%10, i)]; o=o+i; "
+                      "o=a[min(x%10, i)];} return o;}", [[0], [1], [10], [100]]),
+    "index-in-branch": (_EXT + "int main(int x){array<int> a; a=array(1); "
+                        "int o; if(x>=0){o=a[x/100]; o=o+1; o=a[x/10%10]; "
+                        "o=o+1; o=a[x%10];} else {} return o;}",
+                        [[0], [1], [10], [100]]),
+    "index-in-function": (_EXT + "int main(int x){array<int> a; a=array(1); "
+                          "int f(int y){int z; z=a[y/100]; z=z+1; "
+                          "z=a[y/10%10]; z=z+1; z=a[y%10]; return z;} int o; "
+                          "o=f(x); return o;}", [[0], [1], [10], [100]]),
+    "unchecked-exit-in-function": (
+        _EXT + "int main(int x){int f(int a){break; a=a+1; return a;} "
+        "int g(int a){a=a+1; continue; a=a+2; return a;} "
+        "int h(int a){a=a+1; a=a+2; break; return a;} int o; "
+        "if(x==0){o=f(x);} else {} if(x==1){o=g(x);} else {} "
+        "if(x==2){o=h(x);} else {} return o;}", [[0], [1], [2]]),
 }
 
 
@@ -238,6 +270,26 @@ def _run(prog, mode, args, **options):
         text = (f"{format_value(rep.output)}|{rep.ic}|{rep.max_value_size}|"
                 f"{sorted(rep.rule_counts.items())}|{arrays}")
     return _hash(text)
+
+
+_SWEEP_MAX = 200  # the largest fuel of a sweep
+
+
+def _sweep(prog, raw, watch=None):
+    """The digest of cost runs at every fuel from 0 up to the first that
+    does not run out, at most _SWEEP_MAX, each taken through `Interp`: the
+    steps and rule counts a run leaves, and its output or error."""
+    texts = []
+    for fuel in range(_SWEEP_MAX + 1):
+        it = Interp(cost_mode=True, fuel=fuel, watch=watch)
+        try:
+            end = format_value(it.run(prog, _arguments(prog, raw)).output)
+        except PolycError as e:
+            end = f"{type(e).__name__}|{e.message}|{e.pos!r}"
+        texts.append(f"{fuel}|{it.steps}|{sorted(it.rule_counts.items())}|{end}")
+        if not end.startswith("FuelExhausted|"):
+            break
+    return _hash("\n".join(texts))
 
 
 def _arguments(prog, raw):
@@ -277,6 +329,7 @@ def engine_programs():
         for k in range(8):
             raw = _corpus_args(prog, rng)
             runs += [(f"plain/{k}", raw, {}), (f"cost/{k}", raw, {"cost_mode": True})]
+        runs.append(("partial/0", runs[0][1], {"sweep": True}))
         yield f"corpus/{path.name}", src, prog, mode, runs
     for name in ("bitflip.tm", "successor.tm"):
         machine = parse_tm(corpus_source(name), name=name)
@@ -298,7 +351,8 @@ def engine_programs():
         for k, raw in enumerate(arg_lists):
             runs += [(f"plain/{k}", raw, {"watch": watch}),
                      (f"cost/{k}", raw, {"cost_mode": True, "watch": watch}),
-                     (f"fuel-5/{k}", raw, {"fuel": 5, "watch": watch})]
+                     (f"fuel-5/{k}", raw, {"fuel": 5, "watch": watch}),
+                     (f"partial/{k}", raw, {"sweep": True, "watch": watch})]
         yield f"case/{name}", src, prog, mode, runs
     for seed in range(1000):
         prog = fuzzgen.gen_program(seed)
@@ -313,7 +367,8 @@ def engine_programs():
 
 def engine_digests():
     return {name: {"source": _hash(src), **{
-        obs: _run(prog, mode, _arguments(prog, raw), **options)
+        obs: _sweep(prog, raw, options.get("watch")) if "sweep" in options
+        else _run(prog, mode, _arguments(prog, raw), **options)
         for obs, raw, options in runs}}
         for name, src, prog, mode, runs in engine_programs()}
 
