@@ -17,24 +17,29 @@ no binding in scope shadows resolves to its operator row when compiled; the
 store holds no builtins.  Annotations the checker or the analysis fill in or
 rewrite in place are read when run.
 
-Each program has two variants, compiled apart, each at its first use.  The
-plain variant holds no metering code, and its `if` does not call an empty
-else.  The metered variant runs cost, fuel and watch runs.  Cost mode charges
-one step per expression node, declaration, function definition, assignment,
-break, continue and block entry; the conditional, loop, empty-block and
-program rules count without a step.  Each slot -- a statement or a function's
-or the program's return expression -- has a static rule vector, in which `&&`
-and `||` evaluate both operands.  Compiling the metered variant numbers the
-slots in one table of vectors per program, one per node however often a list
-repeats it; a run counts `counts[k] += 1` into one list per run, then folds
-count x vector into `rule_counts`.  Ints are sized on each bind, arrays when
-made, passed in or written; no other value is, so `&&` and `||` may stop at
-the operand that decides them when all operands after the first are pure and
-read bound names, at no change in cost.  Fuel counts statements.
+Each program has three variants, each compiled at its first use: plain, with
+no metering code; metered, for cost and watch runs; and fuelled, which also
+spends one unit of fuel per statement.  Cost mode charges one step per
+expression node, declaration, function definition, assignment, break,
+continue and block entry; the conditional, loop, empty-block and program
+rules count without a step.  It counts entries, not statements: a function or
+program body counts, at entry, one slot whose rule vector sums those of its
+statements, repeats included, and of its return expression, and a loop or an
+if counts the slot of the body or branch it runs.  Only an early exit pays
+more: a break, continue or error at a position of a list counts the exit
+slot of that position, whose negative vector takes back the statements after
+it, and fuel running out takes back the statement it was for too.  A run
+folds its counts into `rule_counts` with a function generated per program,
+one sum per rule.  An int, bool or string is measured when bound, unless it
+is no larger than a value measured already; an array when made, passed in or
+written.  So `&&` and `||` may stop at the operand that decides them when
+all operands after the first are pure and read bound names.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from types import SimpleNamespace
 
 from .ast import (
     NO_POS, ArrayCtor, ArrayT, Assign, Block, Break, Call, CallStmt, Const,
@@ -81,11 +86,11 @@ class Interp:
     def __init__(self, cost_mode=False, fuel=None, watch=None):
         self.cost, self.watch = cost_mode, watch
         self.store, self.rule_counts = {}, {}
-        self.steps = self.max_size = 0
+        # the range of the ints bound, a bool as 1, measures them
+        self.steps = self.max_size = self.hi = self.lo = 0
         self.fuel_limit = self.fuel = fuel  # statements left to execute
-        # the metered variant runs it, and its statements count slots
-        self.metered = cost_mode or fuel is not None or watch is not None
-        self.counts = None  # executions per slot of the program's table
+        self.variant = 2 if fuel is not None else int(cost_mode or watch is not None)
+        self.counts = self.exits = None  # per slot and exit slot of the table
 
     def spend(self):
         """Spend the fuel of one statement."""
@@ -95,18 +100,19 @@ class Interp:
                 f"interpreter fuel limit of {self.fuel_limit} statements exceeded")
 
     def track(self, v):
-        """Raise the maximum to v's size; arrays are measured elsewhere."""
-        cls = v.__class__
-        s = (v.bit_length() if cls is int else 1 if cls is bool
-             else len(v) if cls is str else 0)
-        if s > self.max_size:
-            self.max_size = s
+        """Measure v as bound; arrays are measured elsewhere."""
+        if v.__class__ is bool:  # of size 1
+            v = 1
+        if v.__class__ is int:
+            self.hi, self.lo = max(self.hi, v), min(self.lo, v)
+        elif v.__class__ is str:
+            self.max_size = max(self.max_size, len(v))
 
     def run(self, prog, args):
         if len(args) != len(prog.params):
             raise ArgumentError(
                 f"program expects {len(prog.params)} arguments, got {len(args)}")
-        table, main = _program(prog, self.metered)
+        table, main = _program(prog, self.variant)
         self.store = st = {}
         for (annot, name), v in zip(prog.params, args):
             if not value_consistent(v, annot):
@@ -114,46 +120,73 @@ class Interp:
                     f"argument {name!r} must be consistent with {annot}, got "
                     f"{format_value(v)}")
             st[name] = v
-            if self.cost:
+            if self.cost and v.__class__ is VArray:
                 self.max_size = max(self.max_size, size_of_value(v))
-        self.counts = counts = [0] * len(table) if self.metered else None
+            elif self.cost:
+                self.track(v)
+        if table:
+            self.counts, self.exits = [0] * len(table.slots), [0] * len(table.exits)
         try:
             output = main(st, self)
         finally:  # a failed run folds what it counted too
             if self.cost:
-                totals = self.rule_counts
-                for vector, n in zip(table, counts):
-                    for rule, k in vector if n else ():
-                        totals[rule] = totals.get(rule, 0) + n * k
-                self.steps = sum(n for r, n in totals.items() if r not in _FREE_RULES)
+                steps, counts = _tally(table, self.counts, self.exits)
+                self.steps, old = self.steps + steps, self.rule_counts
+                # replaced, not changed: a report holds it
+                self.rule_counts = {**old, **{r: n + old.get(r, 0) for r, n
+                                              in counts.items()}} if old else counts
         if not self.cost:
             return CostReport(output)
         self.track(output)
-        return CostReport(output, self.steps, self.max_size,
-                          dict(self.rule_counts))
+        self.max_size = max(self.max_size, self.hi.bit_length(), (-self.lo).bit_length())
+        return CostReport(output, self.steps, self.max_size, self.rule_counts)
 
 
-def _number(table, exprs, *own):
-    """Add a slot -- a statement or return expression -- to the table as its
-    rule vector: one rule per expression node it evaluates, plus its own; its
-    number."""
+def _vector(exprs, *own):
+    """A rule vector: one rule per expression node evaluated, plus own."""
     c = Counter(_RULE.get(n.__class__) for n in walk(exprs, Expr))
     c.update(own)
     c.pop(None, None)  # nodes that cannot run charge nothing
-    table.append(tuple(c.items()))
-    return len(table) - 1
+    return c
 
 
-def _program(prog, metered):
+def _slot(table, vector):
+    """Add a slot with the given vector to the table; its number."""
+    table.slots.append(tuple((rule, k) for rule, k in vector.items() if k))
+    return len(table.slots) - 1
+
+
+def _tally(table, counts, exits):
+    """A run's steps and nonzero rule counts; the first tally of a table
+    generates the function that sums each rule's slots."""
+    if table.plan is None:
+        rules, ps = list(dict.fromkeys(r for vector in table.slots for r, _ in vector)), []
+        sums = [[f"c[{_p(ps, k)}]" + (f" * {n}" if n != 1 else "") for k, vector
+                 in enumerate(table.slots) for r, n in vector if r == rule] for rule in rules]
+        sums = [" + ".join(s) if len(s) < _CHAIN else f"sum(({', '.join(s)},))" for s in sums]
+        table.plan = (rules, _shape([f"return [{', '.join(sums)}]"], ps, "c"),
+                      [r not in _FREE_RULES for r in rules], [[(rules.index(r), n)
+                      for r, n in vector] for vector in table.exits])
+    rules, fold, steps, taken = table.plan
+    totals = fold(counts)
+    for k in compress(range(len(exits)), exits):  # what an exit takes back
+        for i, n in taken[k]:
+            totals[i] += exits[k] * n
+    return sum(compress(totals, steps)), dict(compress(zip(rules, totals), totals))
+
+
+def _program(prog, variant):
     """The slot table (None when plain) and code, main(store, run) -> output,
-    of a program's variant, compiled at its first use."""
-    code = vars(prog).setdefault("compiled", [None, None])  # plain, metered
-    if code[metered] is None:
-        table = [] if metered else None
-        code[metered] = table, _unit(
+    of a program's variant -- 0 plain, 1 metered, 2 fuelled -- compiled at
+    its first use."""
+    code = vars(prog).setdefault("compiled", [None, None, None])
+    if code[variant] is None:
+        table = SimpleNamespace(slots=[], exits=[], fuel=variant == 2,
+                                plan=None) if variant else None
+        code[variant] = table, _unit(
             table, prog.body, prog.ret_expr, InternalError, "the program body",
             dict.fromkeys(n for _, n in prog.params), ("Prog",))
-    return code[metered]
+    return code[variant]
 
 
 def _fail(message, pos=NO_POS):
@@ -170,7 +203,9 @@ _CHAIN = 32  # the most operators one shape chains; a longer chain runs _fold
 _INFIX = {"+": " + ", "-": " - ", "==": " == ", "!=": " != ", "<": " < ",
           "<=": " <= ", ">": " > ", ">=": " >= ", "&&": " & ", "||": " | "}
 _STOP = {"&&": (" and ", False), "||": (" or ", True)}
-_SIZED = "v.__class__ is not int or v.bit_length() > r.max_size"
+# whether binding v may widen what a cost run measured; see Interp.track
+_SIZED = ("(not r.lo <= v <= r.hi if v.__class__ is int else v.__class__ is str "
+          "or v.__class__ is bool and r.hi < 1)")
 
 
 def _p(ps, x):
@@ -327,22 +362,22 @@ def _new_array(n, e, r):
     return a
 
 
+
+
 # -- statements: shapes (store, run) -> None, "break" or "continue" -----------
-# The metered variant numbers a statement's slot k in the slot table t; the
-# statement first spends fuel, if a limit is set, and counts k.  The scope
-# `sc` gains the names its Decls and FunDefs bind, until the end of the block,
-# branch or loop body that binds them, as the checker's scope does.
+# Metered, a statement adds its rule vector to the Counter `vec` of the slot
+# that counts it; the list, if or loop that runs it spends its fuel.  The
+# scope `sc` gains the names its Decls and FunDefs bind, until the end of the
+# block, branch or loop body that binds them, as the checker's scope does.
 
 
-def _stmt(s, t, sc):
-    """Compile s to g(store, run); metered when t, the slot table, is not
-    None."""
+def _stmt(s, t, sc, vec=None):
+    """Compile s to g(store, run), metered when t, the slot table, is set."""
     cls, ps, lines = s.__class__, [], []
 
     def meter(exprs, *own):
-        if t is not None:
-            lines.extend(["if r.fuel is not None: r.spend()",
-                          f"r.counts[{_p(ps, _number(t, exprs, *own))}] += 1"])
+        if t:
+            vec.update(_vector(exprs, *own))
 
     def ex(e):
         return _emit(e, sc, ps, 0)[0]
@@ -352,64 +387,72 @@ def _stmt(s, t, sc):
             sc.popitem()
         return out
 
-    def sub(x, *names):  # a branch or loop body
-        mark = len(sc)
+    def sub(x, *names):  # a branch or loop body, and its rule vector
+        mark, own = len(sc), Counter()
         sc.update(dict.fromkeys(names))
-        return _p(ps, end(mark, _stmt(x, t, sc)))
+        return _p(ps, end(mark, _stmt(x, t, sc, own))), own
+
+    def count(own):  # the fuel and the count of a branch
+        return [" r.spend()"][:t.fuel] + [f" r.counts[{_p(ps, _slot(t, own))}] += 1"] if t else []
 
     if cls is Assign and s.lvalue.__class__ is Var:
         meter([s.expr], "Asgmt")
         name, text, bound = _p(ps, s.lvalue.name), ex(s.expr), s.lvalue.name in sc
-        lines.append(f"st[{name}] = {text}" if t is None and bound else f"v = {text}")
+        sized = not t or _measured(s.expr, sc)
+        lines.append(f"st[{name}] = {text}" if sized and bound else f"v = {text}")
         if not bound:
             message = f"assignment to unbound variable {s.lvalue.name!r}"
             lines.append(f"if {name} not in st: _fail({_p(ps, message)}, "
                          f"{_p(ps, s.pos)})")
-        if t is not None or not bound:
-            lines.append(f"st[{name}] = v")
-        if t is not None:
-            lines.append(f"if r.cost and ({_SIZED}): r.track(v)")
+        lines += [] if sized and bound else [f"st[{name}] = v"]
+        lines += [] if sized else ["if r.cost:", " if v.__class__ is not int: r.track(v)",
+                                   " elif v > r.hi: r.hi = v", " elif v < r.lo: r.lo = v"]
     elif cls is Assign:  # to an array cell; the target's Index nodes are free
         chain, node = [], s.lvalue
         while node.__class__ is Index:
             chain.insert(0, node.index)
             node = node.base
         meter([node, *chain, s.expr], "Asgmt")
-        lines.append(f"_write_cell(r, {ex(node)}, [{', '.join(map(ex, chain))}], "
+        run = "None" if t and _measured(s.expr, sc) else "r"
+        lines.append(f"_write_cell({run}, {ex(node)}, [{', '.join(map(ex, chain))}], "
                      f"{ex(s.expr)}, {_p(ps, s.pos)})")
-    elif cls is If:
+    elif cls is If:  # plain, an empty else is not called
         meter([s.cond], "Cond")
-        lines += [f"if {ex(s.cond)}:", f" return {sub(s.then)}(st, r)"]
-        # plain, an empty else is not called; metered, it counts its slot
-        if t is not None or s.els.__class__ is not Block or s.els.stmts:
-            lines += ["else:", f" return {sub(s.els)}(st, r)"]
+        lines.append(f"if {ex(s.cond)}:")
+        then, own = sub(s.then)
+        lines += [*count(own), f" return {then}(st, r)"]
+        empty = s.els.__class__ is Block and not s.els.stmts
+        if t or not empty:
+            els, own = sub(s.els)
+            lines += ["else:", *count(own), *([] if empty else [f" return {els}(st, r)"])]
     elif cls is Block:
-        meter([], "Block", *(() if s.stmts else ("EmptyBlock",)))
         mark = len(sc)
-        lines += end(mark, _calls(s.stmts, t, sc, ps, "return sig")) or ["pass"]
+        signal = "r.exits[x] += 1; return sig" if t else "return sig"
+        lines += end(mark, _calls(s.stmts, t, sc, ps, signal, vec, Counter(
+            ["Block", *(() if s.stmts else ("EmptyBlock",))]))) or ["pass"]
+    elif cls is For and not t:
+        bound, (body, _), counter = ex(s.bound), sub(s.body, s.counter), _p(ps, s.counter)
+        lines += [f"for j in range({bound}):", f" st[{counter}] = j",
+                  f" if {body}(st, r) == 'break': break"]
     elif cls is For:
         meter([s.bound], "Loop")
-        bound, body, counter = ex(s.bound), sub(s.body, s.counter), s.counter
-        if t is None:
-            lines += [f"for j in range({bound}):", f" st[{_p(ps, counter)}] = j",
-                      f" if {body}(st, r) == 'break': break"]
-        else:
-            message = "loop body changed the iterable restriction of the store"
-            lines += [f"n = {bound}", f"w = r.watch and r.watch.get({_p(ps, id(s))})",
-                      "for j in range(n):", f" st[{_p(ps, counter)}] = j",
-                      " if w: before = {x: st[x] for x in w if x in st}",
-                      f" sig = {body}(st, r)",
-                      " if w and before != {x: st[x] for x in before}: "
-                      f"_fail({_p(ps, message)}, {_p(ps, s.pos)})",
-                      " if sig == 'break': break",  # "continue" moves on
-                      "if n > 0 and r.cost: r.track(j)"]  # j only grows
+        bound, (body, inner), counter = ex(s.bound), sub(s.body, s.counter), _p(ps, s.counter)
+        message = "loop body changed the iterable restriction of the store"
+        lines += [f"n = {bound}", f"w = r.watch and r.watch.get({_p(ps, id(s))})",
+                  "for j in range(n):", f" st[{counter}] = j", *[" r.spend()"][:t.fuel],
+                  f" r.counts[{_p(ps, _slot(t, inner))}] += 1",
+                  " if w: before = {x: st[x] for x in w if x in st}", f" sig = {body}(st, r)",
+                  " if w and before != {x: st[x] for x in before}: "
+                  f"_fail({_p(ps, message)}, {_p(ps, s.pos)})",
+                  " if sig == 'break': break",  # "continue" moves on
+                  "if n > 0 and r.cost: r.track(j)"]  # j only grows
     elif cls is Decl:  # a fresh default each time: no array is shared
         meter([], "Decl")
         sc[s.name] = None
         value = (f"default_value({_p(ps, s.annot)})" if isinstance(s.annot, ArrayT)
                  else _p(ps, default_value(s.annot)))
         lines.append(f"st[{_p(ps, s.name)}] = v = {value}")
-        if t is not None:
+        if t and size_of_value(default_value(s.annot)):  # a bool
             lines.append("if r.cost: r.track(v)")
     elif cls is FunDef:
         meter([], "Fun")
@@ -434,20 +477,49 @@ def _stmt(s, t, sc):
     return _shape(lines, ps)
 
 
-def _calls(stmts, t, sc, ps, on_signal):
+def _measured(e, sc):
+    """Whether e's value is no larger than one measured when bound: that of
+    a name in scope, an element of it, or it divided by or modulo anything."""
+    while e.__class__ in (Index, Paren) or e.__class__ is OpApp and e.op in ("/", "%"):
+        e = e.base if e.__class__ is Index else e.inner if e.__class__ is Paren else e.args[0]
+    return e.__class__ is Var and e.name in sc
+
+
+def _calls(stmts, t, sc, ps, on_signal, vec, head=(), ret=None):
     """Lines that compile and run stmts in turn, in a loop whose shape does
     not depend on their number; the line on_signal handles the signal `sig`
     of the statement at position q.  A node the list repeats runs the code
-    of its first position: the scope only grows, so that code holds later."""
-    if not stmts:
-        return []
-    code = {}
-    subs = tuple((code.get(id(x)) or code.setdefault(id(x), _stmt(x, t, sc)), x.pos)
-                 for x in stmts)
-    return [f"for f, q in {_p(ps, subs)}:", " sig = f(st, r)", f" if sig: {on_signal}"]
+    of its first position: the scope only grows, so that code holds later.
+    Given ret, a return expression and its rules, they return its value.
+    Metered, vec gains head and the vectors of the statements, one for each
+    position, and of ret; an exit at a position counts its exit slot x, and
+    fuel running out x - 1."""
+    code, vecs = {}, []
+    for x in stmts:
+        if id(x) not in code:
+            code[id(x)] = _stmt(x, t, sc, own := Counter()), own
+        vecs.append(code[id(x)][1])
+    if not t:
+        subs = tuple((code[id(x)][0], x.pos) for x in stmts)
+        return ([f"for f, q in {_p(ps, subs)}:", " sig = f(st, r)",
+                 f" if sig: {on_signal}"] if stmts else []) + (
+            [f"return {_emit(ret[0], sc, ps, 0)[0]}"] if ret else [])
+    rest = _vector([ret[0]], *ret[1]) if ret else Counter()
+    tails, first = [rest.copy()], len(t.exits)  # what follows each position
+    for own in reversed(vecs):
+        rest.update(own)
+        tails.append(rest.copy())
+    vec.update(rest + Counter(head))
+    t.exits += [tuple((rule, -n) for rule, n in tail.items()) for tail in tails[::-1]]
+    subs = tuple((code[id(x)][0], x.pos, first + k) for k, x in enumerate(stmts, 1))
+    loop = [f" for f, q, x in {_p(ps, subs)}:", *["  if r.fuel > 0: r.fuel -= 1",
+            "  else: x -= 1; r.spend()"][:2 * t.fuel], "  sig = f(st, r)", f"  if sig: {on_signal}"]
+    value = [f" x = {first}", f" v = {_emit(ret[0], sc, ps, 0)[0]}"] if ret else []
+    return ["try:", *(loop + value[1:] if stmts else value), "except BaseException:",
+            " r.exits[x] += 1", " raise", *(["return v"] if ret else [])] if stmts or ret else []
 
 
-def _write_cell(r, target, idxs, v, pos):
+def _write_cell(r, target, idxs, v, pos):  # the run r, if given, measures v
     for left, idx in enumerate(idxs, 1 - len(idxs)):  # left == 0: the cell
         if not isinstance(target, VArray):
             _fail("index assignment into non-array", pos)
@@ -458,24 +530,20 @@ def _write_cell(r, target, idxs, v, pos):
             target = target.items[idx]
         else:
             target.items[idx] = v
-            if r.cost and (v.__class__ is not int or v.bit_length() > r.max_size):
+            if r and r.cost and (not r.lo <= v <= r.hi if v.__class__ is int else
+                                 v.__class__ is str or v.__class__ is bool and r.hi < 1):
                 r.track(v)
 
 
 def _unit(t, body, ret_expr, error, where, sc, own, params=None):
     """Compile a body and return expression to main(store, run) -> value, or,
     given its parameters, a function's to code(closure value, arguments, run)."""
-    ps, lines = [], []
+    ps, lines, entry = [], [], Counter()
     if params is not None:
         lines += ["st = dict(fv.def_store)", f"st.update(zip({_p(ps, params)}, vals))"]
-        if t is not None:
-            lines += ["if r.cost:", " for v in vals:", f"  if {_SIZED}: r.track(v)"]
+        lines += ["if r.cost:", " for v in vals:", f"  if {_SIZED}: r.track(v)"] if t else []
     error, where = _p(ps, error), _p(ps, f" escaped {where}")
-    lines += _calls(body, t, sc, ps, f"raise {error}(sig + {where}, q)")
-    ret = _emit(ret_expr, sc, ps, 0)[0]
-    if t is None:
-        lines.append(f"return {ret}")
-    else:
-        k = _p(ps, _number(t, [ret_expr], *own))
-        lines += [f"v = {ret}", f"r.counts[{k}] += 1", "return v"]
-    return _shape(lines, ps, "st, r" if params is None else "fv, vals, r")
+    rest = _calls(body, t, sc, ps, f"raise {error}(sig + {where}, q)", entry,
+                  ret=(ret_expr, own))
+    lines += [f"r.counts[{_p(ps, _slot(t, entry))}] += 1"] if t else []
+    return _shape(lines + rest, ps, "st, r" if params is None else "fv, vals, r")

@@ -118,7 +118,9 @@ def size_of_value(v):
     if isinstance(v, VArray):
         if not v.items:
             return 0
-        return max(size_of_value(x) for x in v.items)
+        if is_int_type(v.elem):  # the largest magnitude is the largest size
+            return max(max(v.items), -min(v.items)).bit_length()
+        return max(map(size_of_value, v.items))
     raise ValueError(f"value {v!r} has no size")
 
 

@@ -730,9 +730,10 @@ class TestGeneratedExpressions:
             assert run_program(prog, [5]).output == 16
         assert metered == [False]
         for options in ({"cost_mode": True}, {"fuel": 100}, {"watch": {}},
-                        {"cost_mode": True}):
+                        {"cost_mode": True}, {"fuel": 100}):
             assert run_program(prog, [5], **options).output == 16
-        assert metered == [False, True]
+        # the metered variant, then the one that also spends fuel
+        assert metered == [False, True, True]
 
     @pytest.mark.parametrize("name", sorted(TestSlotTable.COSTS))
     def test_programs_run_while_their_shapes_are_evicted(self, monkeypatch,
@@ -822,6 +823,16 @@ class TestRepeatedStatements:
                     copied, args, **b), (args, a)
 
     @staticmethod
+    def compiled(prog, monkeypatch):
+        """How many statements compiling prog's metered variant compiles."""
+        seen, stmt = [], interp._stmt
+        monkeypatch.setattr(interp, "_stmt", lambda s, *rest: seen.append(s)
+                            or stmt(s, *rest))
+        interp._program(prog, True)
+        monkeypatch.setattr(interp, "_stmt", stmt)
+        return len(seen)
+
+    @staticmethod
     def repeat(src, mode, *moves):
         """Two copies of src's program, each (k, i, j) move replacing the
         j-th statement of the k-th statement list by its i-th, in one by
@@ -833,7 +844,7 @@ class TestRepeatedStatements:
                 lists[k][j] = copy(lists[k][i])
         return progs
 
-    def test_fuzzed_block_with_a_repeated_statement(self):
+    def test_fuzzed_block_with_a_repeated_statement(self, monkeypatch):
         rng = random.Random(31)
         for seed in range(200):
             progs = [fuzzgen.gen_program(seed) for _ in range(2)]
@@ -845,9 +856,9 @@ class TestRepeatedStatements:
             lists[0][k].insert(j, node)
             lists[1][k].insert(j, clone(node))
             shared, copied = progs
-            # the copy's slots are the node's statements over again
-            slots = [len(interp._program(p, True)[0]) for p in (copied, shared)]
-            assert slots[0] - slots[1] == sum(1 for _ in walk([node], Stmt))
+            # the copy compiles the node's statements over again
+            counts = [self.compiled(p, monkeypatch) for p in (copied, shared)]
+            assert counts[0] - counts[1] == sum(1 for _ in walk([node], Stmt))
             args = [rng.randrange(-2 ** 12, 2 ** 12) for _ in shared.params]
             self.assert_same_runs(shared, copied, [args])
 
@@ -859,13 +870,14 @@ class TestRepeatedStatements:
         self.assert_same_runs(shared, clone(shared), [
             [*args, t] for args in inputs for t in (1, 3, 40, 4096)])
 
-    def test_normalized_fastmul_compiles_each_node_once(self, fastmul):
+    def test_normalized_fastmul_compiles_each_node_once(self, fastmul,
+                                                         monkeypatch):
         shared = normalize_simple(fastmul).program
         copied = clone(shared)
-        # 69 distinct statements and the return expression; the clone shares
-        # no node, so each of its 32 copies of a halving step has its slots
-        assert [len(interp._program(p, True)[0]) for p in (shared, copied)] == [
-            70, 225]
+        # 69 distinct statements; the clone shares no node, so each of its
+        # 32 copies of a halving step is compiled
+        assert [self.compiled(p, monkeypatch) for p in (shared, copied)] == [
+            69, 224]
         reports = [run_program(p, [37, 91, 4096], cost_mode=True, mode="extended")
                    for p in (shared, copied)]
         assert reports[0].output == 37 * 91
