@@ -1,7 +1,7 @@
 """AST node definitions shared by the core and extended language."""
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -101,152 +101,76 @@ def subtype_of(t1, t2):
 
 
 # ---------------------------------------------------------------------------
-# Expressions
+# Expressions and statements
 
 
 class Expr:
-    pass
-
-
-@dataclass(eq=True)
-class Var(Expr):
-    name: str
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class Const(Expr):
-    """Literal with its surface text: digits, 0b digits, true/false, "...". """
-
-    text: str
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class OpApp(Expr):
-    op: str
-    args: list
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class Paren(Expr):
-    inner: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class Call(Expr):
-    fname: str
-    args: list
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class Index(Expr):
-    base: Expr
-    index: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class ArrayCtor(Expr):
-    length: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
-    # element annotation backfilled by the type checker
-    elem: Type = field(default=None, compare=False)
-
-
-# ---------------------------------------------------------------------------
-# Statements
+    __slots__ = ()
 
 
 class Stmt:
-    pass
+    __slots__ = ()
 
 
-@dataclass(eq=True)
-class Decl(Stmt):
-    annot: Type
-    name: str
-    pos: Pos = field(default=NO_POS, compare=False)
+# Each node class: its name, base and fields in order; a field marked :str or
+# :Type holds no node.  Every class ends with `pos`, which, like ArrayCtor's
+# element annotation (backfilled by the type checker), equality ignores.
+_CLASSES = """
+Var Expr name:str
+Const Expr text:str
+OpApp Expr op:str args
+Paren Expr inner
+Call Expr fname:str args
+Index Expr base index
+ArrayCtor Expr length
+Decl Stmt annot:Type name:str
+Assign Stmt lvalue expr
+Block Stmt stmts
+If Stmt cond then els
+For Stmt counter:str bound body
+FunDef Stmt ret:Type name:str params body ret_expr
+Break Stmt
+Continue Stmt
+CallStmt Stmt call
+Program object params body ret_expr
+"""
+# Notes on fields: Const.text is the surface text (digits, 0b digits,
+# true/false or "..."); Assign.lvalue is a Var or an Index chain over one;
+# If.els is an empty Block for an if without else; For.bound is
+# OpApp("size", [e]) or a numeral; FunDef.params and Program.params hold
+# (Type, name) pairs.  Program keeps a __dict__, where the interpreter keeps
+# its compiled code.
 
 
-@dataclass(eq=True)
-class Assign(Stmt):
-    lvalue: Expr  # Var or Index chain over a Var
-    expr: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
+def _define(table):
+    """Compile the classes of `table` in one go, with dataclass-style
+    __init__, __eq__ and __repr__, unhashable, and slotted but for Program;
+    each class's _fields gives its field order and _nodes the fields that
+    can hold nodes."""
+    src = []
+    for line in table.strip().splitlines():
+        name, base, *spec = line.split()
+        compared = [f.split(":")[0] for f in spec]
+        defaults = {"pos": "NO_POS", **({"elem": "None"} if name == "ArrayCtor" else {})}
+        names = (*compared, *defaults)
+        params = ", ".join(["self", *compared, *(f"{n}={v}" for n, v in defaults.items())])
+        key = "({})".format("".join(f"{{0}}.{n}, " for n in compared))
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        src += [f"class {name}({base}):",
+                f"    __slots__ = {names}" if base != "object" else "",
+                f"    _fields, _nodes = {names}, {tuple(f for f in spec if ':' not in f)}",
+                "    __hash__ = None",
+                f"    def __init__({params}):", *(f"        self.{n} = {n}" for n in names),
+                "    def __eq__(self, other):",
+                "        if other.__class__ is not self.__class__:",
+                "            return NotImplemented",
+                f"        return {key.format('self')} == {key.format('other')}",
+                "    def __repr__(self):", f"        return f'{name}({shown})'"]
+    exec(compile("\n".join(src), __name__, "exec"), globals())
 
 
-@dataclass(eq=True)
-class Block(Stmt):
-    stmts: list
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class If(Stmt):
-    cond: Expr
-    then: Stmt
-    els: Stmt  # an empty Block for an if without else
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class For(Stmt):
-    counter: str
-    bound: Expr  # OpApp("size", [e]) or a numeral Const
-    body: Stmt
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class FunDef(Stmt):
-    ret: Type
-    name: str
-    params: list  # (Type, name) pairs
-    body: list
-    ret_expr: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class Break(Stmt):
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class Continue(Stmt):
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class CallStmt(Stmt):
-    call: Call
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
-@dataclass(eq=True)
-class Program:
-    params: list  # (Type, name) pairs
-    body: list
-    ret_expr: Expr
-    pos: Pos = field(default=NO_POS, compare=False)
-
-
+_define(_CLASSES)
 _NODES = (Expr, Stmt)
-
-
-@functools.cache
-def _field_names(cls):
-    return tuple(f.name for f in fields(cls))
-
-
-@functools.cache
-def _node_fields(cls):
-    """Fields that can hold nodes: not those declared str, Type or Pos."""
-    return tuple(f.name for f in fields(cls) if f.type not in (str, Type, Pos))
 
 
 def rebuild(node, fn):
@@ -267,7 +191,7 @@ def rebuild(node, fn):
             acc = op
         return acc
     values = []
-    for name in _field_names(type(node)):
+    for name in node._fields:
         value = getattr(node, name)
         if isinstance(value, list):
             items = []
@@ -287,15 +211,15 @@ def clone(node):
 
 def walk(nodes, kind=_NODES):
     """Pre-order walk over `nodes` and their descendants of class `kind`.
-    A node's children are the Expr and Stmt values of its dataclass fields in
-    field order, list fields flattened; names, operators, types, (type, name)
+    A node's children are the Expr and Stmt values of its fields in field
+    order, list fields flattened; names, operators, types, (type, name)
     parameter pairs and positions are not children.  An explicit stack keeps
     deep nesting off the Python stack."""
     stack = list(reversed(nodes))
     while stack:
         node = stack.pop()
         yield node
-        for name in reversed(_node_fields(type(node))):
+        for name in reversed(node._nodes):
             value = getattr(node, name)
             if isinstance(value, list):
                 stack.extend([v for v in reversed(value) if isinstance(v, kind)])

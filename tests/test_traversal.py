@@ -1,4 +1,3 @@
-from dataclasses import fields
 
 import pytest
 
@@ -97,8 +96,8 @@ def _preorder(node):
     """Reference order: recursion over the Expr and Stmt values of each
     node's fields, in field order."""
     yield node
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in type(node)._fields:
+        value = getattr(node, name)
         for child in value if isinstance(value, list) else [value]:
             if isinstance(child, (Expr, Stmt)):
                 yield from _preorder(child)
