@@ -56,11 +56,11 @@ def apply_state(prog, iterable):
 
 
 class _Recorder(Checker):
-    """The extended checker, recording the integer sites it binds (loop
-    counters are fixed iterable) and the edges of each user call."""
+    """The checker, recording the integer sites it binds (loop counters are
+    fixed iterable) and the edges of each user call."""
 
-    def __init__(self):
-        super().__init__("extended")
+    def __init__(self, mode):
+        super().__init__(mode)
         self.sites = []
         self.flows = {}  # site -> [(parameter site, call)]
 
@@ -105,13 +105,15 @@ class PolyVerdict:
 
 def poly_check(prog, mode="extended"):
     """Record with every site iterable, demote along the edges, check once.
-    Both checks run in extended mode whatever the input mode: only its
-    parameter rule admits main's iterable parameters; `mode`, the input's,
-    words the diagnostics that make a program ill-typed."""
-    work = apply_state(clone(prog), lambda site: True)
-    rec = _Recorder()
-    rec.program(work)
-    state = AnnotationState(dict.fromkeys(rec.sites, True))
+    Both checks run in `mode`, the input's; core mode admits no iterable
+    parameter of main, so there main's parameter sites are fixed at int."""
+    work = clone(prog)
+
+    def free(site):  # whether a site starts iterable
+        return mode == "extended" or site[-1] != id(work)
+    rec = _Recorder(mode)
+    rec.program(apply_state(work, free))
+    state = AnnotationState({site: free(site) for site in rec.sites})
     todo = [(site, d) for d in rec.errors for site in d.sites]
     while todo:
         site, why = todo.pop()
@@ -119,7 +121,7 @@ def poly_check(prog, mode="extended"):
             state.assignment[site] = False
             state.history.append((site, why))
             todo.extend(rec.flows.get(site, ()))
-    res = check_program(apply_state(work, state.assignment.get), "extended")
+    res = check_program(apply_state(work, state.assignment.get), mode)
     if res.ok:
         return PolyVerdict("poly", state, witness=work)
     culprits = [d for d in res.errors if d.kind not in ITERABILITY_KINDS and not (

@@ -233,10 +233,12 @@ def cmd_transform(args):
 
 def cmd_analyze(args):
     with _in_file(args.file):
-        verdict = poly_check(*load_program(_read(args.file), args.mode))
+        prog, mode = load_program(_read(args.file), args.mode)
+        verdict = poly_check(prog, mode)
     print(verdict.verdict)
     if verdict.verdict == "poly":
-        print(pretty_print(verdict.witness, mode_marker="extended"), end="")
+        print(pretty_print(verdict.witness, mode_marker=mode if mode == "extended"
+                           else None), end="")
 
 
 def cmd_equiv(args):

@@ -90,6 +90,38 @@ class TestPolyCheck:
         with pytest.raises(IllTypedError):
             poly_check(compile_src(src, "extended"))
 
+    def test_witness_passes_check_in_its_own_mode(self):
+        # analyze prints the witness with the input's mode marker
+        inputs = [load(f.name) for f in sorted(CORPUS.glob("*.pc"))]
+        inputs += [(fuzzgen.gen_program(seed), "core") for seed in range(500)]
+        poly = 0
+        for prog, mode in inputs:
+            try:
+                v = poly_check(erase_annotations(prog), mode)
+            except IllTypedError:
+                continue
+            if v.verdict == "poly":
+                poly += 1
+                text = pretty_print(v.witness, mode_marker=mode if mode == "extended"
+                                    else None)
+                witness, got = load_program(text)
+                assert got == mode and check_program(witness, mode).ok, text
+        assert poly >= 400
+
+    @pytest.mark.parametrize("src,verdict", [
+        # min is no builtin in core mode, and == is not defined on bools
+        ("int main(int x){ int min; min = x; return x; }", "poly"),
+        ("int main(int x){ bool b; bool c; c = b == b; return x; }", None),
+    ])
+    def test_core_input_is_judged_in_core_mode(self, src, verdict):
+        prog, mode = load_program(src)
+        assert check_program(prog, mode).ok == (verdict is not None)
+        if verdict is None:
+            with pytest.raises(IllTypedError):
+                poly_check(prog, mode)
+        else:
+            assert poly_check(prog, mode).verdict == verdict
+
     def test_witness_reannotation_idempotent(self):
         prog, _ = load("fastmul.pc")
         v = poly_check(prog)
