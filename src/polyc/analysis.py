@@ -107,13 +107,11 @@ def poly_check(prog, mode="extended"):
     """Record with every site iterable, demote along the edges, check once.
     Both checks run in `mode`, the input's; core mode admits no iterable
     parameter of main, so there main's parameter sites are fixed at int."""
-    work = clone(prog)
-
-    def free(site):  # whether a site starts iterable
-        return mode == "extended" or site[-1] != id(work)
-    rec = _Recorder(mode)
-    rec.program(apply_state(work, free))
-    state = AnnotationState({site: free(site) for site in rec.sites})
+    work, rec = clone(prog), _Recorder(mode)
+    fixed = set() if mode == "extended" else {
+        param_site("main", i, work) for i in range(len(work.params))}
+    rec.program(apply_state(work, lambda site: site not in fixed))
+    state = AnnotationState({site: site not in fixed for site in rec.sites})
     todo = [(site, d) for d in rec.errors for site in d.sites]
     while todo:
         site, why = todo.pop()
