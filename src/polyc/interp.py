@@ -143,16 +143,14 @@ class Interp:
 
 
 def _vector(exprs, *own):
-    """A rule vector: one rule per expression node evaluated, plus own."""
-    c = Counter(_RULE.get(n.__class__) for n in walk(exprs, Expr))
-    c.update(own)
-    c.pop(None, None)  # nodes that cannot run charge nothing
-    return c
+    """A rule vector, as a list of rules: one per expression node evaluated
+    (a node that cannot run charges nothing), plus own."""
+    return [_RULE[n.__class__] for n in walk(exprs, Expr) if n.__class__ in _RULE] + [*own]
 
 
 def _slot(table, vector):
     """Add a slot with the given vector to the table; its number."""
-    table.slots.append(tuple((rule, k) for rule, k in vector.items() if k))
+    table.slots.append(tuple(Counter(vector).items()))
     return len(table.slots) - 1
 
 
@@ -160,11 +158,11 @@ def _tally(table, counts, exits):
     """A run's steps and nonzero rule counts; the first tally of a table
     generates the function that sums each rule's slots."""
     if table.plan is None:
-        rules, ps = list(dict.fromkeys(r for vector in table.slots for r, _ in vector)), []
-        sums = [[f"c[{_p(ps, k)}]" + (f" * {n}" if n != 1 else "") for k, vector
+        rules = list(dict.fromkeys(r for vector in table.slots for r, _ in vector))
+        sums = [[f"c[{k}]" + (f" * {n}" if n != 1 else "") for k, vector
                  in enumerate(table.slots) for r, n in vector if r == rule] for rule in rules]
         sums = [" + ".join(s) if len(s) < _CHAIN else f"sum(({', '.join(s)},))" for s in sums]
-        table.plan = (rules, _shape([f"return [{', '.join(sums)}]"], ps, "c"),
+        table.plan = (rules, _shape([f"return [{', '.join(sums)}]"], [], "c"),
                       [r not in _FREE_RULES for r in rules], [[(rules.index(r), n)
                       for r, n in vector] for vector in table.exits])
     rules, fold, steps, taken = table.plan
@@ -365,7 +363,7 @@ def _new_array(n, e, r):
 
 
 # -- statements: shapes (store, run) -> None, "break" or "continue" -----------
-# Metered, a statement adds its rule vector to the Counter `vec` of the slot
+# Metered, a statement adds its rule vector to the list `vec` of the slot
 # that counts it; the list, if or loop that runs it spends its fuel.  The
 # scope `sc` gains the names its Decls and FunDefs bind, until the end of the
 # block, branch or loop body that binds them, as the checker's scope does.
@@ -377,7 +375,7 @@ def _stmt(s, t, sc, vec=None):
 
     def meter(exprs, *own):
         if t:
-            vec.update(_vector(exprs, *own))
+            vec.extend(_vector(exprs, *own))
 
     def ex(e):
         return _emit(e, sc, ps, 0)[0]
@@ -388,7 +386,7 @@ def _stmt(s, t, sc, vec=None):
         return out
 
     def sub(x, *names):  # a branch or loop body, and its rule vector
-        mark, own = len(sc), Counter()
+        mark, own = len(sc), t and []
         sc.update(dict.fromkeys(names))
         return _p(ps, end(mark, _stmt(x, t, sc, own))), own
 
@@ -428,8 +426,8 @@ def _stmt(s, t, sc, vec=None):
     elif cls is Block:
         mark = len(sc)
         signal = "r.exits[x] += 1; return sig" if t else "return sig"
-        lines += end(mark, _calls(s.stmts, t, sc, ps, signal, vec, Counter(
-            ["Block", *(() if s.stmts else ("EmptyBlock",))]))) or ["pass"]
+        lines += end(mark, _calls(s.stmts, t, sc, ps, signal, vec, [
+            "Block", *(() if s.stmts else ("EmptyBlock",))])) or ["pass"]
     elif cls is For and not t:
         bound, (body, _), counter = ex(s.bound), sub(s.body, s.counter), _p(ps, s.counter)
         lines += [f"for j in range({bound}):", f" st[{counter}] = j",
@@ -494,24 +492,23 @@ def _calls(stmts, t, sc, ps, on_signal, vec, head=(), ret=None):
     Metered, vec gains head and the vectors of the statements, one for each
     position, and of ret; an exit at a position counts its exit slot x, and
     fuel running out x - 1."""
-    code, vecs = {}, []
-    for x in stmts:
-        if id(x) not in code:
-            code[id(x)] = _stmt(x, t, sc, own := Counter()), own
-        vecs.append(code[id(x)][1])
+    code = {}  # a node's code and rule vector
+    compiled = [code.get(id(x)) or code.setdefault(
+        id(x), (_stmt(x, t, sc, own := t and []), own)) for x in stmts]
     if not t:
-        subs = tuple((code[id(x)][0], x.pos) for x in stmts)
+        subs = tuple((g, x.pos) for (g, _), x in zip(compiled, stmts))
         return ([f"for f, q in {_p(ps, subs)}:", " sig = f(st, r)",
                  f" if sig: {on_signal}"] if stmts else []) + (
             [f"return {_emit(ret[0], sc, ps, 0)[0]}"] if ret else [])
-    rest = _vector([ret[0]], *ret[1]) if ret else Counter()
-    tails, first = [rest.copy()], len(t.exits)  # what follows each position
-    for own in reversed(vecs):
-        rest.update(own)
-        tails.append(rest.copy())
-    vec.update(rest + Counter(head))
-    t.exits += [tuple((rule, -n) for rule, n in tail.items()) for tail in tails[::-1]]
-    subs = tuple((code[id(x)][0], x.pos, first + k) for k, x in enumerate(stmts, 1))
+    first, tail, exits = len(t.exits), {}, []  # what follows each position
+    for own in [_vector([ret[0]], *ret[1]) if ret else [], *(v for _, v in compiled[::-1])]:
+        vec.extend(own)
+        for rule in own:
+            tail[rule] = tail.get(rule, 0) + 1
+        exits.append(tuple((rule, -n) for rule, n in tail.items()))
+    vec.extend(head)
+    t.exits += exits[::-1]
+    subs = tuple((g, x.pos, first + k) for k, ((g, _), x) in enumerate(zip(compiled, stmts), 1))
     loop = [f" for f, q, x in {_p(ps, subs)}:", *["  if r.fuel > 0: r.fuel -= 1",
             "  else: x -= 1; r.spend()"][:2 * t.fuel], "  sig = f(st, r)", f"  if sig: {on_signal}"]
     value = [f" x = {first}", f" v = {_emit(ret[0], sc, ps, 0)[0]}"] if ret else []
@@ -538,7 +535,7 @@ def _write_cell(r, target, idxs, v, pos):  # the run r, if given, measures v
 def _unit(t, body, ret_expr, error, where, sc, own, params=None):
     """Compile a body and return expression to main(store, run) -> value, or,
     given its parameters, a function's to code(closure value, arguments, run)."""
-    ps, lines, entry = [], [], Counter()
+    ps, lines, entry = [], [], []
     if params is not None:
         lines += ["st = dict(fv.def_store)", f"st.update(zip({_p(ps, params)}, vals))"]
         lines += ["if r.cost:", " for v in vals:", f"  if {_SIZED}: r.track(v)"] if t else []
