@@ -360,8 +360,6 @@ def _new_array(n, e, r):
     return a
 
 
-
-
 # -- statements: shapes (store, run) -> None, "break" or "continue" -----------
 # Metered, a statement adds its rule vector to the list `vec` of the slot
 # that counts it; the list, if or loop that runs it spends its fuel.  The
